@@ -4,8 +4,8 @@ numerical-range quantities, verify radial growth envelopes and their
 intermediate inequality chain, and integrate the generated flows.
 """
 
-from .spaces import (DUAL_PAIR_TOL, MAX_DIM, NormedSpace, SupportPair,
-                     space_from_dict, space_to_dict)
+from .spaces import (MAX_DIM, NormedSpace, SupportPair, space_from_dict,
+                     space_to_dict)
 from .polymaps import (MAX_DEGREE, CallableMap, DiscFunction, HomogeneousPoly,
                        PolyMap, disc_generator_from, fejer_truncate,
                        herglotz_sample, lift_to_ball, map_from_dict,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "BETA", "BallEscapeError", "CallableMap", "CertifyBudget",
-    "ChainReport", "DUAL_PAIR_TOL", "DiscFunction", "GeneratorVerdict",
+    "ChainReport", "DiscFunction", "GeneratorVerdict",
     "GrowthBoundReport", "GrowthInputs", "HomogeneousPoly", "MAX_DEGREE",
     "MAX_DIM", "NormedSpace", "NotCertifiedError", "OracleMismatchError",
     "PolyMap", "PseudoDissipativityCertificate", "RangeEstimate",

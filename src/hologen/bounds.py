@@ -18,9 +18,10 @@ import numpy as np
 from .certify import (NotCertifiedError, _convex_hull, _pairings_on,
                       certify_generator, CertifyBudget,
                       PseudoDissipativityCertificate)
-from .numrange import (OracleMismatchError, SearchBudget, harris_constant,
-                       numerical_radius, numerical_range_inf,
-                       polynomial_numerical_radius, sup_norm_on_sphere)
+from .numrange import (DEFAULT_BUDGET, OracleMismatchError, SearchBudget,
+                       _sphere_search, harris_constant, numerical_radius,
+                       numerical_range_inf, polynomial_numerical_radius)
+from .spaces import _shell_grid
 
 LN2 = math.log(2.0)
 E = math.e
@@ -179,7 +180,7 @@ def generator_certificate(G, budget: CertifyBudget | None = None,
     lo = 1.0 - epsilon + epsilon / 20.0
     shells = np.linspace(lo, 0.999, 6)
     V = space.sphere_sample(budget.sphere, budget.seed)
-    Z = (shells[:, None, None] * V[None, :, :]).reshape(-1, space.dim)
+    Z = _shell_grid(shells, V)
     omega = _pairings_on(G, Z)
     r2 = space.norm_batch(Z) ** 2
     slack = b * (1.0 - r2) - np.real(omega)
@@ -229,13 +230,13 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     F0 = np.asarray(F.constant, dtype=np.complex128)
     grid = np.asarray(radii if radii is not None else _DEFAULT_RADII, dtype=np.float64)
     _check_radii(grid)
+    # every shell is one group of a single climb, shell i on stream salt 11 + i
+    found = _sphere_search(
+        space, lambda V, g: space.norm_batch(F.eval_batch(grid[g][:, None] * V) - F0[None, :]),
+        budget or DEFAULT_BUDGET, range(11, 11 + grid.size))
     lhs = np.empty(grid.size)
     r_eff = np.empty(grid.size)
-    for i, r in enumerate(grid):
-        def shell_eval(V, _r=r):
-            return F.eval_batch(_r * V) - F0[None, :]
-
-        val, vmax = sup_norm_on_sphere(space, shell_eval, budget, salt=11 + i)
+    for i, (r, (val, vmax)) in enumerate(zip(grid, found)):
         z = r * vmax
         r_eff[i] = space.norm(z)
         lhs[i] = space.norm(F.eval_batch(z[None, :])[0] - F0)
@@ -328,7 +329,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     q_pairs = {p.degree: np.abs(np.sum(p.eval_batch(V) * W, axis=1)) for p in G.higher}
 
     R = grid[:, None]
-    Z = (grid[:, None, None] * V[None, :, :]).reshape(-1, space.dim)
+    Z = _shell_grid(grid, V)
     s0 = np.max(
         space._norm_rows(G.eval_batch(Z) - g0[None, :]).reshape(grid.size, v_count), axis=1)
     s1_per_v = grid[:, None] * tv_norm[None, :]

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numrange import _climb, _golden_max
 from .polymaps import CallableMap, DiscFunction, PolyMap, lift_to_ball
-from .spaces import NormedSpace
+from .spaces import NormedSpace, _shell_grid
 
 
 class NotCertifiedError(RuntimeError):
@@ -27,6 +28,7 @@ class NotCertifiedError(RuntimeError):
 _DEFAULT_SHELLS = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
 
 _REFINE_SALT = 505
+_REFINE_STEPS = (0.05, 1.4, 0.2, 0.5)  # sigma0, grow, cap, shrink
 _PD_ROUND_SALT = 7919
 _COVERAGE_DIRECTIONS = 24
 
@@ -89,34 +91,18 @@ def generator_slack(G, Z: np.ndarray, alt_support: bool = False) -> np.ndarray:
 
 
 def _refine_points(space, value_batch, Z0, lo, hi, iters, proposals, rng):
-    """Minimize value_batch around each row of Z0, norms clipped to [lo, hi].
+    """Minimize value_batch(Z, g) around each row g of Z0, norms clipped to [lo, hi].
 
-    Returns (points, values, evals). Accept-only Gaussian proposals with a
-    multiplicative step schedule, all rows advanced in one batch per round.
+    Returns (points, values, evals): numrange's climb engine on the negated
+    values with a tighter step schedule, all rows advanced in one batch.
     """
     B, n = Z0.shape
-    cur_z = Z0.copy()
-    cur = np.asarray(value_batch(cur_z), dtype=np.float64)
-    evals = B
-    sigma = np.full(B, 0.05)
-    rows = np.arange(B)
-    for _ in range(iters):
-        raw = rng.standard_normal((B, proposals, 2 * n))
-        props = cur_z[:, None, :] + sigma[:, None, None] * (raw[..., :n] + 1j * raw[..., n:])
-        flat = props.reshape(-1, n)
-        nrm = space.norm_batch(flat)
-        scale = np.clip(nrm, lo, hi) / np.maximum(nrm, 1e-300)
-        flat = flat * scale[:, None]
-        vals = np.asarray(value_batch(flat), dtype=np.float64).reshape(B, proposals)
-        evals += flat.shape[0]
-        props = flat.reshape(B, proposals, n)
-        j = np.argmin(vals, axis=1)
-        best = vals[rows, j]
-        better = best < cur
-        cur_z[better] = props[rows, j][better]
-        cur = np.where(better, best, cur)
-        sigma = np.where(better, np.minimum(sigma * 1.4, 0.2), np.maximum(sigma * 0.5, 1e-9))
-    return cur_z, cur, evals
+    groups = np.arange(B)
+    noise = rng.standard_normal((iters, B, proposals, 2 * n))
+    Z, neg = _climb(space, lambda Z, g: -value_batch(Z, g), Z0,
+                    -np.asarray(value_batch(Z0, groups), dtype=np.float64),
+                    noise, groups, _REFINE_STEPS, (lo, hi))
+    return Z, -neg, B + iters * B * proposals
 
 
 def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float = 1e-9,
@@ -138,12 +124,12 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     budget = budget or CertifyBudget()
     space = G.space
 
-    def slack_batch(Z):
+    def slack_batch(Z, g=None):
         return generator_slack(G, Z, alt_support=alt_support)
 
     V = space.sphere_sample(budget.sphere, budget.seed)
     shells = np.asarray(budget.shells, dtype=np.float64)
-    Z = (shells[:, None, None] * V[None, :, :]).reshape(-1, space.dim)
+    Z = _shell_grid(shells, V)
     slack = slack_batch(Z)
     evals = Z.shape[0]
 
@@ -243,18 +229,21 @@ def _pairings_on(F, Z):
     return omega
 
 
-def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[bool, np.ndarray | None, int]:
+def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
+        bool, np.ndarray | None, int, np.ndarray | None]:
     """Probe whether refined samples exceed R_big in every half-plane direction.
 
-    Returns (covered, witness, evals). Climbing refinement per direction;
-    tame maps fail the quick magnitude check immediately, so the full probe
-    only runs on data that already reaches the refutation scale.
+    Returns (covered, witness, evals, extremes), extremes holding the
+    pairings at the refined directional maxima once the probe gets that
+    far. Climbing refinement per direction; tame maps fail the quick
+    magnitude check immediately, so the full probe only runs on data that
+    already reaches the refutation scale.
     """
     space = F.space
     rng = np.random.default_rng([budget.seed, 707])
     evals = 0
 
-    def neg_abs(flat):
+    def neg_abs(flat, g):
         return -np.abs(_pairings_on(F, flat))
 
     start = Z[int(np.argmax(np.abs(omega)))][None, :]
@@ -268,15 +257,11 @@ def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[bool, np
     dirs = np.exp(-1j * 2.0 * np.pi * np.arange(_COVERAGE_DIRECTIONS) / _COVERAGE_DIRECTIONS)
     X = np.real(dirs[:, None] * omega[None, :])
     starts = Z[np.argmax(X, axis=1)].copy()
-    d_per_row = dirs
 
-    def neg_directional(flat):
-        om = _pairings_on(F, flat)
-        reps = flat.shape[0] // d_per_row.shape[0]
-        d = np.repeat(d_per_row, reps) if reps > 1 else d_per_row
-        return -np.real(d * om)
+    def neg_directional(flat, g):
+        return -np.real(dirs[g] * _pairings_on(F, flat))
 
-    # refine all directions in one batch; row blocks stay direction-aligned
+    # refine all directions in one batch, start g climbing direction g
     zc, vc, used = _refine_points(space, neg_directional, starts, lo, hi,
                                   2 * budget.refine_iters, budget.proposals, rng)
     evals += used
@@ -333,7 +318,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     hi = 0.999
     shells = np.linspace(lo, hi, 6)
     V = space.sphere_sample(budget.sphere, budget.seed)
-    Z = (shells[:, None, None] * V[None, :, :]).reshape(-1, space.dim)
+    Z = _shell_grid(shells, V)
     omega = _pairings_on(F, Z)
     r2 = space.norm_batch(Z) ** 2
     evals = Z.shape[0]
@@ -357,27 +342,11 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     a_s = np.max((X - bs[:, None] * one_minus[None, :]) / r2[None, :], axis=1)
     t_idx = int(np.lexsort((thetas, bs, a_s))[0])
 
-    # golden-section polish of the angle around the best grid cell
+    # golden-section polish of the angle around the best grid cell, on -a
     step = 2.0 * np.pi / 720.0
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-    t_lo = thetas[t_idx] - 2.0 * step
-    t_hi = thetas[t_idx] + 2.0 * step
-    x1 = t_hi - gold * (t_hi - t_lo)
-    x2 = t_lo + gold * (t_hi - t_lo)
-    f1 = _fit_at_theta(x1, omega, r2, b0)[0]
-    f2 = _fit_at_theta(x2, omega, r2, b0)[0]
-    for _ in range(60):
-        if f1 > f2:
-            t_lo = x1
-            x1, f1 = x2, f2
-            x2 = t_lo + gold * (t_hi - t_lo)
-            f2 = _fit_at_theta(x2, omega, r2, b0)[0]
-        else:
-            t_hi = x2
-            x2, f2 = x1, f1
-            x1 = t_hi - gold * (t_hi - t_lo)
-            f1 = _fit_at_theta(x1, omega, r2, b0)[0]
-    theta = float(x1 if f1 <= f2 else x2)
+    x1, f1, x2, f2 = _golden_max(lambda t: -_fit_at_theta(t, omega, r2, b0)[0],
+                                 thetas[t_idx] - 2.0 * step, thetas[t_idx] + 2.0 * step, 60)
+    theta = float(x1 if f1 >= f2 else x2)
     a, b = _fit_at_theta(theta, omega, r2, b0)
     phase = complex(math.cos(theta), math.sin(theta))
 
@@ -390,7 +359,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     for round_idx in range(12):
         rng = np.random.default_rng([budget.seed, _PD_ROUND_SALT, round_idx])
         Vr = space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1))
-        Zr = (shells[:, None, None] * Vr[None, :, :]).reshape(-1, space.dim)
+        Zr = _shell_grid(shells, Vr)
         omr = _pairings_on(F, Zr)
         r2r = space.norm_batch(Zr) ** 2
         xr = np.real(phase * omr)
@@ -399,7 +368,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
         r2_all.append(r2r)
         slack = a * r2r + b * (1.0 - r2r) - xr
 
-        def pd_slack(flat, _a=a, _b=b):
+        def pd_slack(flat, g, _a=a, _b=b):
             om = _pairings_on(F, flat)
             rr2 = space.norm_batch(flat) ** 2
             return _a * rr2 + _b * (1.0 - rr2) - np.real(phase * om)
@@ -458,7 +427,7 @@ def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
     lo = 1.0 - epsilon + epsilon / 20.0
     shells = np.linspace(lo, 0.999, 6)
     V = space.sphere_sample(sphere, seed)
-    Z = (shells[:, None, None] * V[None, :, :]).reshape(-1, space.dim)
+    Z = _shell_grid(shells, V)
     omega = _pairings_on(F, Z)
     r2 = space.norm_batch(Z) ** 2
     slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)

@@ -35,7 +35,7 @@ from .flows import BallEscapeError, StepUnderflowError, integrate, invariance_sw
 from .numrange import (OracleMismatchError, SearchBudget, harris_check,
                        numerical_radius, numerical_range_inf)
 from .polymaps import herglotz_sample, map_from_dict, map_to_dict, sample_generator
-from .spaces import NormedSpace, space_to_dict
+from .spaces import NormedSpace, _shell_grid, space_to_dict
 
 
 class _CliError(Exception):
@@ -53,7 +53,7 @@ class RunConfig:
     command: str
     input_path: str | None
     seed: int
-    budgets: tuple  # (samples, shells, refinement_iters)
+    budgets: tuple  # (samples, refinement_iters)
     tolerances: tuple  # (cert_tol, bound_tol, rtol)
     output_path: str | None
     no_timestamp: bool = False
@@ -118,13 +118,13 @@ def _parse_p(raw: str) -> float:
 
 
 def _certify_budget(cfg: RunConfig) -> CertifyBudget:
-    samples, _, iters = cfg.budgets
+    samples, iters = cfg.budgets
     return CertifyBudget(sphere=samples or 128, refine_iters=iters or 40, seed=cfg.seed)
 
 
 def _search_budget(cfg: RunConfig, samples_default: int = 2048,
                    iters_default: int = 120, starts: int = 4) -> SearchBudget:
-    samples, _, iters = cfg.budgets
+    samples, iters = cfg.budgets
     return SearchBudget(samples=samples or samples_default,
                         refine_iters=iters or iters_default,
                         starts=starts, seed=cfg.seed)
@@ -339,7 +339,7 @@ def _battery(seed: int, cfg: RunConfig) -> dict:
     space = NormedSpace(dims[seed % 3], ps[(seed // 3) % 3])
     degree = 2 + seed % 7
     cert_tol = cfg.tolerances[0]
-    samples, _, iters = cfg.budgets
+    samples, iters = cfg.budgets
     cbud = CertifyBudget(sphere=samples or 128, refine_iters=iters or 30, seed=seed)
     sbud = SearchBudget(samples=samples or 768, refine_iters=iters or 40,
                         starts=2, seed=seed)
@@ -354,7 +354,7 @@ def _battery(seed: int, cfg: RunConfig) -> dict:
     # perturbed counterpart: adding kappa * id overwhelms the sampled slack
     shells = np.array([0.5, 0.9])
     V = space.sphere_sample(32, seed)
-    probe = (shells[:, None, None] * V[None, :, :]).reshape(-1, space.dim)
+    probe = _shell_grid(shells, V)
     kappa = (max(0.0, float(np.max(generator_slack(G, probe)))) + 1.0) / 0.25
     bad = shift_to_generator(G, 0.0, -kappa)
     bad_verdict = certify_generator(bad, cbud, cert_tol)
@@ -503,7 +503,7 @@ def run(argv=None) -> int:
             command=args.command,
             input_path=getattr(args, "map", None) or getattr(args, "matrix", None),
             seed=_resolve_seed(args.seed),
-            budgets=(args.samples, 19, args.refine_iters),
+            budgets=(args.samples, args.refine_iters),
             tolerances=(args.cert_tol, args.bound_tol, args.rtol),
             output_path=args.output,
             no_timestamp=args.no_timestamp,

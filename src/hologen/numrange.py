@@ -3,8 +3,15 @@
 Provides the infimum of Re<Av, v*> and the supremum of |<Av, v*>| for
 matrices, the same supremum for homogeneous polynomials, induced operator
 norms, and the degree-dependent constants that turn range radii into sup
-norm bounds. All searches share one deterministic sample-then-refine
-engine; for p = 2 closed-form eigenvalue oracles cross-check the results.
+norm bounds. For p = 2 closed-form eigenvalue oracles cross-check them.
+
+Every search samples the sphere, then refines its best samples with one
+engine, `_climb`, which also serves the certifiers: all starts, and in
+verify_growth_bound all shells, advance together, one objective call per
+iteration. Each start still replays its serial random stream: a search
+fills its (starts, iters, proposals, 2n) noise block in one draw, and
+numpy's Generator gives the numbers that per-iteration (proposals, 2n)
+draws, start after start, would give.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 _REFINE_SALT = 404
+# sigma0, grow, cap, shrink: the gentle decay keeps climbing long enough for
+# the 1e-6 oracle agreement the certifications rely on, where halving stalls
+_SPHERE_STEPS = (0.25, 1.5, 0.5, 0.8)
 
 
 @dataclass(frozen=True)
@@ -54,73 +64,107 @@ class RangeEstimate:
     oracle: float | None = None
 
 
-def _sphere_search(space, objective, budget, minimize=False, salt=0):
-    """Maximize (or minimize) a batch objective over the unit sphere.
+def _climb(space, objective, V, f, noise, groups, steps=_SPHERE_STEPS, clip=None):
+    """Accept-only Gaussian climb of every row of V at once; returns (V, f).
 
-    Returns (value, maximizer, evals). Deterministic for fixed budget/seed:
-    the coarse stage is prefix-stable in the sample count, refinement runs
-    an accept-only Gaussian proposal loop with multiplicative step control.
+    Row s of V (value f[s], group groups[s]) proposes V[s] + sigma_s (x + i y)
+    with (x, y) from noise[t, s, k], shape (iters, S, proposals, 2n), and
+    moves to its best proposal when that beats f[s]. One objective(Z, g) call
+    per iteration covers all S * proposals rows, g giving each row's group.
+    steps is (sigma0, grow, cap, shrink): an accepted move multiplies sigma
+    by grow up to cap, a rejected one by shrink down to 1e-9. Proposals are
+    normalized onto the unit sphere, or with clip = (lo, hi) have their norms
+    clipped to [lo, hi].
     """
-    sign = -1.0 if minimize else 1.0
-    pts = space.sphere_sample(budget.samples, budget.seed)
-    vals = sign * np.asarray(objective(pts), dtype=np.float64)
-    evals = pts.shape[0]
-    order = np.argsort(vals)[::-1]
-    n_starts = min(budget.starts, pts.shape[0])
-    rng = np.random.default_rng([budget.seed, _REFINE_SALT, salt])
-    best_v = pts[order[0]]
-    best_f = vals[order[0]]
-    n = space.dim
-    # spread the climbers over distinct basins: the runner-up coarse values
-    # often neighbor the leader, and a cluster of starts misses second lobes
-    starts: list[int] = []
-    for idx in order:
-        if len(starts) == n_starts:
-            break
-        v = pts[idx]
-        distinct = True
-        for c in starts:
-            u = pts[c]
-            # squared euclidean gap modulo a global phase on v
-            gap = (np.vdot(u, u).real + np.vdot(v, v).real
-                   - 2.0 * abs(np.vdot(u, v)))
-            if gap < 0.05 * np.vdot(u, u).real:
-                distinct = False
-                break
-        if distinct:
-            starts.append(int(idx))
-    for idx in order:
-        if len(starts) == n_starts:
-            break
-        if int(idx) not in starts:
-            starts.append(int(idx))
-    for s in starts:
-        v = pts[s].copy()
-        f = float(vals[s])
-        sigma = 0.25
-        for _ in range(budget.refine_iters):
-            raw = rng.standard_normal((budget.proposals, 2 * n))
-            props = v[None, :] + sigma * (raw[:, :n] + 1j * raw[:, n:])
-            nrm = space.norm_batch(props)
+    S, n = V.shape
+    P = noise.shape[2]
+    V = V.copy()
+    f = np.array(f, dtype=np.float64)
+    owner = np.repeat(np.arange(S), P)
+    row_groups = np.asarray(groups)[owner]
+    rows = np.arange(S)
+    sigma0, grow, cap, shrink = steps
+    sigma = np.full(S, sigma0)
+    for raw in noise:
+        props = V[:, None, :] + sigma[:, None, None] * (raw[..., :n] + 1j * raw[..., n:])
+        flat = props.reshape(-1, n)
+        nrm = space.norm_batch(flat)
+        if clip is None:
             degenerate = nrm < 1e-12
-            if np.any(degenerate):
-                props[degenerate] = v
+            if degenerate.any():
+                flat[degenerate] = V[owner[degenerate]]
                 nrm[degenerate] = 1.0
-            props = props / nrm[:, None]
-            pv = sign * np.asarray(objective(props), dtype=np.float64)
-            evals += props.shape[0]
-            j = int(np.argmax(pv))
-            if pv[j] > f:
-                v = props[j]
-                f = float(pv[j])
-                sigma = min(sigma * 1.5, 0.5)
-            else:
-                # gentle decay: halving stalls the climb long before the
-                # 1e-6 oracle agreement the certifications rely on
-                sigma = max(sigma * 0.8, 1e-9)
-        if f > best_f:
-            best_v, best_f = v, f
-    return sign * best_f, best_v, evals
+            flat = flat / nrm[:, None]
+        else:
+            flat = flat * (np.clip(nrm, *clip) / np.maximum(nrm, 1e-300))[:, None]
+        vals = np.asarray(objective(flat, row_groups), dtype=np.float64).reshape(S, P)
+        j = np.argmax(vals, axis=1)
+        better = vals[rows, j] > f
+        k = np.flatnonzero(better)
+        V[k] = flat.reshape(S, P, n)[k, j[k]]
+        f[k] = vals[k, j[k]]
+        sigma = np.where(better, np.minimum(sigma * grow, cap), np.maximum(sigma * shrink, 1e-9))
+    return V, f
+
+
+def _spread_starts(pts, order, count):
+    """The first `count` entries of `order`, spread over distinct basins.
+
+    The runner-up coarse values often neighbor the leader, and a cluster of
+    starts misses second lobes: a point is skipped while its squared
+    euclidean gap to an earlier pick, modulo a global phase, is below 0.05
+    of that pick's squared length. Any remaining slots take the best
+    skipped points in order.
+    """
+    chosen: list[int] = []
+    free = np.ones(pts.shape[0], dtype=bool)
+    sq = np.sum((pts.conj() * pts).real, axis=1)
+    while len(chosen) < count:
+        left = order[free[order]]
+        if left.size == 0:
+            break
+        c = int(left[0])
+        chosen.append(c)
+        gap = sq[c] + sq - 2.0 * np.abs(np.sum(pts * pts[c].conj(), axis=1))
+        free &= ~(gap < 0.05 * sq[c])
+        free[c] = False
+    rest = order[~np.isin(order, chosen)]
+    return chosen + [int(i) for i in rest[:count - len(chosen)]]
+
+
+def _sphere_search(space, objective, budget, salts, pick=None):
+    """Maximize objective(V, g) over the unit sphere for each group g.
+
+    Group g = 0, 1, ... has its own refinement stream keyed by salts[g].
+    Its starts are its best coarse samples spread over basins, or those
+    pick(pts) returns with the coarse values, the leader first. All starts
+    of all groups climb together. Returns one (value, maximizer) per group.
+    """
+    pts = space.sphere_sample(budget.samples, budget.seed)
+    starts, values, groups = [], [], []
+    for g in range(len(salts)):
+        if pick is None:
+            vals = np.asarray(objective(pts, np.full(pts.shape[0], g)), dtype=np.float64)
+            idx = _spread_starts(pts, np.argsort(vals)[::-1], min(budget.starts, pts.shape[0]))
+        else:
+            vals, idx = pick(pts)
+        starts.extend(idx)
+        values.append(vals[idx])
+        groups.extend([g] * len(idx))
+    groups = np.asarray(groups)
+    # each group's starts are one block of rows, filled from its own stream
+    noise = np.empty((len(starts), budget.refine_iters, budget.proposals, 2 * space.dim))
+    edges = np.searchsorted(groups, np.arange(len(salts) + 1))
+    for salt, lo, hi in zip(salts, edges, edges[1:]):
+        np.random.default_rng([budget.seed, _REFINE_SALT, salt]).standard_normal(out=noise[lo:hi])
+    V, f = _climb(space, objective, pts[starts], np.concatenate(values),
+                  noise.swapaxes(0, 1), groups)
+    out = []
+    for g in range(len(salts)):
+        k = np.flatnonzero(groups == g)
+        best = k[int(np.argmax(f[k]))]
+        out.append((float(f[best]), V[best]))
+    return out
 
 
 def _radius_search(space, pairing_fn, budget, salt):
@@ -131,45 +175,20 @@ def _radius_search(space, pairing_fn, budget, salt):
     Sweeping argmax Re(e^(-i phi) omega) over a phase grid of the coarse
     pairings plants one climber per direction for no extra evaluations.
     """
-    pts = space.sphere_sample(budget.samples, budget.seed)
-    omega = np.asarray(pairing_fn(pts), dtype=np.complex128)
-    evals = pts.shape[0]
-    phases = np.exp(-2j * np.pi * np.arange(16) / 16.0)
-    cand: list[int] = [int(np.argmax(np.abs(omega)))]
-    for ph in phases:
-        idx = int(np.argmax((omega * ph).real))
-        if idx not in cand:
-            cand.append(idx)
-    rng = np.random.default_rng([budget.seed, _REFINE_SALT, salt])
-    best = int(np.argmax(np.abs(omega)))
-    best_f = float(np.abs(omega[best]))
-    best_v = pts[best]
-    n = space.dim
-    for idx in cand:
-        v = pts[idx].copy()
-        f = float(np.abs(omega[idx]))
-        sigma = 0.25
-        for _ in range(budget.refine_iters):
-            raw = rng.standard_normal((budget.proposals, 2 * n))
-            props = v[None, :] + sigma * (raw[:, :n] + 1j * raw[:, n:])
-            nrm = space.norm_batch(props)
-            degenerate = nrm < 1e-12
-            if np.any(degenerate):
-                props[degenerate] = v
-                nrm[degenerate] = 1.0
-            props = props / nrm[:, None]
-            pv = np.abs(np.asarray(pairing_fn(props), dtype=np.complex128))
-            evals += props.shape[0]
-            j = int(np.argmax(pv))
-            if pv[j] > f:
-                v = props[j]
-                f = float(pv[j])
-                sigma = min(sigma * 1.5, 0.5)
-            else:
-                sigma = max(sigma * 0.8, 1e-9)
-        if f > best_f:
-            best_v, best_f = v, f
-    return best_f, best_v, evals
+    def pick(pts):
+        omega = np.asarray(pairing_fn(pts), dtype=np.complex128)
+        modulus = np.abs(omega)
+        cand = [int(np.argmax(modulus))]
+        for ph in np.exp(-2j * np.pi * np.arange(16) / 16.0):
+            idx = int(np.argmax((omega * ph).real))
+            if idx not in cand:
+                cand.append(idx)
+        return modulus, cand
+
+    def objective(V, g):
+        return np.abs(np.asarray(pairing_fn(V), dtype=np.complex128))
+
+    return _sphere_search(space, objective, budget, (salt,), pick)[0]
 
 
 def _check_matrix(space: NormedSpace, A) -> np.ndarray:
@@ -190,11 +209,12 @@ def numerical_range_inf(space: NormedSpace, A, budget: SearchBudget | None = Non
     A = _check_matrix(space, A)
     budget = budget or DEFAULT_BUDGET
 
-    def obj(V):
+    def neg_pairing(V, g):
         W = space.support_batch(V)
-        return np.real(np.sum((V @ A.T) * W, axis=1))
+        return -np.real(np.sum((V @ A.T) * W, axis=1))
 
-    value, vmax, evals = _sphere_search(space, obj, budget, minimize=True, salt=1)
+    neg_value, vmax = _sphere_search(space, neg_pairing, budget, (1,))[0]
+    value = -neg_value
     oracle = None
     if space.p == 2.0:
         oracle = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
@@ -220,7 +240,7 @@ def numerical_radius(space: NormedSpace, A, budget: SearchBudget | None = None) 
         W = space.support_batch(V)
         return np.sum((V @ A.T) * W, axis=1)
 
-    value, vmax, evals = _radius_search(space, pairing, budget, salt=2)
+    value, vmax = _radius_search(space, pairing, budget, salt=2)
     oracle = None
     if space.p == 2.0:
         oracle = hilbert_radius_oracle(A)
@@ -248,7 +268,7 @@ def polynomial_numerical_radius(space: NormedSpace, P: HomogeneousPoly,
         W = space.support_batch(V)
         return np.sum(P.eval_batch(V) * W, axis=1)
 
-    value, vmax, evals = _radius_search(space, pairing, budget, salt=3)
+    value, vmax = _radius_search(space, pairing, budget, salt=3)
     return RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
                          budget.refine_iters, None)
 
@@ -261,11 +281,10 @@ def sup_norm_on_sphere(space: NormedSpace, evaluator, budget: SearchBudget | Non
     """
     budget = budget or DEFAULT_BUDGET
 
-    def obj(V):
+    def obj(V, g):
         return space.norm_batch(np.asarray(evaluator(V), dtype=np.complex128))
 
-    value, vmax, _ = _sphere_search(space, obj, budget, minimize=False, salt=salt)
-    return float(value), vmax
+    return _sphere_search(space, obj, budget, (salt,))[0]
 
 
 def operator_norm(space: NormedSpace, M, budget: SearchBudget | None = None) -> float:
@@ -310,26 +329,33 @@ def hilbert_radius_oracle(A, angles: int = 64) -> float:
     peaks = peaks[np.argsort(vals[peaks])[::-1][:3]]
     step = 2.0 * np.pi / angles
     best = float(vals.max())
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
     for k in peaks:
-        lo = grid[k] - step
-        hi = grid[k] + step
-        x1 = hi - gold * (hi - lo)
-        x2 = lo + gold * (hi - lo)
-        f1, f2 = g(x1), g(x2)
-        for _ in range(72):
-            if f1 < f2:
-                lo = x1
-                x1, f1 = x2, f2
-                x2 = lo + gold * (hi - lo)
-                f2 = g(x2)
-            else:
-                hi = x2
-                x2, f2 = x1, f1
-                x1 = hi - gold * (hi - lo)
-                f1 = g(x1)
+        _, f1, _, f2 = _golden_max(g, grid[k] - step, grid[k] + step, 72)
         best = max(best, f1, f2)
     return best
+
+
+def _golden_max(h, lo, hi, iters):
+    """Golden-section search for a maximum of h on [lo, hi].
+
+    Returns the final bracket's inner points and values (x1, f1, x2, f2).
+    """
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - gold * (hi - lo)
+    x2 = lo + gold * (hi - lo)
+    f1, f2 = h(x1), h(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            lo = x1
+            x1, f1 = x2, f2
+            x2 = lo + gold * (hi - lo)
+            f2 = h(x2)
+        else:
+            hi = x2
+            x2, f2 = x1, f1
+            x1 = hi - gold * (hi - lo)
+            f1 = h(x1)
+    return x1, f1, x2, f2
 
 
 def hilbert_range_inf_oracle(A) -> RangeEstimate:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance for the two defining identities of a support pair.
-DUAL_PAIR_TOL = 1e-12
-
 # |v_j|^(p-2) under/overflows double precision outside this window.
 GENERAL_P_MIN = 1.1
 GENERAL_P_MAX = 10.0
@@ -143,6 +140,9 @@ class NormedSpace:
         nrm = self._norm_rows(Z)
         if np.any(nrm == 0.0):
             raise ValueError("support functional undefined at the zero vector")
+        if self.p == 2.0:
+            # exact entrywise conjugate, no rounding through powers
+            return np.conj(Z)
         a = np.abs(Z)
         with np.errstate(divide="ignore", invalid="ignore"):
             phase = np.where(a > 0.0, np.conj(Z) / np.where(a > 0.0, a, 1.0), 0.0 + 0.0j)
@@ -161,9 +161,6 @@ class NormedSpace:
                 fill = np.broadcast_to(nrm[:, None].astype(np.complex128), W.shape)
                 W = np.where(a == 0.0, fill, W)
             return W
-        if self.p == 2.0:
-            # exact entrywise conjugate, no rounding through powers
-            return np.conj(Z)
         return nrm[:, None] ** (2.0 - self.p) * a ** (self.p - 1.0) * phase
 
     # -- pairing --------------------------------------------------------
@@ -224,6 +221,11 @@ class NormedSpace:
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"expected an array of shape (B, {self.dim}), got {arr.shape}")
         return arr
+
+
+def _shell_grid(shells, V) -> np.ndarray:
+    """Rows r * v for each shell radius r (outer) and direction v (inner)."""
+    return (np.asarray(shells)[:, None, None] * V[None, :, :]).reshape(-1, V.shape[1])
 
 
 def space_to_dict(space: NormedSpace) -> dict:

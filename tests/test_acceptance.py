@@ -43,6 +43,7 @@ def report(num, name, failures, detail, elapsed, cap):
     assert elapsed < cap, line
 
 
+@pytest.mark.acceptance
 class TestAcceptance:
     def test_criterion_1_universal_constants(self):
         t0 = time.monotonic()

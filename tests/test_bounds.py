@@ -13,11 +13,12 @@ from hologen.bounds import (ALPHA, BETA, GrowthInputs, alpha_beta,
 from hologen.certify import (NotCertifiedError, PseudoDissipativityCertificate,
                              certify_generator, certify_pseudo_dissipative,
                              inverse_shift)
-from hologen.numrange import harris_constant
+from hologen.numrange import (SearchBudget, _spread_starts, harris_constant,
+                              sup_norm_on_sphere)
 from hologen.polymaps import CallableMap, PolyMap, sample_generator
 from hologen.spaces import NormedSpace
 
-from conftest import identity_map, minus_identity
+from conftest import identity_map, minus_identity, serial_spread_starts
 
 E = math.e
 LN2 = math.log(2.0)
@@ -309,6 +310,39 @@ class TestVerifyGrowthBound:
         rep = verify_growth_bound(minus_identity(l2_2d), radii=[0.25, 0.5])
         assert rep.radii.shape == (2,)
         assert rep.lhs == pytest.approx([0.25, 0.5], abs=1e-12)
+
+
+class TestBatchedShells:
+    """verify_growth_bound climbs every shell at once; each shell must match
+    its own sup_norm_on_sphere search on stream salt 11 + i."""
+
+    @pytest.mark.parametrize("dim, p", [(2, 1.0), (4, math.inf)])
+    def test_lhs_matches_shell_by_shell_searches(self, dim, p):
+        space = NormedSpace(dim, p)
+        G = sample_generator(space, seed=3, degree=5)
+        budget = SearchBudget(samples=512, refine_iters=80, starts=3, seed=2)
+        radii = np.array([0.2, 0.45, 0.7, 0.95])
+        rep = verify_growth_bound(G, radii=radii, budget=budget)
+        F0 = G.constant
+        for i, r in enumerate(radii):
+            val, vmax = sup_norm_on_sphere(
+                space, lambda V, _r=r: G.eval_batch(_r * V) - F0[None, :],
+                budget, salt=11 + i)
+            z = r * vmax
+            lhs = space.norm(G.eval_batch(z[None, :])[0] - F0)
+            assert rep.lhs[i] == (val if lhs < val - 1e-12 else lhs)
+            assert rep.radii[i] == (r if lhs < val - 1e-12 else space.norm(z))
+
+    @pytest.mark.parametrize("dim", (1, 2, 4))
+    def test_vectorized_start_choice_matches_serial_loop(self, dim):
+        # on dim 1 every point is within the phase gap of the leader, so the
+        # serial loop compares all 4096 points before filling from the order
+        space = NormedSpace(dim, 2.0)
+        G = sample_generator(space, seed=6, degree=8)
+        pts = space.sphere_sample(4096, 0)
+        order = np.argsort(space.norm_batch(G.eval_batch(0.7 * pts)))[::-1]
+        for count in (1, 4, 9):
+            assert _spread_starts(pts, order, count) == serial_spread_starts(pts, order, count)
 
 
 class TestIntermediateChain:

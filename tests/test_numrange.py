@@ -19,8 +19,10 @@ from hologen.numrange import (
     polynomial_numerical_radius,
     sup_norm_on_sphere,
 )
-from hologen.polymaps import HomogeneousPoly
+from hologen.polymaps import HomogeneousPoly, sample_generator
 from hologen.spaces import NormedSpace
+
+from conftest import serial_spread_starts
 
 L2 = NormedSpace(2, 2.0)
 FAST = SearchBudget(samples=512, refine_iters=60, starts=2)
@@ -208,3 +210,101 @@ class TestSearchBehavior:
         assert est.method == "sphere-search"
         assert est.samples == FAST.samples
         assert est.refinement_iters == FAST.refine_iters
+
+
+def serial_climb(space, objective, pts, vals, starts, budget, salt):
+    """The refinement loop before batching: one start at a time, one
+    (proposals, 2n) draw per iteration. Returns (value, maximizer)."""
+    rng = np.random.default_rng([budget.seed, 404, salt])
+    n = space.dim
+    best_v, best_f = pts[starts[0]], vals[starts[0]]
+    for s in starts:
+        v, f, sigma = pts[s].copy(), float(vals[s]), 0.25
+        for _ in range(budget.refine_iters):
+            raw = rng.standard_normal((budget.proposals, 2 * n))
+            props = v[None, :] + sigma * (raw[:, :n] + 1j * raw[:, n:])
+            nrm = space.norm_batch(props)
+            degenerate = nrm < 1e-12
+            props[degenerate] = v
+            nrm[degenerate] = 1.0
+            props = props / nrm[:, None]
+            pv = objective(props)
+            j = int(np.argmax(pv))
+            if pv[j] > f:
+                v, f, sigma = props[j], float(pv[j]), min(sigma * 1.5, 0.5)
+            else:
+                sigma = max(sigma * 0.8, 1e-9)
+        if f > best_f:
+            best_v, best_f = v, f
+    return best_f, best_v
+
+
+REPLAY = SearchBudget(samples=512, refine_iters=200, starts=4, seed=5)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4))
+@pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
+class TestSerialReplay:
+    """The batched engine gives bit-identical results to the serial climb."""
+
+    def setup_method(self, method):
+        self.rng = np.random.default_rng(11)
+
+    def matrix(self, n):
+        return self.rng.standard_normal((n, n)) + 1j * self.rng.standard_normal((n, n))
+
+    def replay(self, space, objective, starts_of, salt):
+        pts = space.sphere_sample(REPLAY.samples, REPLAY.seed)
+        vals = objective(pts)
+        starts = starts_of(pts, vals)
+        return serial_climb(space, objective, pts, vals, starts, REPLAY, salt)
+
+    @staticmethod
+    def ranked(pts, vals):
+        return serial_spread_starts(pts, np.argsort(vals)[::-1], REPLAY.starts)
+
+    def test_min_mode(self, dim, p):
+        space = NormedSpace(dim, p)
+        A = self.matrix(dim)
+
+        def neg(V):
+            return -np.real(np.sum((V @ A.T) * space.support_batch(V), axis=1))
+
+        f, v = self.replay(space, neg, self.ranked, salt=1)
+        est = numerical_range_inf(space, A, REPLAY)
+        assert est.value == -f
+        np.testing.assert_array_equal(est.maximizer, v)
+
+    def test_max_mode(self, dim, p):
+        space = NormedSpace(dim, p)
+        G = sample_generator(space, seed=dim, degree=4)
+
+        def evaluator(V):
+            return G.eval_batch(0.8 * V)
+
+        f, v = self.replay(space, lambda V: space.norm_batch(evaluator(V)),
+                           self.ranked, salt=9)
+        value, vmax = sup_norm_on_sphere(space, evaluator, REPLAY, salt=9)
+        assert value == f
+        np.testing.assert_array_equal(vmax, v)
+
+    def test_radius_mode(self, dim, p):
+        space = NormedSpace(dim, p)
+        A = self.matrix(dim)
+
+        def pairing(V):
+            return np.sum((V @ A.T) * space.support_batch(V), axis=1)
+
+        def phase_sweep(pts, vals):
+            omega = pairing(pts)
+            cand = [int(np.argmax(vals))]
+            for ph in np.exp(-2j * np.pi * np.arange(16) / 16.0):
+                idx = int(np.argmax((omega * ph).real))
+                if idx not in cand:
+                    cand.append(idx)
+            return cand
+
+        f, v = self.replay(space, lambda V: np.abs(pairing(V)), phase_sweep, salt=2)
+        est = numerical_radius(space, A, REPLAY)
+        assert est.value == f
+        np.testing.assert_array_equal(est.maximizer, v)
