@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (NotCertifiedError, _convex_hull, _pairings_on,
+from .certify import (NotCertifiedError, _annulus, _convex_hull,
                       certify_generator, CertifyBudget,
                       PseudoDissipativityCertificate)
 from .numrange import (DEFAULT_BUDGET, OracleMismatchError, SearchBudget,
@@ -177,12 +177,7 @@ def generator_certificate(G, budget: CertifyBudget | None = None,
     budget = budget or CertifyBudget(sphere=192)
     space = G.space
     b = space.norm(np.asarray(G.constant))
-    lo = 1.0 - epsilon + epsilon / 20.0
-    shells = np.linspace(lo, 0.999, 6)
-    V = space.sphere_sample(budget.sphere, budget.seed)
-    Z = _shell_grid(shells, V)
-    omega = _pairings_on(G, Z)
-    r2 = space.norm_batch(Z) ** 2
+    Z, omega, r2 = _annulus(G, epsilon, space.sphere_sample(budget.sphere, budget.seed))
     slack = b * (1.0 - r2) - np.real(omega)
     hull = _convex_hull(np.column_stack([omega.real, omega.imag]))
     return PseudoDissipativityCertificate(

@@ -229,6 +229,16 @@ def _pairings_on(F, Z):
     return omega
 
 
+def _annulus(F, epsilon, V):
+    """Rows of V on six shells from 1 - epsilon + epsilon/20 to 0.999.
+
+    Returns (Z, omega, r2): the points, their pairings and squared norms.
+    """
+    shells = np.linspace(1.0 - epsilon + epsilon / 20.0, 0.999, 6)
+    Z = _shell_grid(shells, V)
+    return Z, _pairings_on(F, Z), F.space.norm_batch(Z) ** 2
+
+
 def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
         bool, np.ndarray | None, int, np.ndarray | None]:
     """Probe whether refined samples exceed R_big in every half-plane direction.
@@ -274,11 +284,11 @@ def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
 
 
 def _fit_at_theta(theta, omega, r2, b0):
+    """Affine budget (a, b) at angle theta; a column of angles gives arrays."""
     x = np.real(np.exp(1j * theta) * omega)
-    acap = float(np.max((x - b0 * (1.0 - r2)) / r2))
-    b = max(0.0, float(np.max((x - acap * r2) / (1.0 - r2))))
-    a = float(np.max((x - b * (1.0 - r2)) / r2))
-    return a, b
+    acap = np.max((x - b0 * (1.0 - r2)) / r2, axis=-1, keepdims=True)
+    b = np.maximum(0.0, np.max((x - acap * r2) / (1.0 - r2), axis=-1, keepdims=True))
+    return np.max((x - b * (1.0 - r2)) / r2, axis=-1), b[..., 0]
 
 
 def certify_pseudo_dissipative(F, epsilon: float = 0.1,
@@ -314,13 +324,8 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
 
 def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate:
     space = F.space
-    lo = 1.0 - epsilon + epsilon / 20.0
-    hi = 0.999
-    shells = np.linspace(lo, hi, 6)
-    V = space.sphere_sample(budget.sphere, budget.seed)
-    Z = _shell_grid(shells, V)
-    omega = _pairings_on(F, Z)
-    r2 = space.norm_batch(Z) ** 2
+    lo, hi = 1.0 - epsilon + epsilon / 20.0, 0.999  # the annulus, as refinement bounds
+    Z, omega, r2 = _annulus(F, epsilon, space.sphere_sample(budget.sphere, budget.seed))
     evals = Z.shape[0]
 
     R_big = 1000.0 * (1.0 + float(np.quantile(np.abs(omega), 0.9)))
@@ -335,11 +340,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
 
     b0 = space.norm(np.asarray(F.constant))
     thetas = 2.0 * np.pi * np.arange(720) / 720.0
-    X = np.real(np.exp(1j * thetas)[:, None] * omega[None, :])
-    one_minus = 1.0 - r2
-    acap = np.max((X - b0 * one_minus[None, :]) / r2[None, :], axis=1)
-    bs = np.maximum(0.0, np.max((X - acap[:, None] * r2[None, :]) / one_minus[None, :], axis=1))
-    a_s = np.max((X - bs[:, None] * one_minus[None, :]) / r2[None, :], axis=1)
+    a_s, bs = _fit_at_theta(thetas[:, None], omega, r2, b0)
     t_idx = int(np.lexsort((thetas, bs, a_s))[0])
 
     # golden-section polish of the angle around the best grid cell, on -a
@@ -347,7 +348,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     x1, f1, x2, f2 = _golden_max(lambda t: -_fit_at_theta(t, omega, r2, b0)[0],
                                  thetas[t_idx] - 2.0 * step, thetas[t_idx] + 2.0 * step, 60)
     theta = float(x1 if f1 >= f2 else x2)
-    a, b = _fit_at_theta(theta, omega, r2, b0)
+    a, b = map(float, _fit_at_theta(theta, omega, r2, b0))
     phase = complex(math.cos(theta), math.sin(theta))
 
     # validation and repair: fresh samples plus descent on the slack,
@@ -358,10 +359,8 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     worst = math.nan
     for round_idx in range(12):
         rng = np.random.default_rng([budget.seed, _PD_ROUND_SALT, round_idx])
-        Vr = space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1))
-        Zr = _shell_grid(shells, Vr)
-        omr = _pairings_on(F, Zr)
-        r2r = space.norm_batch(Zr) ** 2
+        Zr, omr, r2r = _annulus(
+            F, epsilon, space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1)))
         xr = np.real(phase * omr)
         evals += Zr.shape[0]
         xs_all.append(xr)
@@ -423,13 +422,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
 def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
                          sphere: int = 192, seed: int = 0) -> dict:
     """Check a given (theta, a, b) budget against fresh annulus samples."""
-    space = F.space
-    lo = 1.0 - epsilon + epsilon / 20.0
-    shells = np.linspace(lo, 0.999, 6)
-    V = space.sphere_sample(sphere, seed)
-    Z = _shell_grid(shells, V)
-    omega = _pairings_on(F, Z)
-    r2 = space.norm_batch(Z) ** 2
+    Z, omega, r2 = _annulus(F, epsilon, F.space.sphere_sample(sphere, seed))
     slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)
     worst = float(np.min(slack))
     return {"min_slack": worst, "samples": int(Z.shape[0]), "passed": worst >= -1e-9}

@@ -9,6 +9,12 @@ usage or input errors.
 Reports are deterministic for a fixed seed; pass --no-timestamp to drop
 the one non-deterministic field. The HOLOGEN_SEED environment variable
 supplies the default seed, an explicit --seed flag wins.
+
+The parsed argparse namespace is the one settings object: handlers take it
+alone, --seed is resolved into it once, and the positivity of the budget,
+tolerance and count flags is checked by their argparse types. verify-suite
+runs its batteries in order; --jobs is accepted for compatibility and has
+no effect.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,26 +50,17 @@ class _CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, paths, seed, budgets, tolerances."""
+def _positive(kind):
+    """An argparse type that parses with kind and rejects values <= 0 and NaN."""
 
-    command: str
-    input_path: str | None
-    seed: int
-    budgets: tuple  # (samples, refinement_iters)
-    tolerances: tuple  # (cert_tol, bound_tol, rtol)
-    output_path: str | None
-    no_timestamp: bool = False
-    jobs: int = 1
+    def parse(raw: str):
+        value = kind(raw)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+        return value
 
-    def __post_init__(self):
-        if any(v is not None and v <= 0 for v in self.budgets):
-            raise ValueError("budgets must be positive")
-        if any(t <= 0 for t in self.tolerances):
-            raise ValueError("tolerances must be positive")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _resolve_seed(value) -> int:
@@ -98,14 +93,18 @@ def _load_map(path: str):
         raise _CliError(2, f"bad map description in {path}: {exc}")
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if not cfg.no_timestamp:
-        payload = {**payload, "generated_at": datetime.now(timezone.utc).isoformat()}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
+def _write(data: dict, output: str | None) -> None:
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if output:
+        Path(output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args) -> None:
+    if not args.no_timestamp:
+        payload = {**payload, "generated_at": datetime.now(timezone.utc).isoformat()}
+    _write(payload, args.output)
 
 
 def _parse_p(raw: str) -> float:
@@ -117,38 +116,43 @@ def _parse_p(raw: str) -> float:
         raise _CliError(2, f"--p must be a number or 'inf', got {raw!r}")
 
 
-def _certify_budget(cfg: RunConfig) -> CertifyBudget:
-    samples, iters = cfg.budgets
-    return CertifyBudget(sphere=samples or 128, refine_iters=iters or 40, seed=cfg.seed)
+def _complex_entry(cell, where: str) -> complex:
+    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+        return complex(cell)
+    if (isinstance(cell, list) and len(cell) == 2
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in cell)):
+        return complex(cell[0], cell[1])
+    raise _CliError(2, f"{where} must be a number or a [re, im] pair, got {cell!r}")
 
 
-def _search_budget(cfg: RunConfig, samples_default: int = 2048,
-                   iters_default: int = 120, starts: int = 4) -> SearchBudget:
-    samples, iters = cfg.budgets
-    return SearchBudget(samples=samples or samples_default,
-                        refine_iters=iters or iters_default,
-                        starts=starts, seed=cfg.seed)
+def _certify_budget(args) -> CertifyBudget:
+    return CertifyBudget(sphere=args.samples or 128, refine_iters=args.refine_iters or 40,
+                         seed=args.seed)
+
+
+def _search_budget(args) -> SearchBudget:
+    return SearchBudget(samples=args.samples or 2048, refine_iters=args.refine_iters or 120,
+                        starts=4, seed=args.seed)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_certify_gen(args, cfg: RunConfig) -> int:
+def _cmd_certify_gen(args) -> int:
     G = _load_map(args.map)
-    verdict = certify_generator(G, _certify_budget(cfg), cfg.tolerances[0])
+    verdict = certify_generator(G, _certify_budget(args), args.cert_tol)
     payload = {"command": "certify-gen", "input": args.map, **verdict_to_dict(verdict)}
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0 if verdict.verdict == "certified" else 1
 
 
-def _cmd_certify_pd(args, cfg: RunConfig) -> int:
+def _cmd_certify_pd(args) -> int:
     F = _load_map(args.map)
     if not 0.0 < args.epsilon < 1.0:
         raise _CliError(2, f"--epsilon must lie in (0, 1), got {args.epsilon}")
-    cert = certify_pseudo_dissipative(F, args.epsilon, _certify_budget(cfg),
-                                      cfg.tolerances[0])
+    cert = certify_pseudo_dissipative(F, args.epsilon, _certify_budget(args), args.cert_tol)
     payload = {"command": "certify-pd", "input": args.map, **certificate_to_dict(cert)}
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0 if cert.verdict == "certified" else 1
 
 
@@ -165,18 +169,11 @@ def _parse_matrix(data, where: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise _CliError(2, f"{where}: row {i} must be a list of {n} entries")
         for j, cell in enumerate(row):
-            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                out[i, j] = complex(cell)
-            elif (isinstance(cell, list) and len(cell) == 2
-                  and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in cell)):
-                out[i, j] = complex(cell[0], cell[1])
-            else:
-                raise _CliError(2, f"{where}: entry [{i}][{j}] must be a number "
-                                   f"or a [re, im] pair, got {cell!r}")
+            out[i, j] = _complex_entry(cell, f"{where}: entry [{i}][{j}]")
     return out
 
 
-def _cmd_numrange(args, cfg: RunConfig) -> int:
+def _cmd_numrange(args) -> int:
     data = _load_json(args.matrix)
     if isinstance(data, dict) and "space" in data:
         try:
@@ -190,7 +187,7 @@ def _cmd_numrange(args, cfg: RunConfig) -> int:
             space = NormedSpace(A.shape[0], _parse_p(args.p))
         except ValueError as exc:
             raise _CliError(2, str(exc))
-    budget = _search_budget(cfg)
+    budget = _search_budget(args)
     m_est = numerical_range_inf(space, A, budget)
     v_est = numerical_radius(space, A, budget)
     payload = {
@@ -202,28 +199,27 @@ def _cmd_numrange(args, cfg: RunConfig) -> int:
         "V": v_est.value,
         "samples": m_est.samples,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def _cmd_bound(args, cfg: RunConfig) -> int:
+def _cmd_bound(args) -> int:
     F = _load_map(args.map)
-    cert_tol, bound_tol, _ = cfg.tolerances
-    cbud = _certify_budget(cfg)
-    verdict = certify_generator(F, cbud, cert_tol)
+    cbud = _certify_budget(args)
+    verdict = certify_generator(F, cbud, args.cert_tol)
     if verdict.verdict == "certified":
-        cert = generator_certificate(F, cbud, cert_tol)
+        cert = generator_certificate(F, cbud, args.cert_tol)
         mode = "generator"
     else:
-        cert = certify_pseudo_dissipative(F, 0.1, cbud, cert_tol)
+        cert = certify_pseudo_dissipative(F, 0.1, cbud, args.cert_tol)
         mode = "pseudo-dissipative"
         if cert.verdict != "certified":
             _emit({"command": "bound", "input": args.map, "mode": mode,
                    "verdict": cert.verdict,
-                   "detail": "no certificate, growth bound not evaluated"}, cfg)
+                   "detail": "no certificate, growth bound not evaluated"}, args)
             return 1
-    report = verify_growth_bound(F, cert, budget=_search_budget(cfg),
-                                 tolerance=bound_tol)
+    report = verify_growth_bound(F, cert, budget=_search_budget(args),
+                                 tolerance=args.bound_tol)
     payload = {
         "command": "bound",
         "input": args.map,
@@ -251,7 +247,7 @@ def _cmd_bound(args, cfg: RunConfig) -> int:
                          f"{report.sharp[i]:.12g},{report.coarse[i]:.12g}")
         Path(args.curve).write_text("\n".join(lines) + "\n")
         payload["curve"] = args.curve
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 1 if report.violated else 0
 
 
@@ -262,44 +258,32 @@ def _parse_start(raw: str, dim: int) -> np.ndarray:
         raise _CliError(2, f"--z0 is not valid JSON: {exc.msg}")
     if not isinstance(data, list) or len(data) != dim:
         raise _CliError(2, f"--z0 must be a JSON list of {dim} entries")
-    out = np.zeros(dim, dtype=np.complex128)
-    for i, cell in enumerate(data):
-        if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-            out[i] = complex(cell)
-        elif (isinstance(cell, list) and len(cell) == 2
-              and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in cell)):
-            out[i] = complex(cell[0], cell[1])
-        else:
-            raise _CliError(2, f"--z0 entry {i} must be a number or [re, im] pair")
-    return out
+    return np.array([_complex_entry(cell, f"--z0 entry {i}") for i, cell in enumerate(data)],
+                    dtype=np.complex128)
 
 
-def _cmd_flow(args, cfg: RunConfig) -> int:
+def _cmd_flow(args) -> int:
     G = _load_map(args.map)
     z0 = _parse_start(args.z0, G.space.dim)
-    if args.t < 0.0:
+    if not args.t >= 0.0:
         raise _CliError(2, f"--t must be nonnegative, got {args.t}")
-    rtol = cfg.tolerances[2]
-    payload = {"command": "flow", "input": args.map, "t_end": args.t, "rtol": rtol}
+    payload = {"command": "flow", "input": args.map, "t_end": args.t, "rtol": args.rtol}
     try:
-        traj = integrate(G, z0, args.t, rtol)
+        traj = integrate(G, z0, args.t, args.rtol)
     except ValueError as exc:
         raise _CliError(2, str(exc))
-    except BallEscapeError as exc:
+    except (BallEscapeError, StepUnderflowError) as exc:
         if args.csv:
             Path(args.csv).write_text(trajectory_to_csv(exc.trajectory))
-        payload.update({
-            "outcome": "invariance-violation",
-            "escape_time": exc.time,
-            "escape_state": [[float(x.real), float(x.imag)] for x in exc.state],
-        })
-        _emit(payload, cfg)
-        return 1
-    except StepUnderflowError as exc:
-        if args.csv:
-            Path(args.csv).write_text(trajectory_to_csv(exc.trajectory))
-        payload.update({"outcome": "singular-drift", "failure_time": exc.time})
-        _emit(payload, cfg)
+        if isinstance(exc, BallEscapeError):
+            payload.update({
+                "outcome": "invariance-violation",
+                "escape_time": exc.time,
+                "escape_state": [[float(x.real), float(x.imag)] for x in exc.state],
+            })
+        else:
+            payload.update({"outcome": "singular-drift", "failure_time": exc.time})
+        _emit(payload, args)
         return 1
     if args.csv:
         Path(args.csv).write_text(trajectory_to_csv(traj))
@@ -312,40 +296,35 @@ def _cmd_flow(args, cfg: RunConfig) -> int:
         "final_state": [[float(x.real), float(x.imag)] for x in traj.points[-1]],
         "final_norm": float(traj.norms[-1]),
     })
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def _cmd_sample_gen(args, cfg: RunConfig) -> int:
+def _cmd_sample_gen(args) -> int:
     try:
         space = NormedSpace(args.n, _parse_p(args.p))
-        pm = sample_generator(space, cfg.seed, args.degree, args.atoms)
+        pm = sample_generator(space, args.seed, args.degree, args.atoms)
     except ValueError as exc:
         raise _CliError(2, str(exc))
-    text = json.dumps(map_to_dict(pm), indent=2, sort_keys=True) + "\n"
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(map_to_dict(pm), args.output)
     return 0
 
 
 # -- the per-seed property battery ---------------------------------------------
 
 
-def _battery(seed: int, cfg: RunConfig) -> dict:
+def _battery(seed: int, args) -> dict:
     dims = (1, 2, 4)
     ps = (1.0, 2.0, math.inf)
     space = NormedSpace(dims[seed % 3], ps[(seed // 3) % 3])
     degree = 2 + seed % 7
-    cert_tol = cfg.tolerances[0]
-    samples, iters = cfg.budgets
-    cbud = CertifyBudget(sphere=samples or 128, refine_iters=iters or 30, seed=seed)
-    sbud = SearchBudget(samples=samples or 768, refine_iters=iters or 40,
+    cbud = CertifyBudget(sphere=args.samples or 128, refine_iters=args.refine_iters or 30,
+                         seed=seed)
+    sbud = SearchBudget(samples=args.samples or 768, refine_iters=args.refine_iters or 40,
                         starts=2, seed=seed)
 
     G = sample_generator(space, seed, degree)
-    verdict = certify_generator(G, cbud, cert_tol)
+    verdict = certify_generator(G, cbud, args.cert_tol)
     checks = {"generator_certified": verdict.verdict == "certified"}
 
     agree = restriction_agreement(G, v_count=4, budget=cbud, disc_budget=cbud)
@@ -357,7 +336,7 @@ def _battery(seed: int, cfg: RunConfig) -> dict:
     probe = _shell_grid(shells, V)
     kappa = (max(0.0, float(np.max(generator_slack(G, probe)))) + 1.0) / 0.25
     bad = shift_to_generator(G, 0.0, -kappa)
-    bad_verdict = certify_generator(bad, cbud, cert_tol)
+    bad_verdict = certify_generator(bad, cbud, args.cert_tol)
     checks["perturbed_refuted"] = bad_verdict.verdict == "refuted"
     agree_bad = restriction_agreement(bad, v_count=4, budget=cbud, disc_budget=cbud)
     checks["perturbed_agreement"] = bool(agree_bad["agree"])
@@ -376,8 +355,8 @@ def _battery(seed: int, cfg: RunConfig) -> dict:
                                       verdict=verdict)
     checks["intermediate_chain"] = bool(chain.passed)
 
-    growth = verify_growth_bound(G, generator_certificate(G, cbud, cert_tol),
-                                 budget=sbud, tolerance=cfg.tolerances[1])
+    growth = verify_growth_bound(G, generator_certificate(G, cbud, args.cert_tol),
+                                 budget=sbud, tolerance=args.bound_tol)
     checks["growth_bound"] = not growth.violated
 
     sweep = invariance_sweep(G, starts=4, t_end=3.0, rtol=1e-7, seed=seed)
@@ -397,24 +376,17 @@ def _battery(seed: int, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_verify_suite(args, cfg: RunConfig) -> int:
-    if args.seeds < 1:
-        raise _CliError(2, f"--seeds must be >= 1, got {args.seeds}")
-    seeds = list(range(cfg.seed, cfg.seed + args.seeds))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda s: _battery(s, cfg), seeds))
-    else:
-        results = [_battery(s, cfg) for s in seeds]
+def _cmd_verify_suite(args) -> int:
+    results = [_battery(s, args) for s in range(args.seed, args.seed + args.seeds)]
     all_passed = all(r["passed"] for r in results)
     payload = {
         "command": "verify-suite",
         "seeds": args.seeds,
-        "first_seed": cfg.seed,
+        "first_seed": args.seed,
         "results": results,
         "all_passed": all_passed,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0 if all_passed else 1
 
 
@@ -428,14 +400,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", default=None, help="write the report here")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the generated_at field for byte-stable output")
-    common.add_argument("--jobs", type=int, default=1, help="worker cap for batteries")
-    common.add_argument("--samples", type=int, default=None,
+    common.add_argument("--jobs", type=_positive(int), default=1,
+                        help="accepted for compatibility; batteries run in order, "
+                             "so it has no effect")
+    common.add_argument("--samples", type=_positive(int), default=None,
                         help="sphere/search sample count override")
-    common.add_argument("--refine-iters", type=int, default=None,
+    common.add_argument("--refine-iters", type=_positive(int), default=None,
                         help="refinement iteration override")
-    common.add_argument("--cert-tol", type=float, default=1e-9)
-    common.add_argument("--bound-tol", type=float, default=1e-9)
-    common.add_argument("--rtol", type=float, default=1e-9)
+    common.add_argument("--cert-tol", type=_positive(float), default=1e-9)
+    common.add_argument("--bound-tol", type=_positive(float), default=1e-9)
+    common.add_argument("--rtol", type=_positive(float), default=1e-9)
 
     parser = argparse.ArgumentParser(
         prog="hologen",
@@ -477,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-suite", parents=[common],
                         help="run the full per-seed property battery")
-    sp.add_argument("--seeds", type=int, default=3)
+    sp.add_argument("--seeds", type=_positive(int), default=3)
     return parser
 
 
@@ -493,39 +467,20 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "map", None) or getattr(args, "matrix", None),
-            seed=_resolve_seed(args.seed),
-            budgets=(args.samples, args.refine_iters),
-            tolerances=(args.cert_tol, args.bound_tol, args.rtol),
-            output_path=args.output,
-            no_timestamp=args.no_timestamp,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        print(f"hologen: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        args.seed = _resolve_seed(args.seed)
+        return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return 0 if exc.code in (0, None) else 2
     except _CliError as exc:
-        print(f"hologen: {exc}", file=sys.stderr)
-        return exc.code
-    try:
-        return _HANDLERS[args.command](args, cfg)
-    except _CliError as exc:
-        print(f"hologen: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, exc
     except (OracleMismatchError, NotCertifiedError) as exc:
-        print(f"hologen: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, exc
     except ValueError as exc:
-        print(f"hologen: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, exc
+    print(f"hologen: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

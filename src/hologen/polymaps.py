@@ -272,9 +272,8 @@ class DiscFunction:
         return cls(kind="generator", g0=complex(g0), q=q)
 
     @classmethod
-    def blackbox(cls, evaluator: Callable, vectorized: bool = True) -> "DiscFunction":
-        fn = evaluator if vectorized else np.vectorize(evaluator, otypes=[np.complex128])
-        return cls(kind="blackbox", evaluator=fn)
+    def blackbox(cls, evaluator: Callable) -> "DiscFunction":
+        return cls(kind="blackbox", evaluator=evaluator)
 
     # -- evaluation -------------------------------------------------------
 

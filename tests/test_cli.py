@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from hologen.certify import NotCertifiedError, PseudoDissipativityCertificate
 from hologen.cli import run
+from hologen.numrange import OracleMismatchError
 from hologen.polymaps import map_to_dict
 from hologen.spaces import NormedSpace
 
@@ -129,11 +131,15 @@ class TestNumrange:
         assert payload["V"] == pytest.approx(1.0, abs=1e-8)
 
     def test_matrix_shape_errors(self, capsys, tmp_path):
-        path = tmp_path / "ragged.json"
-        path.write_text(json.dumps([[1, 0], [0]]))
-        rc, _, err = invoke(capsys, "numrange", str(path))
-        assert rc == 2
-        assert "row 1" in err
+        path = tmp_path / "bad.json"
+        for data, message in [
+                ([[1, 0], [0]], "row 1"),
+                ({"rows": [[1]]}, "'matrix' key"),
+                ([[1, "x"], [0, 1]], "entry [0][1] must be a number or a [re, im] pair")]:
+            path.write_text(json.dumps(data))
+            rc, _, err = invoke(capsys, "numrange", str(path))
+            assert rc == 2
+            assert message in err
 
     def test_bad_p_flag(self, capsys, tmp_path):
         path = tmp_path / "one.json"
@@ -171,6 +177,30 @@ class TestBound:
         assert payload["mode"] == "pseudo-dissipative"
         assert not payload["violated"]
 
+    def test_no_certificate_skips_the_bound(self, capsys, monkeypatch, identity_path):
+        def inconclusive(F, epsilon, budget, tolerance):
+            return PseudoDissipativityCertificate(
+                "inconclusive", 0.0, 0.0, 0.0, epsilon, np.zeros((0, 2)), 0, -1.0)
+
+        monkeypatch.setattr("hologen.cli.certify_pseudo_dissipative", inconclusive)
+        rc, out, _ = invoke(capsys, "bound", identity_path, "--no-timestamp")
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "inconclusive"
+        assert payload["detail"] == "no certificate, growth bound not evaluated"
+        assert "min_slack" not in payload
+
+    @pytest.mark.parametrize("error", [OracleMismatchError, NotCertifiedError])
+    def test_check_errors_exit_one(self, capsys, monkeypatch, minus_id_path, error):
+        def failing(*args, **kwargs):
+            raise error("search disagreed")
+
+        monkeypatch.setattr("hologen.cli.verify_growth_bound", failing)
+        rc, out, err = invoke(capsys, "bound", minus_id_path, "--no-timestamp")
+        assert rc == 1
+        assert out == ""
+        assert "hologen: search disagreed" in err
+
 
 class TestFlow:
     def test_decay_endpoint(self, capsys, tmp_path, minus_id_path):
@@ -188,13 +218,33 @@ class TestFlow:
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,re(z_1),im(z_1),re(z_2),im(z_2),norm"
 
-    def test_escape_reports_violation(self, capsys, identity_path):
-        rc, out, _ = invoke(capsys, "flow", identity_path,
-                            "--z0", "[0.5,0]", "--t", "3.0", "--no-timestamp")
+    def test_escape_reports_violation(self, capsys, tmp_path, identity_path):
+        csv_path = tmp_path / "escape.csv"
+        rc, out, _ = invoke(capsys, "flow", identity_path, "--z0", "[0.5,0]",
+                            "--t", "3.0", "--no-timestamp", "--csv", str(csv_path))
         assert rc == 1
         payload = json.loads(out)
         assert payload["outcome"] == "invariance-violation"
         assert payload["escape_time"] == pytest.approx(math.log(2.0), abs=0.1)
+        rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+        assert rows[0] == ["t", "re(z_1)", "im(z_1)", "re(z_2)", "im(z_2)", "norm"]
+        assert [float(x) for x in rows[1]] == [0.0, 0.5, 0.0, 0.0, 0.0, 0.5]
+        assert len(rows) > 2
+
+    def test_singular_drift_writes_csv(self, capsys, tmp_path):
+        # z' = 1e16 z^2 drives the step controller below its floor at once
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({
+            "space": {"dim": 1, "p": 2}, "constant": [[0, 0]], "linear": [[[0, 0]]],
+            "terms": [{"degree": 2, "monomial": [2], "coeff": [[1e16, 0]]}]}))
+        csv_path = tmp_path / "stiff.csv"
+        rc, out, _ = invoke(capsys, "flow", str(path), "--z0", "[0.5]", "--t", "1.0",
+                            "--no-timestamp", "--csv", str(csv_path))
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["outcome"] == "singular-drift"
+        assert payload["failure_time"] == 0.0
+        assert csv_path.read_text() == "t,re(z_1),im(z_1),norm\n0,0.5,0,0.5\n"
 
     def test_argument_validation(self, capsys, minus_id_path):
         assert invoke(capsys, "flow", minus_id_path, "--z0", "[0.1,0]",
@@ -205,6 +255,12 @@ class TestFlow:
                       "--t", "1.0")[0] == 2
         assert invoke(capsys, "flow", minus_id_path, "--z0", "[2.0,0]",
                       "--t", "1.0")[0] == 2
+        assert invoke(capsys, "flow", minus_id_path, "--z0", "[0.1,0]",
+                      "--t", "nan")[0] == 2
+        rc, _, err = invoke(capsys, "flow", minus_id_path, "--z0", '[0.1,"x"]',
+                            "--t", "1.0")
+        assert rc == 2
+        assert "--z0 entry 1" in err
 
 
 class TestSampleGen:
@@ -298,6 +354,9 @@ class TestErrorPaths:
         assert invoke(capsys, "certify-gen", minus_id_path, "--samples", "-5")[0] == 2
         assert invoke(capsys, "certify-gen", minus_id_path, "--cert-tol", "0")[0] == 2
         assert invoke(capsys, "verify-suite", "--jobs", "0")[0] == 2
+        # a NaN tolerance compares false against every slack, so even an
+        # expanding map would certify under it
+        assert invoke(capsys, "certify-gen", minus_id_path, "--cert-tol", "nan")[0] == 2
 
 
 class TestConsoleScript:
