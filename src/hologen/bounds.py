@@ -82,7 +82,7 @@ class GrowthInputs:
 
 def _check_radii(r) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
+    if not np.all((r >= 0.0) & (r < 1.0)):
         raise ValueError("radii must lie in [0, 1)")
     return r
 
@@ -163,10 +163,10 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
 
 
 def generator_certificate(G, budget: CertifyBudget | None = None,
-                          tolerance: float = 1e-9,
-                          epsilon: float = 0.1) -> PseudoDissipativityCertificate:
+                          tolerance: float = 1e-9) -> PseudoDissipativityCertificate:
     """Canonical certificate (theta 0, shift 0, budget ||G(0)||) of a
-    certified generator, validated on fresh annulus samples.
+    certified generator, validated on fresh samples of the annulus of
+    width 0.1.
 
     Raises:
         NotCertifiedError: when G does not certify.
@@ -177,11 +177,11 @@ def generator_certificate(G, budget: CertifyBudget | None = None,
     budget = budget or CertifyBudget(sphere=192)
     space = G.space
     b = space.norm(np.asarray(G.constant))
-    Z, omega, r2 = _annulus(G, epsilon, space.sphere_sample(budget.sphere, budget.seed))
+    Z, omega, r2 = _annulus(G, 0.1, space.sphere_sample(budget.sphere, budget.seed))
     slack = b * (1.0 - r2) - np.real(omega)
     hull = _convex_hull(np.column_stack([omega.real, omega.imag]))
     return PseudoDissipativityCertificate(
-        "certified", 0.0, 0.0, float(b), epsilon, hull,
+        "certified", 0.0, 0.0, float(b), 0.1, hull,
         int(Z.shape[0]), float(np.min(slack)), None)
 
 
@@ -273,8 +273,7 @@ class ChainReport:
 
 def verify_intermediate_chain(G, budget: SearchBudget | None = None,
                               radii=None, v_count: int = 64, seed: int = 0,
-                              verdict=None, certify_budget: CertifyBudget | None = None,
-                              tolerance: float = 1e-9) -> ChainReport:
+                              verdict=None, tolerance: float = 1e-9) -> ChainReport:
     """Walk every estimate between shell suprema and the sharp envelope.
 
     Stages on each radius r, for a certified generator with linear part T,
@@ -297,7 +296,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
         NotCertifiedError: when G does not certify first.
     """
     if verdict is None:
-        verdict = certify_generator(G, certify_budget)
+        verdict = certify_generator(G)
     if verdict.verdict != "certified":
         raise NotCertifiedError(f"map is {verdict.verdict}, not certified")
     if not hasattr(G, "higher"):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numrange import _climb, _golden_max
-from .polymaps import CallableMap, DiscFunction, PolyMap, lift_to_ball
+from .numrange import _PROPOSALS, _climb, _golden_max
+from .polymaps import CallableMap, PolyMap, _least_real_part, _pairs, taylor_coefficients
 from .spaces import NormedSpace, _shell_grid
 
 
@@ -35,13 +35,18 @@ _COVERAGE_DIRECTIONS = 24
 
 @dataclass(frozen=True)
 class CertifyBudget:
-    """Sampling and refinement effort for the certifiers."""
+    """Sampling and refinement effort for the certifiers.
 
-    shells: tuple = _DEFAULT_SHELLS
+    sphere: directions per shell (the shells are 0.1 .. 0.95 step 0.05 plus
+    0.99), refine_points: worst points refined, refine_iters: climb
+    iterations, each trying numrange's `_PROPOSALS` candidates per point,
+    seed: key of the direction and refinement streams, max_evals: cap on
+    slack evaluations; reaching it makes a clean run "inconclusive".
+    """
+
     sphere: int = 128
     refine_points: int = 32
     refine_iters: int = 40
-    proposals: int = 8
     seed: int = 0
     max_evals: int | None = None
 
@@ -90,7 +95,7 @@ def generator_slack(G, Z: np.ndarray, alt_support: bool = False) -> np.ndarray:
     return center * (1.0 - r2) - lhs
 
 
-def _refine_points(space, value_batch, Z0, lo, hi, iters, proposals, rng):
+def _refine_points(space, value_batch, Z0, lo, hi, iters, rng):
     """Minimize value_batch(Z, g) around each row g of Z0, norms clipped to [lo, hi].
 
     Returns (points, values, evals): numrange's climb engine on the negated
@@ -98,11 +103,11 @@ def _refine_points(space, value_batch, Z0, lo, hi, iters, proposals, rng):
     """
     B, n = Z0.shape
     groups = np.arange(B)
-    noise = rng.standard_normal((iters, B, proposals, 2 * n))
+    noise = rng.standard_normal((iters, B, _PROPOSALS, 2 * n))
     Z, neg = _climb(space, lambda Z, g: -value_batch(Z, g), Z0,
                     -np.asarray(value_batch(Z0, groups), dtype=np.float64),
                     noise, groups, _REFINE_STEPS, (lo, hi))
-    return Z, -neg, B + iters * B * proposals
+    return Z, -neg, B + iters * B * _PROPOSALS
 
 
 def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float = 1e-9,
@@ -128,8 +133,7 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
         return generator_slack(G, Z, alt_support=alt_support)
 
     V = space.sphere_sample(budget.sphere, budget.seed)
-    shells = np.asarray(budget.shells, dtype=np.float64)
-    Z = _shell_grid(shells, V)
+    Z = _shell_grid(np.asarray(_DEFAULT_SHELLS), V)
     slack = slack_batch(Z)
     evals = Z.shape[0]
 
@@ -143,14 +147,14 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     else:
         iters = budget.refine_iters
         if budget.max_evals is not None:
-            per_iter = take * budget.proposals
+            per_iter = take * _PROPOSALS
             allowed = max(0, (budget.max_evals - evals - take) // max(per_iter, 1))
             if allowed < iters:
                 iters = int(allowed)
                 exhausted = True
         rng = np.random.default_rng([budget.seed, _REFINE_SALT])
         refined_z, refined_s, used = _refine_points(
-            space, slack_batch, seeds_z, 1e-8, 0.9995, iters, budget.proposals, rng)
+            space, slack_batch, seeds_z, 1e-8, 0.9995, iters, rng)
         evals += used
 
     worst_idx = int(np.argmin(refined_s))
@@ -170,22 +174,13 @@ def certify_disc_generator(g, budget: CertifyBudget | None = None,
                            tolerance: float = 1e-9) -> GeneratorVerdict:
     """Run the generator certifier on a scalar disc function.
 
-    Wraps the function as a dimension-1 ball map; every disc kind works,
-    including black boxes.
+    Wraps the function, whatever its kind (black boxes included), as a
+    dimension-1 ball map that evaluates it on the first coordinate.
     """
-    space1 = NormedSpace(1, 2.0)
-    if isinstance(g, DiscFunction) and g.polynomial_degree() is not None:
-        try:
-            pm = lift_to_ball(space1, [g])
-        except ValueError:
-            pm = None
-        if pm is not None:
-            return certify_generator(pm, budget, tolerance)
-
     def fn(Z, _g=g):
         return np.asarray(_g(Z[:, 0]), dtype=np.complex128)[:, None]
 
-    return certify_generator(CallableMap(space1, fn), budget, tolerance)
+    return certify_generator(CallableMap(NormedSpace(1, 2.0), fn), budget, tolerance)
 
 
 # -- pseudo-dissipativity ----------------------------------------------------
@@ -258,7 +253,7 @@ def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
 
     start = Z[int(np.argmax(np.abs(omega)))][None, :]
     zq, vq, used = _refine_points(space, neg_abs, start, lo, hi,
-                                  budget.refine_iters, budget.proposals, rng)
+                                  budget.refine_iters, rng)
     evals += used
     peak = -float(vq[0])
     if peak < 0.5 * R_big:
@@ -273,7 +268,7 @@ def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
 
     # refine all directions in one batch, start g climbing direction g
     zc, vc, used = _refine_points(space, neg_directional, starts, lo, hi,
-                                  2 * budget.refine_iters, budget.proposals, rng)
+                                  2 * budget.refine_iters, rng)
     evals += used
     reached = -vc
     extremes = _pairings_on(F, zc)
@@ -293,8 +288,7 @@ def _fit_at_theta(theta, omega, r2, b0):
 
 def certify_pseudo_dissipative(F, epsilon: float = 0.1,
                                budget: CertifyBudget | None = None,
-                               tolerance: float = 1e-9,
-                               retries: int = 2) -> PseudoDissipativityCertificate:
+                               tolerance: float = 1e-9) -> PseudoDissipativityCertificate:
     """Find (theta, a, b) certifying pseudo-dissipativity on an annulus.
 
     Pipeline: sample the annulus 1 - epsilon < ||z|| < 1, refute when the
@@ -313,7 +307,7 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     budget = budget or CertifyBudget(sphere=192)
     eps = epsilon
     last = None
-    for _ in range(retries + 1):
+    for _ in range(3):
         cert = _pd_attempt(F, eps, budget, tolerance)
         if cert.verdict in ("certified", "refuted"):
             return cert
@@ -374,7 +368,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
 
         order = np.argsort(slack)[: budget.refine_points]
         zW, sW, used = _refine_points(space, pd_slack, Zr[order].copy(), lo, hi,
-                                      budget.refine_iters, budget.proposals, rng)
+                                      budget.refine_iters, rng)
         evals += used
         omW = _pairings_on(F, zW)
         r2W = space.norm_batch(zW) ** 2
@@ -420,9 +414,10 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
 
 
 def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
-                         sphere: int = 192, seed: int = 0) -> dict:
-    """Check a given (theta, a, b) budget against fresh annulus samples."""
-    Z, omega, r2 = _annulus(F, epsilon, F.space.sphere_sample(sphere, seed))
+                         seed: int = 0) -> dict:
+    """Check a given (theta, a, b) budget against 192 fresh directions on
+    each of the six annulus shells."""
+    Z, omega, r2 = _annulus(F, epsilon, F.space.sphere_sample(192, seed))
     slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)
     worst = float(np.min(slack))
     return {"min_slack": worst, "samples": int(Z.shape[0]), "passed": worst >= -1e-9}
@@ -492,25 +487,20 @@ def linear_dissipation_check(G: PolyMap, v_count: int = 256, seed: int = 0,
     }
 
 
-def caratheodory_check(q, order: int = 16, radius: float = 0.7) -> dict:
+def caratheodory_check(q, order: int = 16) -> dict:
     """Coefficient bounds |a_j| <= 2 Re q(0) for nonnegative-real-part q.
 
-    Coefficients come from circle quadrature (taylor_coefficients); the
-    input is first spot-checked for nonnegative real part.
+    Coefficients come from circle quadrature on |zeta| = 0.7
+    (taylor_coefficients); the input is first spot-checked for nonnegative
+    real part at 16 angles on each of the circles |zeta| = 0.2, 0.5, 0.8,
+    0.95.
 
     Raises:
         ValueError: when sampling finds Re q < -1e-9.
     """
-    from .polymaps import taylor_coefficients
-
-    radii = np.array([0.2, 0.5, 0.8, 0.95])
-    per = 16
-    ang = 2.0 * np.pi * np.arange(per) / per
-    zeta = (radii[:, None] * np.exp(1j * ang)[None, :]).reshape(-1)
-    vals = np.asarray(q(zeta), dtype=np.complex128)
-    if float(np.min(vals.real)) < -1e-9:
+    if _least_real_part(q, [0.2, 0.5, 0.8, 0.95]) < -1e-9:
         raise ValueError("input is not a nonnegative-real-part function on the disc")
-    coeffs = taylor_coefficients(q, order, radius)
+    coeffs = taylor_coefficients(q, order)
     q0 = complex(q(0.0 + 0.0j))
     bound = 2.0 * q0.real
     mags = np.abs(coeffs[1:])
@@ -564,16 +554,12 @@ def restriction_agreement(G, v_count: int = 12, budget: CertifyBudget | None = N
 # -- serialization ------------------------------------------------------------
 
 
-def _vector_pairs(z) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(z, dtype=np.complex128)]
-
-
 def verdict_to_dict(v: GeneratorVerdict) -> dict:
     return {
         "verdict": v.verdict,
         "tolerance": v.tolerance,
         "worst_slack": v.worst_slack,
-        "witness": _vector_pairs(v.witness) if v.witness is not None else None,
+        "witness": _pairs(v.witness) if v.witness is not None else None,
         "samples": v.samples,
     }
 
@@ -585,6 +571,6 @@ def certificate_to_dict(c: PseudoDissipativityCertificate) -> dict:
         "a": c.a,
         "b": c.b,
         "epsilon": c.epsilon,
-        "witness": _vector_pairs(c.witness) if c.witness is not None else None,
+        "witness": _pairs(c.witness) if c.witness is not None else None,
         "samples": c.samples,
     }

@@ -38,7 +38,7 @@ from .certify import (CertifyBudget, NotCertifiedError, caratheodory_check,
 from .flows import BallEscapeError, StepUnderflowError, integrate, invariance_sweep, trajectory_to_csv
 from .numrange import (OracleMismatchError, SearchBudget, harris_check,
                        numerical_radius, numerical_range_inf)
-from .polymaps import herglotz_sample, map_from_dict, map_to_dict, sample_generator
+from .polymaps import _pairs, herglotz_sample, map_from_dict, map_to_dict, sample_generator
 from .spaces import NormedSpace, _shell_grid, space_to_dict
 
 
@@ -279,7 +279,7 @@ def _cmd_flow(args) -> int:
             payload.update({
                 "outcome": "invariance-violation",
                 "escape_time": exc.time,
-                "escape_state": [[float(x.real), float(x.imag)] for x in exc.state],
+                "escape_state": _pairs(exc.state),
             })
         else:
             payload.update({"outcome": "singular-drift", "failure_time": exc.time})
@@ -293,7 +293,7 @@ def _cmd_flow(args) -> int:
         "nodes": int(traj.times.size),
         "accepted": traj.step_stats.accepted,
         "rejected": traj.step_stats.rejected,
-        "final_state": [[float(x.real), float(x.imag)] for x in traj.points[-1]],
+        "final_state": _pairs(traj.points[-1]),
         "final_norm": float(traj.norms[-1]),
     })
     _emit(payload, args)

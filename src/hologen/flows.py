@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numrange import operator_norm
+from .polymaps import _pairs
 from .spaces import NormedSpace
 
 _A = (
@@ -109,7 +110,7 @@ def integrate(G, z0, t_end: float, rtol: float = 1e-9,
     y = np.asarray(z0, dtype=np.complex128)
     if space.norm(y) >= 1.0:
         raise ValueError("start point must lie in the open unit ball")
-    if t_end < 0.0:
+    if not t_end >= 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     times = [0.0]
     points = [y.copy()]
@@ -183,7 +184,7 @@ def check_semigroup(G, z0, t: float, s: float, rtol: float = 1e-9) -> dict:
 
     The two endpoints must agree within 10 * rtol in the space norm.
     """
-    if t < 0.0 or s < 0.0:
+    if not (t >= 0.0 and s >= 0.0):
         raise ValueError("both time arguments must be nonnegative")
     space = G.space
     direct = flow_endpoint(G, z0, t + s, rtol)
@@ -222,7 +223,7 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
             escapes.append({
                 "start_index": i,
                 "time": float(exc.time),
-                "state": [[float(x.real), float(x.imag)] for x in exc.state],
+                "state": _pairs(exc.state),
             })
             max_norm = max(max_norm, space.norm(exc.state))
     return {
@@ -235,7 +236,6 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
 
 
 def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
-                         iterations: int = 256, starts: int = 64,
                          seed: int = 0) -> dict:
     """Iterate a map fixing the origin and look for a radius whose orbits
     stay inside some ball strictly smaller than the unit ball.
@@ -249,9 +249,8 @@ def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
     Args:
         F: PolyMap with F(0) = 0.
         theta, a: certificate rotation and shift for the linear probe.
-        radius_grid: start radii, default 0.1 .. 0.9 step 0.1.
-        iterations: orbit length per start.
-        starts: boundary starts per radius.
+        radius_grid: start radii, default 0.1 .. 0.9 step 0.1; each radius
+            gets 64 seeded directions, each orbit 256 iterations.
         seed: direction sampling key.
 
     Raises:
@@ -274,16 +273,16 @@ def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
 
     grid = np.asarray(radius_grid if radius_grid is not None
                       else [round(0.1 * i, 1) for i in range(1, 10)], dtype=np.float64)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((grid > 0.0) & (grid < 1.0)):
         raise ValueError("probe radii must lie in (0, 1)")
-    dirs = space.sphere_sample(starts, seed)
+    dirs = space.sphere_sample(64, seed)
     records = []
     smallest = None
     for r in grid:
         Z = r * dirs
         r_out = float(r)
         invariant = True
-        for _ in range(iterations):
+        for _ in range(256):
             Z = F.eval_batch(Z)
             nrm = space.norm_batch(Z)
             if not np.all(np.isfinite(nrm)):

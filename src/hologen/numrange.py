@@ -8,10 +8,12 @@ norm bounds. For p = 2 closed-form eigenvalue oracles cross-check them.
 Every search samples the sphere, then refines its best samples with one
 engine, `_climb`, which also serves the certifiers: all starts, and in
 verify_growth_bound all shells, advance together, one objective call per
-iteration. Each start still replays its serial random stream: a search
-fills its (starts, iters, proposals, 2n) noise block in one draw, and
-numpy's Generator gives the numbers that per-iteration (proposals, 2n)
-draws, start after start, would give.
+iteration. Each climbing row tries `_PROPOSALS` candidates per iteration;
+that width is one engine constant, shared by every caller. Each start still
+replays its serial random stream: a search fills its (starts, iters,
+proposals, 2n) noise block in one draw, and numpy's Generator gives the
+numbers that per-iteration (proposals, 2n) draws, start after start,
+would give.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ class SearchBudget:
     """Effort knobs for the sphere search.
 
     samples: coarse sphere samples, starts: refined local searches,
-    refine_iters: iterations per start, proposals: candidates per iteration.
+    refine_iters: iterations per start, seed: key of the sample and
+    refinement streams. Every iteration tries `_PROPOSALS` candidates.
     """
 
     samples: int = 4096
     refine_iters: int = 200
-    proposals: int = 8
     starts: int = 4
     seed: int = 0
 
@@ -47,6 +49,7 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 _REFINE_SALT = 404
+_PROPOSALS = 8  # climb candidates per row and iteration
 # sigma0, grow, cap, shrink: the gentle decay keeps climbing long enough for
 # the 1e-6 oracle agreement the certifications rely on, where halving stalls
 _SPHERE_STEPS = (0.25, 1.5, 0.5, 0.8)
@@ -153,7 +156,7 @@ def _sphere_search(space, objective, budget, salts, pick=None):
         groups.extend([g] * len(idx))
     groups = np.asarray(groups)
     # each group's starts are one block of rows, filled from its own stream
-    noise = np.empty((len(starts), budget.refine_iters, budget.proposals, 2 * space.dim))
+    noise = np.empty((len(starts), budget.refine_iters, _PROPOSALS, 2 * space.dim))
     edges = np.searchsorted(groups, np.arange(len(salts) + 1))
     for salt, lo, hi in zip(salts, edges, edges[1:]):
         np.random.default_rng([budget.seed, _REFINE_SALT, salt]).standard_normal(out=noise[lo:hi])
@@ -167,14 +170,17 @@ def _sphere_search(space, objective, budget, salts, pick=None):
     return out
 
 
-def _radius_search(space, pairing_fn, budget, salt):
-    """Maximize |pairing_fn| over the unit sphere via a phase sweep.
+def _radius_search(space, evaluator, budget, salt):
+    """Maximize |<evaluator(v), v*>| over the unit sphere via a phase sweep.
 
     The modulus landscape splits into lobes by pairing direction, and the
     strongest lobe can shadow the global one in a value-ranked start list.
     Sweeping argmax Re(e^(-i phi) omega) over a phase grid of the coarse
     pairings plants one climber per direction for no extra evaluations.
     """
+    def pairing_fn(V):
+        return np.sum(evaluator(V) * space.support_batch(V), axis=1)
+
     def pick(pts):
         omega = np.asarray(pairing_fn(pts), dtype=np.complex128)
         modulus = np.abs(omega)
@@ -235,12 +241,7 @@ def numerical_radius(space: NormedSpace, A, budget: SearchBudget | None = None) 
     """
     A = _check_matrix(space, A)
     budget = budget or DEFAULT_BUDGET
-
-    def pairing(V):
-        W = space.support_batch(V)
-        return np.sum((V @ A.T) * W, axis=1)
-
-    value, vmax = _radius_search(space, pairing, budget, salt=2)
+    value, vmax = _radius_search(space, lambda V: V @ A.T, budget, salt=2)
     oracle = None
     if space.p == 2.0:
         oracle = hilbert_radius_oracle(A)
@@ -263,12 +264,7 @@ def polynomial_numerical_radius(space: NormedSpace, P: HomogeneousPoly,
     if P.dim_in != space.dim or P.dim_out != space.dim:
         raise ValueError("polynomial dimensions must match the space")
     budget = budget or DEFAULT_BUDGET
-
-    def pairing(V):
-        W = space.support_batch(V)
-        return np.sum(P.eval_batch(V) * W, axis=1)
-
-    value, vmax = _radius_search(space, pairing, budget, salt=3)
+    value, vmax = _radius_search(space, P.eval_batch, budget, salt=3)
     return RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
                          budget.refine_iters, None)
 
@@ -305,12 +301,13 @@ def operator_norm(space: NormedSpace, M, budget: SearchBudget | None = None) -> 
     return value
 
 
-def hilbert_radius_oracle(A, angles: int = 64) -> float:
+def hilbert_radius_oracle(A) -> float:
     """Numerical radius for p = 2 by direction scan.
 
     Maximizes the largest eigenvalue of the Hermitian part of e^(i phi) A
-    over a phi grid, then polishes the best brackets by golden-section
-    search; accurate to far below the 1e-4 cross-check tolerance.
+    over a 64-angle phi grid, then polishes the best brackets by
+    golden-section search; accurate to far below the 1e-4 cross-check
+    tolerance.
     """
     A = np.asarray(A, dtype=np.complex128)
 
@@ -318,6 +315,7 @@ def hilbert_radius_oracle(A, angles: int = 64) -> float:
         R = np.exp(1j * phi) * A
         return float(np.linalg.eigvalsh((R + R.conj().T) / 2.0)[-1])
 
+    angles = 64
     grid = 2.0 * np.pi * np.arange(angles) / angles
     vals = np.array([g(phi) for phi in grid])
     # local maxima on the circular grid
@@ -384,27 +382,19 @@ def harris_check(space: NormedSpace, P, budget: SearchBudget | None = None) -> d
     """Compare the sup-sphere norm of a homogeneous polynomial against the
     degree constant times its numerical radius.
 
-    For degree 1 the polynomial is treated as its matrix and the constant
-    is e. Returns a report dict; `passed` tolerates violations up to 1e-6.
+    P is a HomogeneousPoly of any degree, or a matrix, which counts as
+    degree 1 with the constant e. Returns a report dict; `passed` tolerates
+    violations up to 1e-6.
     """
     budget = budget or DEFAULT_BUDGET
-    if isinstance(P, HomogeneousPoly) and P.degree == 1:
-        M = np.zeros((space.dim, space.dim), dtype=np.complex128)
-        for t in range(P.powers.shape[0]):
-            k = int(np.argmax(P.powers[t]))
-            M[:, k] += P.coeffs[t]
-        P_matrix = M
-    else:
-        P_matrix = None
-    if P_matrix is not None or not isinstance(P, HomogeneousPoly):
-        M = P_matrix if P_matrix is not None else _check_matrix(space, P)
-        degree = 1
-        radius = numerical_radius(space, M, budget).value
-        sup, _ = sup_norm_on_sphere(space, lambda V: V @ M.T, budget, salt=6)
-    else:
-        degree = P.degree
+    if isinstance(P, HomogeneousPoly):
+        degree, evaluator = P.degree, P.eval_batch
         radius = polynomial_numerical_radius(space, P, budget).value
-        sup, _ = sup_norm_on_sphere(space, P.eval_batch, budget, salt=6)
+    else:
+        M = _check_matrix(space, P)
+        degree, evaluator = 1, lambda V: V @ M.T
+        radius = numerical_radius(space, M, budget).value
+    sup, _ = sup_norm_on_sphere(space, evaluator, budget, salt=6)
     constant = harris_constant(degree)
     bound = constant * radius
     slack = bound - sup

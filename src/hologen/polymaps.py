@@ -10,7 +10,7 @@ generator form built from such a part, or an opaque callable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -400,23 +400,25 @@ def fejer_truncate(f, degree: int) -> DiscFunction:
     return DiscFunction.polynomial(c * w)
 
 
-def disc_generator_from(g0: complex, q: DiscFunction, check_points: int = 64) -> DiscFunction:
+def _least_real_part(q, radii) -> float:
+    """Least Re q over 16 equally spaced angles on each circle |zeta| = r."""
+    angles = 2.0 * np.pi * np.arange(16) / 16
+    zeta = (np.asarray(radii)[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
+    return float(np.min(np.asarray(q(zeta), dtype=np.complex128).real))
+
+
+def disc_generator_from(g0: complex, q: DiscFunction) -> DiscFunction:
     """Build g(zeta) = g0 - conj(g0) zeta^2 - zeta q(zeta).
 
     Args:
         g0: value at the origin.
         q: disc function whose real part must be nonnegative; spot-checked
-            at `check_points` points spread over several circles.
+            at 16 angles on each of the circles |zeta| = 0.3, 0.6, 0.9, 0.97.
 
     Raises:
         ValueError: when Re q < -1e-9 at a sampled point.
     """
-    radii = np.array([0.3, 0.6, 0.9, 0.97])
-    per = max(1, check_points // radii.size)
-    angles = 2.0 * np.pi * np.arange(per) / per
-    zeta = (radii[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
-    vals = np.asarray(q(zeta), dtype=np.complex128)
-    worst = float(np.min(vals.real))
+    worst = _least_real_part(q, [0.3, 0.6, 0.9, 0.97])
     if worst < -1e-9:
         raise ValueError(f"invalid dissipation data: Re q = {worst:.3e} < 0 at a sampled point")
     return DiscFunction.generator_form(complex(g0), q)
@@ -448,26 +450,15 @@ def lift_to_ball(space: NormedSpace, disc_functions) -> PolyMap:
     top = max(c.size - 1 for c in coeff_lists)
     if top > MAX_DEGREE:
         raise ValueError(f"lift degree {top} exceeds the supported maximum {MAX_DEGREE}")
-    constant = np.array([c[0] for c in coeff_lists], dtype=np.complex128)
-    linear = np.zeros((n, n), dtype=np.complex128)
+    C = np.zeros((max(top, 1) + 1, n), dtype=np.complex128)  # C[j, k]: z_k^j in g_k
     for k, c in enumerate(coeff_lists):
-        if c.size > 1:
-            linear[k, k] = c[1]
+        C[:c.size, k] = c
     parts = []
     for j in range(2, top + 1):
-        rows = []
-        vecs = []
-        for k, c in enumerate(coeff_lists):
-            if j < c.size and c[j] != 0.0:
-                row = np.zeros(n, dtype=np.int64)
-                row[k] = j
-                vec = np.zeros(n, dtype=np.complex128)
-                vec[k] = c[j]
-                rows.append(row)
-                vecs.append(vec)
-        if rows:
-            parts.append(HomogeneousPoly(j, np.array(rows), np.array(vecs)))
-    return PolyMap(space=space, constant=constant, linear=linear, higher=tuple(parts))
+        k = np.flatnonzero(C[j])
+        if k.size:
+            parts.append(HomogeneousPoly(j, j * np.eye(n, dtype=np.int64)[k], np.diag(C[j])[k]))
+    return PolyMap(space=space, constant=C[0], linear=np.diag(C[1]), higher=tuple(parts))
 
 
 def sample_generator(space: NormedSpace, seed: int, degree: int = 6, atoms: int = 2) -> PolyMap:
@@ -551,13 +542,14 @@ def unitary_conjugate(pm: PolyMap, U: np.ndarray) -> PolyMap:
 # -- JSON round trip -------------------------------------------------------
 
 
-def _pair(x: complex) -> list:
-    return [float(np.real(x)), float(np.imag(x))]
+def _pairs(z) -> list:
+    """A complex vector as a list of [re, im] pairs."""
+    return [[float(x.real), float(x.imag)] for x in np.asarray(z, dtype=np.complex128)]
 
 
 def _unpair(data, where: str) -> complex:
     if (not isinstance(data, (list, tuple)) or len(data) != 2
-            or not all(isinstance(t, (int, float)) for t in data)):
+            or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in data)):
         raise ValueError(f"{where} must be a [re, im] number pair, got {data!r}")
     return complex(data[0], data[1])
 
@@ -575,12 +567,12 @@ def map_to_dict(pm: PolyMap) -> dict:
             terms.append({
                 "degree": int(part.degree),
                 "monomial": [int(x) for x in part.powers[t]],
-                "coeff": [_pair(x) for x in part.coeffs[t]],
+                "coeff": _pairs(part.coeffs[t]),
             })
     return {
         "space": space_to_dict(pm.space),
-        "constant": [_pair(x) for x in pm.constant],
-        "linear": [[_pair(x) for x in row] for row in pm.linear],
+        "constant": _pairs(pm.constant),
+        "linear": [_pairs(row) for row in pm.linear],
         "terms": terms,
     }
 

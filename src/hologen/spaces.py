@@ -55,7 +55,7 @@ class NormedSpace:
         object.__setattr__(self, "dim", int(self.dim))
         p = float(self.p)
         object.__setattr__(self, "p", p)
-        if p in (1.0, 2.0) or math.isinf(p):
+        if p in (1.0, 2.0, math.inf):
             return
         if not GENERAL_P_MIN <= p <= GENERAL_P_MAX:
             raise ValueError(
@@ -75,14 +75,7 @@ class NormedSpace:
         return self._norm_rows(self._check_batch(Z))
 
     def _norm_rows(self, Z):
-        a = np.abs(Z)
-        if math.isinf(self.p):
-            return a.max(axis=1)
-        if self.p == 1.0:
-            return a.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=1))
-        return (a ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return _p_norm(np.abs(Z), self.p)
 
     def conjugate_exponent(self) -> float:
         """Exponent q of the dual norm: 1/p + 1/q = 1."""
@@ -94,16 +87,7 @@ class NormedSpace:
 
     def dual_norm(self, w) -> float:
         """Norm of a functional, i.e. the conjugate-exponent p-norm."""
-        w = self._check_vector(w)
-        q = self.conjugate_exponent()
-        a = np.abs(w)
-        if math.isinf(q):
-            return float(a.max())
-        if q == 1.0:
-            return float(a.sum())
-        if q == 2.0:
-            return float(np.sqrt((a * a).sum()))
-        return float((a ** q).sum() ** (1.0 / q))
+        return float(_p_norm(np.abs(self._check_vector(w)), self.conjugate_exponent()))
 
     # -- duality map ----------------------------------------------------
 
@@ -223,6 +207,17 @@ class NormedSpace:
         return arr
 
 
+def _p_norm(a, p: float):
+    """p-norms of moduli a along the last axis."""
+    if math.isinf(p):
+        return a.max(axis=-1)
+    if p == 1.0:
+        return a.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a ** p).sum(axis=-1) ** (1.0 / p)
+
+
 def _shell_grid(shells, V) -> np.ndarray:
     """Rows r * v for each shell radius r (outer) and direction v (inner)."""
     return (np.asarray(shells)[:, None, None] * V[None, :, :]).reshape(-1, V.shape[1])
@@ -251,7 +246,7 @@ def space_from_dict(data: dict) -> NormedSpace:
         if p != "inf":
             raise ValueError(f"space key 'p' must be a number or \"inf\", got {p!r}")
         p = math.inf
-    elif not isinstance(p, (int, float)):
+    elif isinstance(p, bool) or not isinstance(p, (int, float)):
         raise ValueError(f"space key 'p' must be a number or \"inf\", got {p!r}")
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int):

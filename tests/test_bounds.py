@@ -306,6 +306,10 @@ class TestVerifyGrowthBound:
         with pytest.raises(ValueError, match="radii"):
             verify_growth_bound(G, radii=[-0.1])
 
+    def test_nan_radius_rejected(self, l2_2d):
+        with pytest.raises(ValueError, match="radii"):
+            verify_growth_bound(minus_identity(l2_2d), radii=[0.5, math.nan])
+
     def test_custom_radius_grid(self, l2_2d):
         rep = verify_growth_bound(minus_identity(l2_2d), radii=[0.25, 0.5])
         assert rep.radii.shape == (2,)
@@ -393,3 +397,7 @@ class TestIntermediateChain:
         F = CallableMap(l2_2d, lambda Z: -Z)
         with pytest.raises(ValueError, match="polynomial"):
             verify_intermediate_chain(F)
+
+    def test_nan_radius_rejected(self, l2_2d):
+        with pytest.raises(ValueError, match="radii"):
+            verify_intermediate_chain(minus_identity(l2_2d), radii=[math.nan])

@@ -7,6 +7,7 @@ import pytest
 
 from hologen.certify import (
     CertifyBudget,
+    GeneratorVerdict,
     NotCertifiedError,
     _convex_hull,
     caratheodory_check,
@@ -25,6 +26,8 @@ from hologen.certify import (
 from hologen.polymaps import (
     CallableMap,
     DiscFunction,
+    HomogeneousPoly,
+    PolyMap,
     disc_generator_from,
     lift_to_ball,
     sample_generator,
@@ -87,6 +90,13 @@ class TestCertifyGenerator:
         small = CertifyBudget(sphere=8, refine_points=2, refine_iters=2, max_evals=30)
         verdict = certify_generator(minus_identity(l2_2d), small)
         assert verdict.verdict == "inconclusive"
+
+    def test_cap_between_grid_and_full_refinement(self, l2_2d):
+        # 152 grid points, then 2 of the 40 iterations fit under the cap
+        capped = CertifyBudget(sphere=8, refine_points=2, refine_iters=40, max_evals=200)
+        verdict = certify_generator(minus_identity(l2_2d), capped)
+        assert verdict.verdict == "inconclusive"
+        assert verdict.samples == 186
 
     def test_determinism(self, l2_2d):
         G = sample_generator(l2_2d, seed=8, degree=4)
@@ -202,6 +212,12 @@ class TestPseudoDissipative:
         b = certify_pseudo_dissipative(identity_map(l2_2d))
         assert (a.theta, a.a, a.b) == (b.theta, b.a, b.b)
 
+    def test_retries_on_halved_annulus(self, l2_2d):
+        small = CertifyBudget(sphere=8, refine_points=2, refine_iters=2, max_evals=30)
+        cert = certify_pseudo_dissipative(minus_identity(l2_2d), budget=small)
+        assert cert.verdict == "inconclusive"
+        assert cert.epsilon == 0.025
+
 
 class TestShifts:
     def test_round_trip_pointwise(self, l2_2d):
@@ -248,6 +264,16 @@ class TestLinearDissipation:
         assert report["passed"]
         assert report["degenerate_directions"] == 64
         assert report["max_quadratic_identity_error"] <= 1e-12
+
+    def test_higher_term_at_degenerate_directions_fails(self, l2_2d):
+        # T = i id dissipates nothing, so the cubic term 0.1 z_1^3 e_1 must
+        # vanish on every direction; at e_1 it reaches 0.1
+        cubic = HomogeneousPoly(3, np.array([[3, 0]]), np.array([[0.1, 0.0]]))
+        G = PolyMap(l2_2d, np.zeros(2), 1j * np.eye(2), (cubic,))
+        report = linear_dissipation_check(
+            G, verdict=GeneratorVerdict("certified", 1e-9, 0.0, None, 0))
+        assert report["max_higher_coefficient"] == 0.1
+        assert not report["passed"]
 
 
 class TestCaratheodory:
@@ -297,6 +323,13 @@ class TestRestrictionAgreement:
         assert report["ball_verdict"] == "refuted"
         assert report["agree"]
         assert any(v == "refuted" for v in report["disc_verdicts"])
+
+    def test_inconclusive_ball_verdict_agrees(self, l2_2d):
+        small = CertifyBudget(sphere=8, refine_points=2, refine_iters=2, max_evals=30)
+        report = restriction_agreement(minus_identity(l2_2d), v_count=2, budget=small,
+                                       disc_budget=small)
+        assert report["ball_verdict"] == "inconclusive"
+        assert report["agree"]
 
 
 class TestUnitaryInvariance:

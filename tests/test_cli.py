@@ -358,6 +358,26 @@ class TestErrorPaths:
         # expanding map would certify under it
         assert invoke(capsys, "certify-gen", minus_id_path, "--cert-tol", "nan")[0] == 2
 
+    def test_negative_infinite_p_rejected(self, capsys, tmp_path):
+        assert invoke(capsys, "sample-gen", "--n", "2", "--p=-inf")[0] == 2
+        data = map_to_dict(minus_identity(NormedSpace(2, 2.0)))
+        data["space"]["p"] = -math.inf
+        path = tmp_path / "neg_inf.json"
+        path.write_text(json.dumps(data))  # written as -Infinity
+        rc, _, err = invoke(capsys, "certify-gen", str(path))
+        assert rc == 2
+        assert "bad map description" in err
+
+    def test_boolean_entries_rejected(self, capsys, tmp_path):
+        good = map_to_dict(minus_identity(NormedSpace(2, 2.0)))
+        path = tmp_path / "bools.json"
+        for bad in ({**good, "space": {"dim": 2, "p": True}},
+                    {**good, "constant": [[True, False], [0.0, 0.0]]}):
+            path.write_text(json.dumps(bad))
+            rc, _, err = invoke(capsys, "certify-gen", str(path))
+            assert rc == 2
+            assert "bad map description" in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -104,6 +104,10 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(G, np.array([0.1j, 0.0j]), -0.5)
 
+    def test_nan_horizon_rejected(self, l2_2d):
+        with pytest.raises(ValueError, match="nonnegative"):
+            integrate(minus_identity(l2_2d), np.array([0.1j, 0.0j]), math.nan)
+
     def test_sampled_generator_stays_inside(self):
         space = NormedSpace(2, 2.0)
         G = sample_generator(space, seed=5, degree=3)
@@ -134,6 +138,10 @@ class TestSemigroup:
     def test_negative_times_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="nonnegative"):
             check_semigroup(minus_identity(l2_2d), np.array([0.1j, 0.0j]), -1.0, 0.5)
+
+    def test_nan_time_rejected(self, l2_2d):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_semigroup(minus_identity(l2_2d), np.array([0.1j, 0.0j]), math.nan, 0.5)
 
 
 class TestInvarianceSweep:
@@ -166,6 +174,10 @@ class TestInvarianceSweep:
     def test_start_count_validation(self, l2_2d):
         with pytest.raises(ValueError, match="starts"):
             invariance_sweep(minus_identity(l2_2d), starts=0)
+
+    def test_nan_horizon_rejected(self, l2_2d):
+        with pytest.raises(ValueError, match="nonnegative"):
+            invariance_sweep(minus_identity(l2_2d), starts=2, t_end=math.nan)
 
 
 class TestInvariantBallProbe:
@@ -208,6 +220,11 @@ class TestInvariantBallProbe:
         G = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
         with pytest.raises(ValueError, match="radii"):
             invariant_ball_probe(G, 0.0, 0.0, radius_grid=[0.5, 1.0])
+
+    def test_nan_radius_rejected(self, l2_2d):
+        G = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
+        with pytest.raises(ValueError, match="radii"):
+            invariant_ball_probe(G, 0.0, 0.0, radius_grid=[0.5, math.nan])
 
 
 class TestTrajectoryCsv:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hologen import numrange
 from hologen.numrange import (
     OracleMismatchError,
     RangeEstimate,
@@ -221,7 +222,7 @@ def serial_climb(space, objective, pts, vals, starts, budget, salt):
     for s in starts:
         v, f, sigma = pts[s].copy(), float(vals[s]), 0.25
         for _ in range(budget.refine_iters):
-            raw = rng.standard_normal((budget.proposals, 2 * n))
+            raw = rng.standard_normal((numrange._PROPOSALS, 2 * n))
             props = v[None, :] + sigma * (raw[:, :n] + 1j * raw[:, n:])
             nrm = space.norm_batch(props)
             degenerate = nrm < 1e-12

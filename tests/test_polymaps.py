@@ -419,6 +419,12 @@ class TestMapSerialization:
         with pytest.raises(ValueError, match="'terms'"):
             map_from_dict(bad)
 
+    def test_boolean_pair_rejected(self, l2_2d):
+        good = map_to_dict(sample_generator(l2_2d, seed=1, degree=3))
+        bad = {**good, "constant": [[True, False], good["constant"][1]]}
+        with pytest.raises(ValueError, match=r"constant\[0\]"):
+            map_from_dict(bad)
+
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError):
             map_from_dict([1, 2, 3])

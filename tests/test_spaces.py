@@ -38,6 +38,11 @@ class TestValidation:
             assert NormedSpace(2, ok).p == ok
 
 
+    def test_negative_infinity_rejected(self):
+        with pytest.raises(ValueError, match="p must be"):
+            NormedSpace(2, -math.inf)
+
+
 class TestNorms:
     def test_frozen_values(self):
         v = np.array([3.0, 4.0])
@@ -223,3 +228,7 @@ class TestSerialization:
             space_from_dict({"dim": True, "p": 2})
         with pytest.raises(ValueError):
             space_from_dict([2, 2])
+
+    def test_boolean_p_rejected(self):
+        with pytest.raises(ValueError, match="'p'"):
+            space_from_dict({"dim": 2, "p": True})
