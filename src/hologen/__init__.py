@@ -28,15 +28,15 @@ from .bounds import (ALPHA, BETA, ChainReport, GrowthBoundReport, GrowthInputs,
                      alpha_beta, generator_certificate, growth_inputs_from,
                      majorant_line, rhs_coarse, rhs_sharp,
                      verify_growth_bound, verify_intermediate_chain)
-from .flows import (BallEscapeError, StepStats, StepUnderflowError, Trajectory,
-                    check_semigroup, flow_endpoint, integrate,
+from .flows import (BallEscapeError, FlowStopError, StepStats, StepUnderflowError,
+                    Trajectory, check_semigroup, flow_endpoint, integrate,
                     invariance_sweep, invariant_ball_probe, trajectory_to_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA", "BETA", "BallEscapeError", "CallableMap", "CertifyBudget",
-    "ChainReport", "DiscFunction", "GeneratorVerdict",
+    "ChainReport", "DiscFunction", "FlowStopError", "GeneratorVerdict",
     "GrowthBoundReport", "GrowthInputs", "HomogeneousPoly", "MAX_DEGREE",
     "MAX_DIM", "NormedSpace", "NotCertifiedError", "OracleMismatchError",
     "PolyMap", "PseudoDissipativityCertificate", "RangeEstimate",

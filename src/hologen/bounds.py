@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (NotCertifiedError, _annulus, _convex_hull,
-                      certify_generator, CertifyBudget,
-                      PseudoDissipativityCertificate)
+from .certify import (NotCertifiedError, _annulus, _convex_hull, _require_certified,
+                      CertifyBudget, PseudoDissipativityCertificate)
 from .numrange import (DEFAULT_BUDGET, OracleMismatchError, SearchBudget,
                        _sphere_search, harris_constant, numerical_radius,
                        numerical_range_inf, polynomial_numerical_radius)
@@ -171,9 +170,7 @@ def generator_certificate(G, budget: CertifyBudget | None = None,
     Raises:
         NotCertifiedError: when G does not certify.
     """
-    verdict = certify_generator(G, budget, tolerance)
-    if verdict.verdict != "certified":
-        raise NotCertifiedError(f"map is {verdict.verdict}, not certified")
+    _require_certified(G, None, budget, tolerance)
     budget = budget or CertifyBudget(sphere=192)
     space = G.space
     b = space.norm(np.asarray(G.constant))
@@ -288,17 +285,15 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
       S4  sharp envelope at shift 0          series resummation
 
     with k_j the degree constants. The per-direction coefficient bounds
-    (|<Q_2 v, v*>| <= ||G(0)|| - 2 Re<Tv, v*> and |<Q_j v, v*>| <= -2
-    Re<Tv, v*>) and the aggregated forms are reported as margins; all must
-    clear -1e-8.
+    (|c_2(v)| <= ||G(0)|| - 2 Re c_1(v) and |c_j(v)| <= -2 Re c_1(v), with
+    c_j(v) = <Q_j v, v*> and c_1(v) = <Tv, v*> read from
+    `PolyMap.line_coefficients`) and the aggregated forms are reported as
+    margins; all must clear -1e-8.
 
     Raises:
         NotCertifiedError: when G does not certify first.
     """
-    if verdict is None:
-        verdict = certify_generator(G)
-    if verdict.verdict != "certified":
-        raise NotCertifiedError(f"map is {verdict.verdict}, not certified")
+    _require_certified(G, verdict)
     if not hasattr(G, "higher"):
         raise ValueError("the chain needs an explicit polynomial map")
     space = G.space
@@ -316,11 +311,10 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     vq = {p.degree: polynomial_numerical_radius(space, p, budget).value for p in G.higher}
 
     V = space.sphere_sample(v_count, seed)
-    W = space.support_batch(V)
-    tv_pair = np.real(np.sum((V @ T.T) * W, axis=1))
+    C = G.line_coefficients(V)
+    tv_pair = C[:, 1].real
     tv_norm = space.norm_batch(V @ T.T)
     q_norms = {p.degree: space.norm_batch(p.eval_batch(V)) for p in G.higher}
-    q_pairs = {p.degree: np.abs(np.sum(p.eval_batch(V) * W, axis=1)) for p in G.higher}
 
     R = grid[:, None]
     Z = _shell_grid(grid, V)
@@ -354,9 +348,9 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
         "linear_dissipation": float(np.min(-tv_pair)),
         "linear_radius": float(np.min(E * vt - tv_norm)),
     }
-    for j, qp in q_pairs.items():
+    for j in vq:
         cap = (c0n - 2.0 * tv_pair) if j == 2 else (-2.0 * tv_pair)
-        coeff_margins[f"degree_{j}_direction"] = float(np.min(cap - qp))
+        coeff_margins[f"degree_{j}_direction"] = float(np.min(cap - np.abs(C[:, j])))
         coeff_margins[f"degree_{j}_harris"] = float(
             np.min(harris_constant(j) * vq[j] - q_norms[j]))
         agg_cap = (c0n + depth) if j == 2 else depth

@@ -170,6 +170,14 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     return GeneratorVerdict("certified", tolerance, worst, None, evals)
 
 
+def _require_certified(G, verdict, budget=None, tolerance=1e-9) -> None:
+    """Certify G unless a verdict is given; raise unless it is "certified"."""
+    if verdict is None:
+        verdict = certify_generator(G, budget, tolerance)
+    if verdict.verdict != "certified":
+        raise NotCertifiedError(f"map is {verdict.verdict}, not certified")
+
+
 def certify_disc_generator(g, budget: CertifyBudget | None = None,
                            tolerance: float = 1e-9) -> GeneratorVerdict:
     """Run the generator certifier on a scalar disc function.
@@ -228,7 +236,10 @@ def _annulus(F, epsilon, V):
     """Rows of V on six shells from 1 - epsilon + epsilon/20 to 0.999.
 
     Returns (Z, omega, r2): the points, their pairings and squared norms.
+    Raises ValueError unless 0 < epsilon < 1.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     shells = np.linspace(1.0 - epsilon + epsilon / 20.0, 0.999, 6)
     Z = _shell_grid(shells, V)
     return Z, _pairings_on(F, Z), F.space.norm_batch(Z) ** 2
@@ -302,8 +313,6 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     refutation witnesses converted into further increases of a. Retries twice
     on a halved annulus width before giving up as "inconclusive".
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     budget = budget or CertifyBudget(sphere=192)
     eps = epsilon
     last = None
@@ -416,7 +425,7 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
 def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
                          seed: int = 0) -> dict:
     """Check a given (theta, a, b) budget against 192 fresh directions on
-    each of the six annulus shells."""
+    each of the six annulus shells; epsilon must lie in (0, 1)."""
     Z, omega, r2 = _annulus(F, epsilon, F.space.sphere_sample(192, seed))
     slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)
     worst = float(np.min(slack))
@@ -444,38 +453,25 @@ def linear_dissipation_check(G: PolyMap, v_count: int = 256, seed: int = 0,
                              verdict: GeneratorVerdict | None = None) -> dict:
     """Certified generators never expand along support directions.
 
-    Checks Re<Tv, v*> <= 1e-9 at sampled unit v for the linear part T, and
-    at directions where that dissipation vanishes (|Re<Tv, v*>| <= 1e-9)
-    pins the quadratic coefficient to -conj(<G(0), v*>) and every higher
+    Reads the line coefficients c_k(v) of `PolyMap.line_coefficients` at
+    sampled unit v: checks Re c_1(v) = Re<Tv, v*> <= 1e-9 for the linear
+    part T, and at directions where that dissipation vanishes
+    (|Re c_1(v)| <= 1e-9) pins c_2(v) to -conj(c_0(v)) and every higher
     coefficient to zero, both within 1e-8.
 
     Raises:
         NotCertifiedError: when G does not certify first.
     """
-    if verdict is None:
-        verdict = certify_generator(G, budget)
-    if verdict.verdict != "certified":
-        raise NotCertifiedError(f"input map is {verdict.verdict}, not certified")
-    space = G.space
-    V = space.sphere_sample(v_count, seed)
-    W = space.support_batch(V)
-    tv = np.real(np.sum((V @ G.linear.T) * W, axis=1))
+    _require_certified(G, verdict, budget)
+    C = G.line_coefficients(G.space.sphere_sample(v_count, seed))
+    tv = C[:, 1].real
     max_tv = float(np.max(tv))
     degenerate = np.abs(tv) <= 1e-9
-    center = W @ G.constant
-    max_identity_err = 0.0
-    max_higher_err = 0.0
-    if np.any(degenerate):
-        Vd = V[degenerate]
-        Wd = W[degenerate]
-        q2 = G.part_of_degree(2)
-        q2v = (np.sum(q2.eval_batch(Vd) * Wd, axis=1)
-               if q2 is not None else np.zeros(Vd.shape[0], dtype=np.complex128))
-        max_identity_err = float(np.max(np.abs(q2v + np.conj(center[degenerate]))))
-        for part in G.higher:
-            if part.degree >= 3:
-                err = np.max(np.abs(np.sum(part.eval_batch(Vd) * Wd, axis=1)))
-                max_higher_err = max(max_higher_err, float(err))
+    Cd = C[degenerate]
+    # slices past the last column are empty: a degree-1 map reads c_2 = 0
+    identity_err = np.abs(Cd[:, 2:3].sum(axis=1) + np.conj(Cd[:, 0]))
+    max_identity_err = float(np.max(identity_err, initial=0.0))
+    max_higher_err = float(np.max(np.abs(Cd[:, 3:]), initial=0.0))
     passed = (max_tv <= 1e-9 and max_identity_err <= 1e-8 and max_higher_err <= 1e-8)
     return {
         "max_linear_dissipation": max_tv,

@@ -35,7 +35,7 @@ from .certify import (CertifyBudget, NotCertifiedError, caratheodory_check,
                       certify_pseudo_dissipative, generator_slack,
                       linear_dissipation_check, restriction_agreement,
                       shift_to_generator, verdict_to_dict)
-from .flows import BallEscapeError, StepUnderflowError, integrate, invariance_sweep, trajectory_to_csv
+from .flows import BallEscapeError, FlowStopError, integrate, invariance_sweep, trajectory_to_csv
 from .numrange import (OracleMismatchError, SearchBudget, harris_check,
                        numerical_radius, numerical_range_inf)
 from .polymaps import _pairs, herglotz_sample, map_from_dict, map_to_dict, sample_generator
@@ -148,8 +148,6 @@ def _cmd_certify_gen(args) -> int:
 
 def _cmd_certify_pd(args) -> int:
     F = _load_map(args.map)
-    if not 0.0 < args.epsilon < 1.0:
-        raise _CliError(2, f"--epsilon must lie in (0, 1), got {args.epsilon}")
     cert = certify_pseudo_dissipative(F, args.epsilon, _certify_budget(args), args.cert_tol)
     payload = {"command": "certify-pd", "input": args.map, **certificate_to_dict(cert)}
     _emit(payload, args)
@@ -272,7 +270,7 @@ def _cmd_flow(args) -> int:
         traj = integrate(G, z0, args.t, args.rtol)
     except ValueError as exc:
         raise _CliError(2, str(exc))
-    except (BallEscapeError, StepUnderflowError) as exc:
+    except FlowStopError as exc:
         if args.csv:
             Path(args.csv).write_text(trajectory_to_csv(exc.trajectory))
         if isinstance(exc, BallEscapeError):

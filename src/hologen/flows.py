@@ -60,28 +60,29 @@ class Trajectory:
     step_stats: StepStats
 
 
-class BallEscapeError(RuntimeError):
-    """An accepted step landed on or outside the unit sphere.
+class FlowStopError(RuntimeError):
+    """An integration stopped early. Carries the stop time, the state there,
+    and the trajectory up to the last in-ball node."""
 
-    Carries the escape time, the offending state, and the trajectory up to
-    the last in-ball node.
-    """
+    reason = "integration stopped"
 
     def __init__(self, time: float, state: np.ndarray, trajectory: Trajectory):
-        super().__init__(f"trajectory left the open unit ball at t = {time:.6g}")
+        super().__init__(f"{self.reason} at t = {time:.6g}")
         self.time = time
         self.state = state
         self.trajectory = trajectory
 
 
-class StepUnderflowError(RuntimeError):
+class BallEscapeError(FlowStopError):
+    """An accepted step landed on or outside the unit sphere."""
+
+    reason = "trajectory left the open unit ball"
+
+
+class StepUnderflowError(FlowStopError):
     """The controller drove the step below 1e-14 (drift too singular)."""
 
-    def __init__(self, time: float, state: np.ndarray, trajectory: Trajectory):
-        super().__init__(f"step size underflow at t = {time:.6g}")
-        self.time = time
-        self.state = state
-        self.trajectory = trajectory
+    reason = "step size underflow"
 
 
 def _drift(G, y: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ def integrate(G, z0, t_end: float, rtol: float = 1e-9,
 
     Args:
         G: PolyMap or CallableMap drift.
-        z0: start point with ||z0|| < 1.
+        z0: start point with ||z0|| < 1; a non-finite entry is rejected.
         t_end: nonnegative horizon; 0 returns the trivial trajectory.
         rtol: relative step tolerance.
         max_steps: cap on accepted plus rejected steps.
@@ -108,7 +109,7 @@ def integrate(G, z0, t_end: float, rtol: float = 1e-9,
     """
     space: NormedSpace = G.space
     y = np.asarray(z0, dtype=np.complex128)
-    if space.norm(y) >= 1.0:
+    if not space.norm(y) < 1.0:
         raise ValueError("start point must lie in the open unit ball")
     if not t_end >= 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
@@ -209,6 +210,8 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if not 0.0 < max_start_norm < 1.0:
+        raise ValueError(f"max_start_norm must lie in (0, 1), got {max_start_norm}")
     space = G.space
     dirs = space.sphere_sample(starts, seed)
     radii = np.random.default_rng([seed, _START_SALT]).uniform(0.05, max_start_norm, starts)

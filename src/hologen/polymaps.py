@@ -74,6 +74,14 @@ class HomogeneousPoly:
         return self.eval_batch(np.asarray(z, dtype=np.complex128)[None, :])[0]
 
 
+def _unit_direction(space: NormedSpace, v) -> np.ndarray:
+    """v as a complex vector, which must have norm within 1e-9 of 1."""
+    v = np.asarray(v, dtype=np.complex128)
+    if not abs(space.norm(v) - 1.0) <= 1e-9:
+        raise ValueError("restriction direction must be a unit vector")
+    return v
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Polynomial map F(z) = constant + linear z + sum of homogeneous parts.
@@ -125,7 +133,7 @@ class PolyMap:
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at one point of the open unit ball."""
         z = np.asarray(z, dtype=np.complex128)
-        if self.space.norm(z) >= 1.0:
+        if not self.space.norm(z) < 1.0:
             raise ValueError("point lies outside the open unit ball")
         return self.eval_batch(z[None, :])[0]
 
@@ -138,22 +146,27 @@ class PolyMap:
                 return part
         return None
 
+    def line_coefficients(self, V) -> np.ndarray:
+        """(B, degree + 1) array of the Taylor coefficients c_k(v) = <F_k(v), v*>
+        of zeta -> <F(zeta v), v*> for the rows v of V, unit rows unchecked.
+        Each part is evaluated once per batch; degrees the map lacks read 0."""
+        V = np.asarray(V, dtype=np.complex128)
+        W = self.space.support_batch(V)
+        C = np.zeros((V.shape[0], self.degree + 1), dtype=np.complex128)
+        C[:, 0] = W @ self.constant
+        C[:, 1] = self.space.pairing_batch(V @ self.linear.T, W)
+        for part in self.higher:
+            C[:, part.degree] = self.space.pairing_batch(part.eval_batch(V), W)
+        return C
+
     def restrict(self, v) -> "DiscFunction":
-        """Exact polynomial coefficients of zeta -> <F(zeta v), v*>.
+        """Exact polynomial zeta -> <F(zeta v), v*>, one `line_coefficients` row.
 
         Args:
             v: unit vector (norm within 1e-9 of 1).
         """
-        v = np.asarray(v, dtype=np.complex128)
-        if abs(self.space.norm(v) - 1.0) > 1e-9:
-            raise ValueError("restriction direction must be a unit vector")
-        w = self.space.support_functional(v).vstar
-        coeffs = np.zeros(self.degree + 1, dtype=np.complex128)
-        coeffs[0] = self.space.pairing(self.constant, w)
-        coeffs[1] = self.space.pairing(self.linear @ v, w)
-        for part in self.higher:
-            coeffs[part.degree] = self.space.pairing(part(v), w)
-        return DiscFunction.polynomial(coeffs)
+        v = _unit_direction(self.space, v)
+        return DiscFunction.polynomial(self.line_coefficients(v[None, :])[0])
 
     def shifted(self, theta: float, a: float) -> "PolyMap":
         """The map z -> e^(i theta) F(z) - a z."""
@@ -195,7 +208,7 @@ class CallableMap:
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
-        if self.space.norm(z) >= 1.0:
+        if not self.space.norm(z) < 1.0:
             raise ValueError("point lies outside the open unit ball")
         return self.eval_batch(z[None, :])[0]
 
@@ -208,17 +221,11 @@ class CallableMap:
 
     def restrict(self, v) -> "DiscFunction":
         """Black-box disc function zeta -> <F(zeta v), v*>."""
-        v = np.asarray(v, dtype=np.complex128)
-        if abs(self.space.norm(v) - 1.0) > 1e-9:
-            raise ValueError("restriction direction must be a unit vector")
+        v = _unit_direction(self.space, v)
         w = self.space.support_functional(v).vstar
 
-        def slice_fn(zeta, _v=v, _w=w):
-            zeta = np.asarray(zeta, dtype=np.complex128)
-            flat = zeta.reshape(-1)
-            vals = self.eval_batch(flat[:, None] * _v[None, :])
-            out = np.sum(vals * _w[None, :], axis=1)
-            return out.reshape(zeta.shape) if zeta.shape else out[0]
+        def slice_fn(zeta, _v=v, _w=w):  # DiscFunction passes a flat array
+            return np.sum(self.eval_batch(zeta[:, None] * _v[None, :]) * _w[None, :], axis=1)
 
         return DiscFunction.blackbox(slice_fn)
 

@@ -207,6 +207,12 @@ class TestPseudoDissipative:
         assert not report["passed"]
         assert report["min_slack"] < -1e-9
 
+    @pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, math.nan])
+    def test_validate_rejects_bad_epsilon(self, epsilon):
+        G = sample_generator(NormedSpace(2, 2.0), 1, 3)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            validate_certificate(G, 0.0, 0.0, 1.0, epsilon)
+
     def test_determinism(self, l2_2d):
         a = certify_pseudo_dissipative(identity_map(l2_2d))
         b = certify_pseudo_dissipative(identity_map(l2_2d))
@@ -241,7 +247,7 @@ class TestShifts:
 
 class TestLinearDissipation:
     def test_requires_certified_generator(self, l2_2d):
-        with pytest.raises(NotCertifiedError):
+        with pytest.raises(NotCertifiedError, match="^map is refuted, not certified$"):
             linear_dissipation_check(identity_map(l2_2d))
 
     def test_sampled_generator_passes(self, l2_2d):

@@ -257,6 +257,9 @@ class TestFlow:
                       "--t", "1.0")[0] == 2
         assert invoke(capsys, "flow", minus_id_path, "--z0", "[0.1,0]",
                       "--t", "nan")[0] == 2
+        rc, out, err = invoke(capsys, "flow", minus_id_path, "--z0", "[NaN, 0]", "--t", "1.0")
+        assert (rc, out) == (2, "")
+        assert "start point must lie in the open unit ball" in err
         rc, _, err = invoke(capsys, "flow", minus_id_path, "--z0", '[0.1,"x"]',
                             "--t", "1.0")
         assert rc == 2

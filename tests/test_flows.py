@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from hologen.flows import (BallEscapeError, StepUnderflowError, Trajectory,
+from hologen.flows import (BallEscapeError, FlowStopError, StepUnderflowError, Trajectory,
                            check_semigroup, flow_endpoint, integrate,
                            invariance_sweep, invariant_ball_probe,
                            trajectory_to_csv)
@@ -79,6 +79,8 @@ class TestIntegrate:
         exc = info.value
         assert abs(exc.time - math.log(2.0)) < 0.1
         assert l2_2d.norm(exc.state) >= 1.0 - 1e-12
+        assert isinstance(exc, FlowStopError)
+        assert str(exc) == f"trajectory left the open unit ball at t = {exc.time:.6g}"
         assert isinstance(exc.trajectory, Trajectory)
         assert exc.trajectory.norms[-1] < 1.0
         assert np.all(exc.trajectory.norms < 1.0)
@@ -90,6 +92,8 @@ class TestIntegrate:
         G = CallableMap(space, lambda Z: np.where(Z.real < 0.1, 1.0, -1.0) * 1e8)
         with pytest.raises(StepUnderflowError) as info:
             integrate(G, np.array([0.0j]), 1.0)
+        assert isinstance(info.value, FlowStopError)
+        assert str(info.value) == f"step size underflow at t = {info.value.time:.6g}"
         assert isinstance(info.value.trajectory, Trajectory)
 
     def test_step_cap(self, l2_2d):
@@ -107,6 +111,11 @@ class TestIntegrate:
     def test_nan_horizon_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(minus_identity(l2_2d), np.array([0.1j, 0.0j]), math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, l2_2d, bad):
+        with pytest.raises(ValueError, match="open unit ball"):
+            integrate(minus_identity(l2_2d), np.array([bad, 0.0]), 1.0)
 
     def test_sampled_generator_stays_inside(self):
         space = NormedSpace(2, 2.0)
@@ -178,6 +187,11 @@ class TestInvarianceSweep:
     def test_nan_horizon_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="nonnegative"):
             invariance_sweep(minus_identity(l2_2d), starts=2, t_end=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, 1.0, 0.0])
+    def test_start_norm_must_lie_in_the_open_ball(self, l2_2d, bad):
+        with pytest.raises(ValueError, match="max_start_norm"):
+            invariance_sweep(minus_identity(l2_2d), starts=2, t_end=1.0, max_start_norm=bad)
 
 
 class TestInvariantBallProbe:

@@ -124,10 +124,64 @@ class TestPolyMap:
             direct = NormedSpace.pairing(F.eval_batch(zeta * v[None, :])[0], w)
             assert g(zeta) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_line_coefficients_match_direct_slices(self, p, n):
+        # a dense map with parts of degrees 2 and 4 only, so column 3 must
+        # read 0; the ±e_k rows, a row with zero coordinates and a row of
+        # tied moduli are where the p = 1 and p = inf selections matter
+        space = NormedSpace(n, p)
+        rng = np.random.default_rng([n, int(10 * min(p, 9.0))])
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        parts = []
+        for j in (2, 4):
+            powers = np.zeros((3, n), dtype=np.int64)
+            for t in range(3):
+                np.add.at(powers[t], rng.integers(0, n, j), 1)
+            parts.append(HomogeneousPoly(j, powers, cplx(3, n)))
+        F = PolyMap(space, cplx(n), cplx(n, n), tuple(parts))
+        special = np.zeros((2, n), dtype=np.complex128)
+        special[0, 0] = 1.0
+        special[0, n - 1] += 1.0j
+        special[1] = [(1.0, -1.0j, 1.0j, -1.0)[k] for k in range(n)]
+        special /= space.norm_batch(special)[:, None]
+        V = np.vstack([space.sphere_sample(2 * n + 3, seed=n), special])
+        C = F.line_coefficients(V)
+        assert C.shape == (V.shape[0], 5)
+        np.testing.assert_array_equal(C[:, 3], 0.0)
+        zetas = np.array([0.3, -0.5j, 0.2 + 0.6j, 0.9])
+        for v, row in zip(V, C):
+            w = space.support_functional(v).vstar
+            direct = space.pairing_batch(F.eval_batch(zetas[:, None] * v[None, :]), w[None, :])
+            recovered = np.polynomial.polynomial.polyval(zetas, row)
+            np.testing.assert_allclose(recovered, direct, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(F.restrict(v).coefficients, row, rtol=1e-13, atol=1e-14)
+
+    def test_line_coefficients_of_degree_one_map(self):
+        space = NormedSpace(2, 1.0)
+        A = np.array([[-1.0, 0.5j], [0.25, -2.0 + 1.0j]])
+        F = PolyMap(space, np.array([0.1, -0.2j]), A, ())
+        V = np.array([[1.0, 0.0], [0.0, -1.0j], [0.5, 0.5j]])
+        C = F.line_coefficients(V)
+        assert C.shape == (3, 2)
+        W = space.support_batch(V)
+        np.testing.assert_allclose(C[:, 0], W @ F.constant, rtol=1e-15)
+        np.testing.assert_allclose(C[:, 1], np.sum((V @ A.T) * W, axis=1), rtol=1e-15)
+        assert F.restrict(V[2]).coefficients.size == 2
+
     def test_restrict_requires_unit_direction(self, l2_2d):
         F = make_linear_map(l2_2d, np.eye(2))
         with pytest.raises(ValueError):
             F.restrict(np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="unit vector"):
+            F.restrict(np.array([math.nan, 0.0]))
+
+    def test_evaluate_rejects_nan_point(self, l2_2d):
+        with pytest.raises(ValueError, match="open unit ball"):
+            make_linear_map(l2_2d, np.eye(2)).evaluate(np.array([math.nan, 0.0]))
 
     def test_shifted_pointwise_identity(self, l2_2d):
         F = sample_generator(l2_2d, seed=2, degree=3)
@@ -163,6 +217,14 @@ class TestCallableMap:
         g = F.restrict(v)
         assert g.kind == "blackbox"
         assert g(0.3) == pytest.approx(0.09, rel=1e-12)
+        np.testing.assert_allclose(g(np.array([[0.3, -0.5j]])), [[0.09, -0.25]], rtol=1e-12)
+
+    def test_nan_point_and_direction_rejected(self, l2_2d):
+        F = CallableMap(l2_2d, lambda Z: Z ** 2)
+        with pytest.raises(ValueError, match="open unit ball"):
+            F(np.array([math.nan, 0.0]))
+        with pytest.raises(ValueError, match="unit vector"):
+            F.restrict(np.array([math.nan, 0.0]))
 
 
 class TestDiscFunction:
