@@ -25,7 +25,7 @@ class NotCertifiedError(RuntimeError):
     """An operation requiring a certified input received something else."""
 
 
-_DEFAULT_SHELLS = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
+_DEFAULT_RADII = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
 
 _REFINE_SALT = 505
 _REFINE_STEPS = (0.05, 1.4, 0.2, 0.5)  # sigma0, grow, cap, shrink
@@ -110,6 +110,11 @@ def _refine_points(space, value_batch, Z0, lo, hi, iters, rng):
     return Z, -neg, B + iters * B * _PROPOSALS
 
 
+def _check_tolerance(tolerance) -> None:
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+
+
 def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float = 1e-9,
                       alt_support: bool = False) -> GeneratorVerdict:
     """Certify or refute the generator inequality for a ball map.
@@ -122,10 +127,11 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     Args:
         G: PolyMap or CallableMap.
         budget: sampling effort; None for the default.
-        tolerance: refutation threshold on the slack.
+        tolerance: refutation threshold on the slack; ValueError unless > 0.
         alt_support: use the alternative support-functional selection at
             non-smooth points (p = 1 or p = inf tie-breaking).
     """
+    _check_tolerance(tolerance)
     budget = budget or CertifyBudget()
     space = G.space
 
@@ -133,7 +139,7 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
         return generator_slack(G, Z, alt_support=alt_support)
 
     V = space.sphere_sample(budget.sphere, budget.seed)
-    Z = _shell_grid(np.asarray(_DEFAULT_SHELLS), V)
+    Z = _shell_grid(np.asarray(_DEFAULT_RADII), V)
     slack = slack_batch(Z)
     evals = Z.shape[0]
 
@@ -170,10 +176,10 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     return GeneratorVerdict("certified", tolerance, worst, None, evals)
 
 
-def _require_certified(G, verdict, budget=None, tolerance=1e-9) -> None:
-    """Certify G unless a verdict is given; raise unless it is "certified"."""
+def _require_certified(G, verdict=None) -> None:
+    """Raise NotCertifiedError unless verdict (None: certify G now) is "certified"."""
     if verdict is None:
-        verdict = certify_generator(G, budget, tolerance)
+        verdict = certify_generator(G)
     if verdict.verdict != "certified":
         raise NotCertifiedError(f"map is {verdict.verdict}, not certified")
 
@@ -311,8 +317,10 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     beyond 1e-12 survives. A certificate is only issued once the shifted map
     e^(i theta) F - a id also passes the whole-ball generator certifier, with
     refutation witnesses converted into further increases of a. Retries twice
-    on a halved annulus width before giving up as "inconclusive".
+    on a halved annulus width before giving up as "inconclusive". Raises
+    ValueError unless tolerance > 0 and 0 < epsilon < 1.
     """
+    _check_tolerance(tolerance)
     budget = budget or CertifyBudget(sphere=192)
     eps = epsilon
     last = None
@@ -449,7 +457,6 @@ def inverse_shift(G, theta: float, a: float):
 
 
 def linear_dissipation_check(G: PolyMap, v_count: int = 256, seed: int = 0,
-                             budget: CertifyBudget | None = None,
                              verdict: GeneratorVerdict | None = None) -> dict:
     """Certified generators never expand along support directions.
 
@@ -460,9 +467,9 @@ def linear_dissipation_check(G: PolyMap, v_count: int = 256, seed: int = 0,
     coefficient to zero, both within 1e-8.
 
     Raises:
-        NotCertifiedError: when G does not certify first.
+        NotCertifiedError: unless verdict (None: certify G now) is "certified".
     """
-    _require_certified(G, verdict, budget)
+    _require_certified(G, verdict)
     C = G.line_coefficients(G.space.sphere_sample(v_count, seed))
     tv = C[:, 1].real
     max_tv = float(np.max(tv))
@@ -511,7 +518,8 @@ def caratheodory_check(q, order: int = 16) -> dict:
     }
 
 
-def restriction_agreement(G, v_count: int = 12, budget: CertifyBudget | None = None,
+def restriction_agreement(G, v_count: int = 12, seed: int = 0,
+                          verdict: GeneratorVerdict | None = None,
                           disc_budget: CertifyBudget | None = None) -> dict:
     """Ball verdict versus disc verdicts of sampled slice restrictions.
 
@@ -519,24 +527,19 @@ def restriction_agreement(G, v_count: int = 12, budget: CertifyBudget | None = N
     slice through v, so a certified ball map must have every restriction
     certified and a refuted one must have some refuted slice; the refuting
     direction (the witness direction) is always added to the sample set.
+    Directions come from seed, and each slice is certified at the tolerance
+    of the ball verdict; verdict=None certifies G with the defaults.
     """
-    space = G.space
-    ball = certify_generator(G, budget)
-    V = space.sphere_sample(v_count, budget.seed if budget else 0)
-    directions = [V[i] for i in range(V.shape[0])]
+    ball = verdict if verdict is not None else certify_generator(G)
+    directions = list(G.space.sphere_sample(v_count, seed))
     if ball.verdict == "refuted" and ball.witness is not None:
-        w = ball.witness
-        directions.append(w / space.norm(w))
-    disc_verdicts = []
-    for v in directions:
-        g = G.restrict(v)
-        disc_verdicts.append(certify_disc_generator(g, disc_budget).verdict)
-    any_disc_refuted = any(d == "refuted" for d in disc_verdicts)
-    all_disc_certified = all(d == "certified" for d in disc_verdicts)
+        directions.append(ball.witness / G.space.norm(ball.witness))
+    disc_verdicts = [certify_disc_generator(G.restrict(v), disc_budget, ball.tolerance).verdict
+                     for v in directions]
     if ball.verdict == "certified":
-        agree = all_disc_certified
+        agree = all(d == "certified" for d in disc_verdicts)
     elif ball.verdict == "refuted":
-        agree = any_disc_refuted
+        agree = "refuted" in disc_verdicts
     else:
         agree = True  # no claim either way on an inconclusive budget
     return {

@@ -206,7 +206,7 @@ def _cmd_bound(args) -> int:
     cbud = _certify_budget(args)
     verdict = certify_generator(F, cbud, args.cert_tol)
     if verdict.verdict == "certified":
-        cert = generator_certificate(F, cbud, args.cert_tol)
+        cert = generator_certificate(F, verdict)
         mode = "generator"
     else:
         cert = certify_pseudo_dissipative(F, 0.1, cbud, args.cert_tol)
@@ -263,8 +263,6 @@ def _parse_start(raw: str, dim: int) -> np.ndarray:
 def _cmd_flow(args) -> int:
     G = _load_map(args.map)
     z0 = _parse_start(args.z0, G.space.dim)
-    if not args.t >= 0.0:
-        raise _CliError(2, f"--t must be nonnegative, got {args.t}")
     payload = {"command": "flow", "input": args.map, "t_end": args.t, "rtol": args.rtol}
     try:
         traj = integrate(G, z0, args.t, args.rtol)
@@ -325,7 +323,7 @@ def _battery(seed: int, args) -> dict:
     verdict = certify_generator(G, cbud, args.cert_tol)
     checks = {"generator_certified": verdict.verdict == "certified"}
 
-    agree = restriction_agreement(G, v_count=4, budget=cbud, disc_budget=cbud)
+    agree = restriction_agreement(G, v_count=4, seed=seed, verdict=verdict, disc_budget=cbud)
     checks["restriction_agreement"] = bool(agree["agree"])
 
     # perturbed counterpart: adding kappa * id overwhelms the sampled slack
@@ -336,7 +334,8 @@ def _battery(seed: int, args) -> dict:
     bad = shift_to_generator(G, 0.0, -kappa)
     bad_verdict = certify_generator(bad, cbud, args.cert_tol)
     checks["perturbed_refuted"] = bad_verdict.verdict == "refuted"
-    agree_bad = restriction_agreement(bad, v_count=4, budget=cbud, disc_budget=cbud)
+    agree_bad = restriction_agreement(bad, v_count=4, seed=seed, verdict=bad_verdict,
+                                      disc_budget=cbud)
     checks["perturbed_agreement"] = bool(agree_bad["agree"])
 
     ld = linear_dissipation_check(G, v_count=128, seed=seed, verdict=verdict)
@@ -353,7 +352,7 @@ def _battery(seed: int, args) -> dict:
                                       verdict=verdict)
     checks["intermediate_chain"] = bool(chain.passed)
 
-    growth = verify_growth_bound(G, generator_certificate(G, cbud, args.cert_tol),
+    growth = verify_growth_bound(G, generator_certificate(G, verdict),
                                  budget=sbud, tolerance=args.bound_tol)
     checks["growth_bound"] = not growth.violated
 

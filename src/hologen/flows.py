@@ -98,21 +98,21 @@ def integrate(G, z0, t_end: float, rtol: float = 1e-9,
     Args:
         G: PolyMap or CallableMap drift.
         z0: start point with ||z0|| < 1; a non-finite entry is rejected.
-        t_end: nonnegative horizon; 0 returns the trivial trajectory.
+        t_end: finite nonnegative horizon; 0 returns the trivial trajectory.
         rtol: relative step tolerance.
         max_steps: cap on accepted plus rejected steps.
 
     Raises:
         BallEscapeError: an accepted state reached the unit sphere.
         StepUnderflowError: required step fell below 1e-14.
-        ValueError: bad start point or negative horizon.
+        ValueError: bad start point, or a negative or non-finite horizon.
     """
     space: NormedSpace = G.space
     y = np.asarray(z0, dtype=np.complex128)
     if not space.norm(y) < 1.0:
         raise ValueError("start point must lie in the open unit ball")
-    if not t_end >= 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
     times = [0.0]
     points = [y.copy()]
     norms = [space.norm(y)]

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from hologen import bounds
 from hologen.bounds import (ALPHA, BETA, GrowthInputs, alpha_beta,
                             generator_certificate, growth_inputs_from,
                             majorant_line, rhs_coarse, rhs_sharp,
                             verify_growth_bound, verify_intermediate_chain)
-from hologen.certify import (NotCertifiedError, PseudoDissipativityCertificate,
-                             certify_generator, certify_pseudo_dissipative,
-                             inverse_shift)
+from hologen.certify import (GeneratorVerdict, NotCertifiedError,
+                             PseudoDissipativityCertificate, certify_generator,
+                             certify_pseudo_dissipative, inverse_shift)
 from hologen.numrange import (SearchBudget, _spread_starts, harris_constant,
                               sup_norm_on_sphere)
 from hologen.polymaps import CallableMap, PolyMap, sample_generator
@@ -249,6 +250,11 @@ class TestGeneratorCertificate:
         with pytest.raises(NotCertifiedError, match="refuted"):
             generator_certificate(identity_map(l2_2d))
 
+    def test_given_verdict_decides(self, l2_2d):
+        refuted = GeneratorVerdict("refuted", 1e-9, -1.0, None, 0)
+        with pytest.raises(NotCertifiedError, match="refuted"):
+            generator_certificate(minus_identity(l2_2d), refuted)
+
 
 class TestVerifyGrowthBound:
     def test_contraction_report(self, l2_2d):
@@ -314,6 +320,33 @@ class TestVerifyGrowthBound:
         rep = verify_growth_bound(minus_identity(l2_2d), radii=[0.25, 0.5])
         assert rep.radii.shape == (2,)
         assert rep.lhs == pytest.approx([0.25, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, l2_2d, tolerance):
+        # under a NaN tolerance no slack could ever mark the report violated
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            verify_growth_bound(minus_identity(l2_2d), tolerance=tolerance)
+
+    def test_each_distinct_matrix_searched_once(self, monkeypatch, l2_2d):
+        # a canonical certificate leaves A, the rotated and the shifted part
+        # equal, so one radius and one infimum search serve all three
+        calls = {"radius": 0, "inf": 0}
+
+        def counted(name, search):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return search(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(bounds, "numerical_radius",
+                            counted("radius", bounds.numerical_radius))
+        monkeypatch.setattr(bounds, "numerical_range_inf",
+                            counted("inf", bounds.numerical_range_inf))
+        verify_growth_bound(sample_generator(l2_2d, seed=3, degree=3))
+        assert calls == {"radius": 1, "inf": 1}
+        calls.update(radius=0, inf=0)
+        verify_growth_bound(identity_map(l2_2d), manual_certificate(math.pi, -1.0))
+        assert calls == {"radius": 2, "inf": 2}
 
 
 class TestBatchedShells:

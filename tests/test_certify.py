@@ -119,6 +119,13 @@ class TestCertifyGenerator:
         assert verdict.verdict == "certified"
         assert abs(verdict.worst_slack) <= 1e-12
 
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, l2_2d, tolerance):
+        # a NaN tolerance compares false against every slack, so it used to
+        # certify the expanding identity
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            certify_generator(identity_map(l2_2d), tolerance=tolerance)
+
 
 class TestCertifyDiscGenerator:
     def test_polynomial_disc(self):
@@ -224,6 +231,11 @@ class TestPseudoDissipative:
         assert cert.verdict == "inconclusive"
         assert cert.epsilon == 0.025
 
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, l2_2d, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            certify_pseudo_dissipative(identity_map(l2_2d), tolerance=tolerance)
+
 
 class TestShifts:
     def test_round_trip_pointwise(self, l2_2d):
@@ -252,7 +264,7 @@ class TestLinearDissipation:
 
     def test_sampled_generator_passes(self, l2_2d):
         G = sample_generator(l2_2d, seed=1, degree=4)
-        report = linear_dissipation_check(G, v_count=128, budget=QUICK)
+        report = linear_dissipation_check(G, v_count=128, verdict=certify_generator(G, QUICK))
         assert report["passed"]
         assert report["max_linear_dissipation"] <= 1e-9
         assert report["max_quadratic_identity_error"] <= 1e-8
@@ -316,7 +328,8 @@ class TestCaratheodory:
 class TestRestrictionAgreement:
     def test_certified_generator_agrees(self, l2_2d):
         G = sample_generator(l2_2d, seed=0, degree=3)
-        report = restriction_agreement(G, v_count=6, budget=QUICK, disc_budget=QUICK)
+        report = restriction_agreement(G, v_count=6, verdict=certify_generator(G, QUICK),
+                                       disc_budget=QUICK)
         assert report["agree"]
         assert report["ball_verdict"] == "certified"
         assert all(v == "certified" for v in report["disc_verdicts"])
@@ -325,17 +338,29 @@ class TestRestrictionAgreement:
         G = sample_generator(l2_2d, seed=0, degree=3)
         kappa = (max(0.0, slack_probe(G)) + 1.0) / 0.25
         bad = shift_to_generator(G, 0.0, -kappa)
-        report = restriction_agreement(bad, v_count=6, budget=QUICK, disc_budget=QUICK)
+        report = restriction_agreement(bad, v_count=6, verdict=certify_generator(bad, QUICK),
+                                       disc_budget=QUICK)
         assert report["ball_verdict"] == "refuted"
         assert report["agree"]
         assert any(v == "refuted" for v in report["disc_verdicts"])
 
     def test_inconclusive_ball_verdict_agrees(self, l2_2d):
         small = CertifyBudget(sphere=8, refine_points=2, refine_iters=2, max_evals=30)
-        report = restriction_agreement(minus_identity(l2_2d), v_count=2, budget=small,
+        G = minus_identity(l2_2d)
+        report = restriction_agreement(G, v_count=2, verdict=certify_generator(G, small),
                                        disc_budget=small)
         assert report["ball_verdict"] == "inconclusive"
         assert report["agree"]
+
+    def test_given_verdict_is_the_ball_verdict(self, l2_2d):
+        # a refuted verdict handed in is not re-derived: the contraction's
+        # certified slices then disagree with it
+        refuted = GeneratorVerdict("refuted", 1e-9, -1.0, None, 0)
+        report = restriction_agreement(minus_identity(l2_2d), v_count=2, verdict=refuted,
+                                       disc_budget=QUICK)
+        assert report["ball_verdict"] == "refuted"
+        assert report["disc_verdicts"] == ["certified", "certified"]
+        assert not report["agree"]
 
 
 class TestUnitaryInvariance:

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from hologen import bounds, certify, cli
 from hologen.certify import NotCertifiedError, PseudoDissipativityCertificate
 from hologen.cli import run
 from hologen.numrange import OracleMismatchError
-from hologen.polymaps import map_to_dict
+from hologen.polymaps import PolyMap, map_to_dict
 from hologen.spaces import NormedSpace
 
 from conftest import identity_map, minus_identity
@@ -39,6 +40,26 @@ def minus_id_path(tmp_path):
 @pytest.fixture
 def identity_path(tmp_path):
     return write_map(tmp_path, "identity.json", identity_map(NormedSpace(2, 2.0)))
+
+
+@pytest.fixture
+def certifications(monkeypatch):
+    """(on a ball map, tolerance) of every certify_generator call, in order.
+
+    Every module-level name of the certifier is wrapped. Slice checks wrap
+    their disc functions as CallableMaps, so ball maps are the PolyMaps.
+    """
+    calls = []
+    real = certify.certify_generator
+
+    def counting(G, budget=None, tolerance=1e-9, alt_support=False):
+        calls.append((isinstance(G, PolyMap), tolerance))
+        return real(G, budget, tolerance, alt_support)
+
+    for module in (certify, bounds, cli):
+        if hasattr(module, "certify_generator"):
+            monkeypatch.setattr(module, "certify_generator", counting)
+    return calls
 
 
 class TestCertifyGen:
@@ -190,6 +211,11 @@ class TestBound:
         assert payload["detail"] == "no certificate, growth bound not evaluated"
         assert "min_slack" not in payload
 
+    def test_generator_certified_once(self, capsys, minus_id_path, certifications):
+        rc, _, _ = invoke(capsys, "bound", minus_id_path, "--no-timestamp", "--cert-tol", "1e-7")
+        assert rc == 0
+        assert certifications == [(True, 1e-7)]
+
     @pytest.mark.parametrize("error", [OracleMismatchError, NotCertifiedError])
     def test_check_errors_exit_one(self, capsys, monkeypatch, minus_id_path, error):
         def failing(*args, **kwargs):
@@ -246,7 +272,7 @@ class TestFlow:
         assert payload["failure_time"] == 0.0
         assert csv_path.read_text() == "t,re(z_1),im(z_1),norm\n0,0.5,0,0.5\n"
 
-    def test_argument_validation(self, capsys, minus_id_path):
+    def test_argument_validation(self, capsys, minus_id_path, identity_path):
         assert invoke(capsys, "flow", minus_id_path, "--z0", "[0.1,0]",
                       "--t", "-1.0")[0] == 2
         assert invoke(capsys, "flow", minus_id_path, "--z0", "not json",
@@ -257,6 +283,10 @@ class TestFlow:
                       "--t", "1.0")[0] == 2
         assert invoke(capsys, "flow", minus_id_path, "--z0", "[0.1,0]",
                       "--t", "nan")[0] == 2
+        # an infinite horizon once skipped the step loop and "completed"
+        rc, out, err = invoke(capsys, "flow", identity_path, "--z0", "[0.5, 0]", "--t", "inf")
+        assert (rc, out) == (2, "")
+        assert "t_end must be finite and nonnegative, got inf" in err
         rc, out, err = invoke(capsys, "flow", minus_id_path, "--z0", "[NaN, 0]", "--t", "1.0")
         assert (rc, out) == (2, "")
         assert "start point must lie in the open unit ball" in err
@@ -313,6 +343,16 @@ class TestVerifySuite:
         assert all(result["checks"].values())
         assert result["seed"] == 0
         assert result["growth_min_slack"] >= -1e-9
+
+    def test_ball_certified_twice_at_cert_tol(self, capsys, certifications):
+        # the generator and its perturbed copy, each once; the agreement
+        # checks, the linear-dissipation check and the growth certificate
+        # take those verdicts, and every slice is held to the same tolerance
+        rc, _, _ = invoke(capsys, "verify-suite", "--seeds", "1", "--cert-tol", "1e-7",
+                          "--no-timestamp")
+        assert rc == 0
+        assert [tol for ball, tol in certifications if ball] == [1e-7, 1e-7]
+        assert {tol for _, tol in certifications} == {1e-7}
 
     def test_parallel_jobs_agree(self, capsys):
         _, serial, _ = invoke(capsys, "verify-suite", "--seeds", "2",

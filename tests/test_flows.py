@@ -112,6 +112,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(minus_identity(l2_2d), np.array([0.1j, 0.0j]), math.nan)
 
+    def test_infinite_horizon_rejected(self, l2_2d):
+        # the step loop compared against t_end - inf = NaN and never ran, so
+        # the expanding identity "completed" at its start point
+        with pytest.raises(ValueError, match="finite"):
+            integrate(identity_map(l2_2d), np.array([0.5 + 0.0j, 0.0j]), math.inf)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, l2_2d, bad):
         with pytest.raises(ValueError, match="open unit ball"):
@@ -152,6 +158,11 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="nonnegative"):
             check_semigroup(minus_identity(l2_2d), np.array([0.1j, 0.0j]), math.nan, 0.5)
 
+    @pytest.mark.parametrize("t, s", [(math.inf, 0.5), (0.5, math.inf)])
+    def test_infinite_time_rejected(self, l2_2d, t, s):
+        with pytest.raises(ValueError, match="finite"):
+            check_semigroup(identity_map(l2_2d), np.array([0.5 + 0.0j, 0.0j]), t, s)
+
 
 class TestInvarianceSweep:
     def test_contraction_never_escapes(self, l2_2d):
@@ -187,6 +198,12 @@ class TestInvarianceSweep:
     def test_nan_horizon_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="nonnegative"):
             invariance_sweep(minus_identity(l2_2d), starts=2, t_end=math.nan)
+
+    def test_infinite_horizon_rejected(self, l2_2d):
+        # before, every start "completed" at time 0 and the expanding
+        # identity passed the sweep
+        with pytest.raises(ValueError, match="finite"):
+            invariance_sweep(identity_map(l2_2d), starts=2, t_end=math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5, 1.0, 0.0])
     def test_start_norm_must_lie_in_the_open_ball(self, l2_2d, bad):
