@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (_DEFAULT_RADII, PseudoDissipativityCertificate, _annulus,
-                      _check_tolerance, _convex_hull, _require_certified)
+from .certify import (_DEFAULT_RADII, PseudoDissipativityCertificate,
+                      _check_tolerance, _require_certified)
 from .numrange import (DEFAULT_BUDGET, OracleMismatchError, SearchBudget,
                        _sphere_search, harris_constant, numerical_radius,
                        numerical_range_inf, polynomial_numerical_radius)
@@ -130,9 +130,11 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
     Raises:
         NotCertifiedError: the certificate is not a certified one.
         OracleMismatchError: the shift consistency check fails.
-        ValueError: F carries no explicit linear part.
+        ValueError: theta or a is not finite, or F has no explicit linear part.
     """
     _require_certified(F, cert)
+    if not (math.isfinite(cert.theta) and math.isfinite(cert.a)):
+        raise ValueError(f"certificate theta {cert.theta} and a {cert.a} must be finite")
     if not hasattr(F, "linear"):
         raise ValueError("growth inputs need a map with an explicit linear part")
     space = F.space
@@ -160,22 +162,18 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
 
 
 def generator_certificate(G, verdict=None) -> PseudoDissipativityCertificate:
-    """Canonical certificate (theta 0, shift 0, budget ||G(0)||) of a
-    certified generator, validated on 192 directions (seed 0) of each of
-    the six shells of the annulus of width 0.1.
+    """Canonical certificate (theta 0, shift 0, budget ||G(0)||) of a certified
+    generator, read off its verdict: z* has dual norm ||z||, so Re<G(z), z*>
+    <= Re<G(0), z*>(1 - ||z||^2) <= ||G(0)|| (1 - ||z||^2). No hull; samples and
+    worst_slack (a lower bound on this slack at those samples) are the verdict's.
 
     Raises:
         NotCertifiedError: unless verdict (None: certify G now) is "certified".
     """
-    _require_certified(G, verdict)
-    space = G.space
-    b = space.norm(np.asarray(G.constant))
-    Z, omega, r2 = _annulus(G, 0.1, space.sphere_sample(192, 0))
-    slack = b * (1.0 - r2) - np.real(omega)
-    hull = _convex_hull(np.column_stack([omega.real, omega.imag]))
+    verdict = _require_certified(G, verdict)
     return PseudoDissipativityCertificate(
-        "certified", 0.0, 0.0, float(b), 0.1, hull,
-        int(Z.shape[0]), float(np.min(slack)), None)
+        "certified", 0.0, 0.0, float(G.space.norm(np.asarray(G.constant))), 0.1,
+        np.zeros((0, 2)), verdict.samples, verdict.worst_slack, None)
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,8 @@ class ChainReport:
 
 def verify_intermediate_chain(G, budget: SearchBudget | None = None,
                               radii=None, v_count: int = 64, seed: int = 0,
-                              verdict=None, tolerance: float = 1e-9) -> ChainReport:
+                              inputs: GrowthInputs | None = None,
+                              tolerance: float = 1e-9) -> ChainReport:
     """Walk every estimate between shell suprema and the sharp envelope.
 
     Stages on each radius r, for a certified generator with linear part T,
@@ -285,12 +284,14 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     (|c_2(v)| <= ||G(0)|| - 2 Re c_1(v) and |c_j(v)| <= -2 Re c_1(v), with
     c_j(v) = <Q_j v, v*> and c_1(v) = <Tv, v*> read from
     `PolyMap.line_coefficients`) and the aggregated forms are reported as
-    margins; all must clear -1e-8.
+    margins; all must clear -1e-8. c, V_T and m(T) are read from inputs, the
+    growth inputs of G under its canonical certificate as `verify_growth_bound`
+    reports them; None certifies G and measures them with `growth_inputs_from`.
 
     Raises:
-        NotCertifiedError: when G does not certify first.
+        NotCertifiedError: inputs is None and G does not certify.
+        ValueError: G is not a PolyMap, or inputs are not canonical.
     """
-    _require_certified(G, verdict)
     if not hasattr(G, "higher"):
         raise ValueError("the chain needs an explicit polynomial map")
     space = G.space
@@ -298,11 +299,13 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     _check_radii(grid)
     T = np.asarray(G.linear, dtype=np.complex128)
     g0 = np.asarray(G.constant, dtype=np.complex128)
-    c0n = space.norm(g0)
     degree = G.degree
 
-    vt = _sharpened(numerical_radius(space, T, budget))
-    mt = _deepened(numerical_range_inf(space, T, budget))
+    if inputs is None:
+        inputs = growth_inputs_from(G, generator_certificate(G), budget)
+    elif (inputs.theta, inputs.a, inputs.center_norm) != (0.0, 0.0, space.norm(g0)):
+        raise ValueError("the chain needs G's canonical growth inputs (theta 0, a 0, ||G(0)||)")
+    c0n, vt, mt = inputs.center_norm, inputs.shifted_radius, inputs.shifted_range_inf
     depth = max(0.0, -2.0 * mt)
 
     vq = {p.degree: polynomial_numerical_radius(space, p, budget).value for p in G.higher}
@@ -331,8 +334,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     js = np.arange(2, max(degree, 2) + 1)
     s3 = (E * grid * vt + 4.0 * grid ** 2 * c0n
           + depth * np.sum(majorant_line(js)[None, :] * grid[:, None] ** js[None, :], axis=1))
-    flat_inputs = GrowthInputs(0.0, 0.0, c0n, vt, vt, mt)
-    s4 = np.asarray(rhs_sharp(flat_inputs, grid))
+    s4 = np.asarray(rhs_sharp(inputs, grid))
 
     stages = (("shell_supremum", s0), ("triangle_split", s1),
               ("degree_aggregation", s2a), ("coefficient_bounds", s2b),

@@ -176,12 +176,13 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     return GeneratorVerdict("certified", tolerance, worst, None, evals)
 
 
-def _require_certified(G, verdict=None) -> None:
-    """Raise NotCertifiedError unless verdict (None: certify G now) is "certified"."""
+def _require_certified(G, verdict=None):
+    """The verdict (None: certify G now) if "certified"; else raise NotCertifiedError."""
     if verdict is None:
         verdict = certify_generator(G)
     if verdict.verdict != "certified":
         raise NotCertifiedError(f"map is {verdict.verdict}, not certified")
+    return verdict
 
 
 def certify_disc_generator(g, budget: CertifyBudget | None = None,

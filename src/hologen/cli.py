@@ -348,12 +348,11 @@ def _battery(seed: int, args) -> dict:
     harris = harris_check(space, target, sbud)
     checks["harris"] = bool(harris["passed"])
 
-    chain = verify_intermediate_chain(G, budget=sbud, v_count=32, seed=seed,
-                                      verdict=verdict)
-    checks["intermediate_chain"] = bool(chain.passed)
-
     growth = verify_growth_bound(G, generator_certificate(G, verdict),
                                  budget=sbud, tolerance=args.bound_tol)
+    chain = verify_intermediate_chain(G, budget=sbud, v_count=32, seed=seed,
+                                      inputs=growth.inputs)
+    checks["intermediate_chain"] = bool(chain.passed)
     checks["growth_bound"] = not growth.violated
 
     sweep = invariance_sweep(G, starts=4, t_end=3.0, rtol=1e-7, seed=seed)

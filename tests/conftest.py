@@ -27,6 +27,23 @@ def l2_2d() -> NormedSpace:
     return NormedSpace(2, 2.0)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name for the test and returns
+    the list of (args, kwargs) of its calls, in order."""
+    def patch(owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def run(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, run)
+        return calls
+    return patch
+
+
 def serial_spread_starts(pts, order, count):
     """Reference start choice: walk `order`, skipping points within 0.05
     squared gap (modulo a global phase) of an earlier pick, then fill any

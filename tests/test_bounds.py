@@ -1,6 +1,7 @@
 """Growth envelopes: the universal constants, both radial bounds, and the
 stagewise inequality chain between measured suprema and the envelopes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +256,18 @@ class TestGeneratorCertificate:
         with pytest.raises(NotCertifiedError, match="refuted"):
             generator_certificate(minus_identity(l2_2d), refuted)
 
+    def test_read_off_the_verdict_without_evaluating(self, count_calls):
+        space = NormedSpace(2, math.inf)
+        G = sample_generator(space, seed=5, degree=3)
+        verdict = certify_generator(G)
+        evals = count_calls(PolyMap, "eval_batch")
+        cert = generator_certificate(G, verdict)
+        assert sum(args[1].shape[0] for args, _ in evals) == 0
+        assert (cert.theta, cert.a, cert.b) == (0.0, 0.0, space.norm(G.constant))
+        assert cert.hull_vertices.shape == (0, 2)
+        assert cert.samples == verdict.samples
+        assert cert.worst_slack == verdict.worst_slack
+
 
 class TestVerifyGrowthBound:
     def test_contraction_report(self, l2_2d):
@@ -327,26 +340,26 @@ class TestVerifyGrowthBound:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             verify_growth_bound(minus_identity(l2_2d), tolerance=tolerance)
 
-    def test_each_distinct_matrix_searched_once(self, monkeypatch, l2_2d):
+    def test_each_distinct_matrix_searched_once(self, count_calls, l2_2d):
         # a canonical certificate leaves A, the rotated and the shifted part
         # equal, so one radius and one infimum search serve all three
-        calls = {"radius": 0, "inf": 0}
-
-        def counted(name, search):
-            def run(*args, **kwargs):
-                calls[name] += 1
-                return search(*args, **kwargs)
-            return run
-
-        monkeypatch.setattr(bounds, "numerical_radius",
-                            counted("radius", bounds.numerical_radius))
-        monkeypatch.setattr(bounds, "numerical_range_inf",
-                            counted("inf", bounds.numerical_range_inf))
+        radius = count_calls(bounds, "numerical_radius")
+        inf = count_calls(bounds, "numerical_range_inf")
         verify_growth_bound(sample_generator(l2_2d, seed=3, degree=3))
-        assert calls == {"radius": 1, "inf": 1}
-        calls.update(radius=0, inf=0)
+        assert (len(radius), len(inf)) == (1, 1)
+        radius.clear()
+        inf.clear()
         verify_growth_bound(identity_map(l2_2d), manual_certificate(math.pi, -1.0))
-        assert calls == {"radius": 2, "inf": 2}
+        assert (len(radius), len(inf)) == (2, 2)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("theta, a", [(math.nan, 0.0), (0.0, math.nan),
+                                          (0.0, math.inf)])
+    def test_non_finite_certificate_rejected(self, p, theta, a):
+        # a NaN envelope gives a NaN slack, and no NaN slack reads violated
+        G = minus_identity(NormedSpace(2, p))
+        with pytest.raises(ValueError, match="must be finite"):
+            verify_growth_bound(G, manual_certificate(theta, a))
 
 
 class TestBatchedShells:
@@ -417,10 +430,39 @@ class TestIntermediateChain:
             for key, margin in rep.coefficient_margins.items():
                 assert margin >= -1e-8, (key, margin)
 
-    def test_precomputed_verdict_is_accepted(self, l2_2d):
+    def test_precomputed_inputs_are_accepted(self, l2_2d):
         G = minus_identity(l2_2d)
-        rep = verify_intermediate_chain(G, verdict=certify_generator(G))
+        rep = verify_intermediate_chain(
+            G, inputs=growth_inputs_from(G, generator_certificate(G)))
         assert rep.passed
+
+    def test_given_inputs_replace_the_linear_searches(self, count_calls):
+        space = NormedSpace(2, 1.0)
+        G = sample_generator(space, seed=4, degree=4)
+        budget = SearchBudget(samples=512, refine_iters=60, starts=2, seed=4)
+        inputs = verify_growth_bound(G, budget=budget).inputs
+        fresh = verify_intermediate_chain(G, budget=budget, v_count=16, seed=4)
+        radius = count_calls(bounds, "numerical_radius")
+        inf = count_calls(bounds, "numerical_range_inf")
+        given = verify_intermediate_chain(G, budget=budget, v_count=16, seed=4,
+                                          inputs=inputs)
+        assert (len(radius), len(inf)) == (0, 0)
+        assert np.array_equal(given.radii, fresh.radii)
+        assert [label for label, _ in given.stages] == [label for label, _ in fresh.stages]
+        for (_, a), (_, b) in zip(given.stages, fresh.stages):
+            assert np.array_equal(a, b)
+        assert np.array_equal(given.stage_margins, fresh.stage_margins)
+        assert given.coefficient_margins == fresh.coefficient_margins
+        assert np.array_equal(given.concavity_margins, fresh.concavity_margins)
+        assert given.passed == fresh.passed
+
+    @pytest.mark.parametrize("field, value", [("theta", 0.5), ("a", -0.25),
+                                              ("center_norm", 1.0)])
+    def test_non_canonical_inputs_rejected(self, l2_2d, field, value):
+        G = minus_identity(l2_2d)
+        inputs = growth_inputs_from(G, generator_certificate(G))
+        with pytest.raises(ValueError, match="canonical"):
+            verify_intermediate_chain(G, inputs=dataclasses.replace(inputs, **{field: value}))
 
     def test_uncertified_map_raises(self, l2_2d):
         with pytest.raises(NotCertifiedError, match="refuted"):

@@ -354,6 +354,13 @@ class TestVerifySuite:
         assert [tol for ball, tol in certifications if ball] == [1e-7, 1e-7]
         assert {tol for _, tol in certifications} == {1e-7}
 
+    def test_linear_part_searched_once(self, capsys, count_calls):
+        # the chain reads the linear radius and infimum off the growth inputs
+        radius = count_calls(bounds, "numerical_radius")
+        inf = count_calls(bounds, "numerical_range_inf")
+        assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
+        assert (len(radius), len(inf)) == (1, 1)
+
     def test_parallel_jobs_agree(self, capsys):
         _, serial, _ = invoke(capsys, "verify-suite", "--seeds", "2",
                               "--no-timestamp")

@@ -257,6 +257,16 @@ class TestInvariantBallProbe:
         with pytest.raises(ValueError, match="radii"):
             invariant_ball_probe(G, 0.0, 0.0, radius_grid=[0.5, math.nan])
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("theta, a", [(math.nan, 0.0), (0.0, math.nan),
+                                          (0.0, math.inf)])
+    def test_non_finite_certificate_rejected(self, p, theta, a):
+        # a NaN operator norm never wins Python's max, so the power sup would
+        # read 0 and the probe would call the linear part power bounded
+        G = PolyMap(NormedSpace(2, p), np.zeros(2), 0.5 * np.eye(2), ())
+        with pytest.raises(ValueError, match="must be finite"):
+            invariant_ball_probe(G, theta, a)
+
 
 class TestTrajectoryCsv:
     def test_header_and_round_trip(self, l2_2d):
