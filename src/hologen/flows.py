@@ -2,10 +2,12 @@
 sweeps, the semigroup consistency check, and the discrete iteration probe
 for invariant neighborhoods of maps fixing the origin.
 
-The integrator is an embedded Runge-Kutta 4(5) pair with FSAL reuse and a
-PI step controller. Leaving the open unit ball is an error by design: a
-certified generator never does it, so an escape diagnoses a bad input or
-a tolerance too loose to trust.
+The integrator is the embedded Runge-Kutta 4(5) pair of Dormand and Prince
+with FSAL reuse and a PI step controller. One kernel integrates a (B, n)
+state whose rows keep their own horizon, step control and nodes; `integrate`
+is its one-row case, and the sweep and semigroup check run as rows. Leaving
+the open unit ball is an error by design: a certified generator never does
+it, so an escape diagnoses a bad input or a tolerance too loose to trust.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .numrange import operator_norm
 from .polymaps import _pairs
 from .spaces import NormedSpace
 
-_A = (
+_A = tuple(np.array(w, dtype=np.complex128) for w in (
     (),
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -27,7 +29,7 @@ _A = (
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
+))
 _B5 = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
                 -2187.0 / 6784.0, 11.0 / 84.0, 0.0])
 _B4 = np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
@@ -85,13 +87,112 @@ class StepUnderflowError(FlowStopError):
     reason = "step size underflow"
 
 
-def _drift(G, y: np.ndarray) -> np.ndarray:
-    return np.asarray(G.eval_batch(y[None, :])[0], dtype=np.complex128)
+@dataclass
+class _Row:
+    """One kernel row: horizon, step control and (t, point, norm) nodes."""
+
+    t_end: float
+    nodes: list
+    t: float = 0.0
+    h: float = 0.0
+    err_prev: float = 1e-4
+    accepted: int = 0
+    rejected: int = 0
+    min_dt: float = math.inf
+    max_dt: float = 0.0
+
+    def freeze(self) -> Trajectory:
+        times, points, norms = zip(*self.nodes)
+        return Trajectory(np.array(times), np.array(points), np.array(norms), StepStats(
+            self.accepted, self.rejected, self.min_dt if self.accepted else 0.0, self.max_dt))
+
+
+def _integrate_rows(G, starts, horizons, rtol: float, max_steps: int = 200000) -> list:
+    """Solve dz/dt = G(z) from each start over its own [0, horizon] and return
+    each row's Trajectory or the error that stopped it, in row order. Each
+    pass evaluates every stage of the live rows as one batch; a finished or
+    stopped row leaves it. No row's arithmetic reads another row, though a
+    batched drift evaluation may round unlike a one-row one (BLAS paths)."""
+    space: NormedSpace = G.space
+    rows = []
+    for z0, t_end in zip(starts, horizons):
+        y = np.asarray(z0, dtype=np.complex128)
+        if not space.norm(y) < 1.0:
+            raise ValueError("start point must lie in the open unit ball")
+        if not 0.0 <= t_end < math.inf:
+            raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+        rows.append(_Row(t_end, [(0.0, y.copy(), space.norm(y))]))
+    out = [row.freeze() for row in rows]  # zero horizons keep the one-node trajectory
+
+    def ready(r) -> bool:
+        """Whether row r takes another step; if not, record how it ended."""
+        row = rows[r]
+        if not row.t < row.t_end - 1e-15 * max(1.0, row.t_end):
+            out[r] = row.freeze()
+        elif row.accepted + row.rejected >= max_steps:
+            out[r] = RuntimeError(f"integration exceeded {max_steps} steps")
+        else:
+            row.h = min(row.h, row.t_end - row.t)
+            if not row.h < _MIN_STEP:
+                return True
+            out[r] = StepUnderflowError(row.t, row.nodes[-1][1], row.freeze())
+        return False
+
+    live = [r for r, row in enumerate(rows) if row.t_end != 0.0]
+    if not live:
+        return out
+    Y = np.array([rows[r].nodes[0][1] for r in live])
+    K1 = np.array(G.eval_batch(Y), dtype=np.complex128)  # a copy: rows are written below
+    for r, nk in zip(live, space.norm_batch(K1).tolist()):
+        rows[r].h = min(rows[r].t_end, 1e-2 / (1.0 + nk))
+    keep = [ready(r) for r in live]
+    while True:
+        if not all(keep):
+            live, Y, K1 = [r for r, k in zip(live, keep) if k], Y[keep], K1[keep]
+            if not live:
+                return out
+        h = np.array([rows[r].h for r in live])[:, None]
+        K = np.empty((len(live), 7, Y.shape[1]), dtype=np.complex128)
+        K[:, 0] = K1
+        for i in range(1, 7):  # row b sums as (i,) @ (i, n), whatever the batch
+            K[:, i] = G.eval_batch(Y + h * (_A[i] @ K[:, :i]))
+        y5 = Y + h * (_B5 @ K)
+        n5 = space.norm_batch(y5)
+        E = (space.norm_batch(h * (_ERR @ K)) / (rtol * (1.0 + n5))).tolist()
+        keep = []
+        # Python floats: numpy's array ** rounds otherwise, and np.maximum keeps NaN
+        for j, (r, e, nrm) in enumerate(zip(live, E, n5.tolist())):
+            row = rows[r]
+            if e <= 1.0:
+                row.t += row.h
+                row.accepted += 1
+                row.min_dt = min(row.min_dt, row.h)
+                row.max_dt = max(row.max_dt, row.h)
+                if nrm >= _ESCAPE_EDGE:
+                    out[r] = BallEscapeError(row.t, y5[j].copy(), row.freeze())
+                    keep.append(False)
+                    continue
+                Y[j] = y5[j]
+                K1[j] = K[j, 6]  # same drift evaluation opens the next step
+                row.nodes.append((row.t, y5[j].copy(), nrm))
+                fac = 0.9 * max(e, 1e-16) ** -0.14 * row.err_prev ** 0.08
+                row.h = row.h * min(5.0, max(0.2, fac))
+                row.err_prev = max(e, 1e-4)
+            else:
+                row.rejected += 1
+                row.h = row.h * max(0.2, 0.9 * e ** -0.2)
+            keep.append(ready(r))
+
+
+def _raise_stop(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def integrate(G, z0, t_end: float, rtol: float = 1e-9,
               max_steps: int = 200000) -> Trajectory:
-    """Solve dz/dt = G(z) from z0 over [0, t_end].
+    """Solve dz/dt = G(z) from z0 over [0, t_end], the kernel's one-row case.
 
     Per-step error is held below rtol * (1 + ||z||) in the space norm.
 
@@ -105,74 +206,10 @@ def integrate(G, z0, t_end: float, rtol: float = 1e-9,
     Raises:
         BallEscapeError: an accepted state reached the unit sphere.
         StepUnderflowError: required step fell below 1e-14.
+        RuntimeError: the step cap was reached.
         ValueError: bad start point, or a negative or non-finite horizon.
     """
-    space: NormedSpace = G.space
-    y = np.asarray(z0, dtype=np.complex128)
-    if not space.norm(y) < 1.0:
-        raise ValueError("start point must lie in the open unit ball")
-    if not 0.0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-    times = [0.0]
-    points = [y.copy()]
-    norms = [space.norm(y)]
-    if t_end == 0.0:
-        return Trajectory(np.array(times), np.array(points), np.array(norms),
-                          StepStats(0, 0, 0.0, 0.0))
-
-    k1 = _drift(G, y)
-    t = 0.0
-    h = min(t_end, 1e-2 / (1.0 + space.norm(k1)))
-    accepted = 0
-    rejected = 0
-    min_dt = math.inf
-    max_dt = 0.0
-    err_prev = 1e-4
-    K = np.empty((7, y.size), dtype=np.complex128)
-    while t < t_end - 1e-15 * max(1.0, t_end):
-        if accepted + rejected >= max_steps:
-            raise RuntimeError(f"integration exceeded {max_steps} steps")
-        h = min(h, t_end - t)
-        if h < _MIN_STEP:
-            raise StepUnderflowError(t, y, _freeze(times, points, norms, accepted,
-                                                   rejected, min_dt, max_dt))
-        K[0] = k1
-        for i in range(1, 7):
-            yi = y + h * (np.asarray(_A[i]) @ K[:i])
-            K[i] = _drift(G, yi)
-        y5 = y + h * (_B5 @ K)
-        err = h * (_ERR @ K)
-        scale = rtol * (1.0 + space.norm(y5))
-        E = space.norm(err) / scale
-        if E <= 1.0:
-            t += h
-            y = y5
-            k1 = K[6]  # same drift evaluation opens the next step
-            accepted += 1
-            min_dt = min(min_dt, h)
-            max_dt = max(max_dt, h)
-            nrm = space.norm(y)
-            if nrm >= _ESCAPE_EDGE:
-                raise BallEscapeError(t, y, _freeze(times, points, norms, accepted,
-                                                    rejected, min_dt, max_dt))
-            times.append(t)
-            points.append(y.copy())
-            norms.append(nrm)
-            fac = 0.9 * max(E, 1e-16) ** -0.14 * err_prev ** 0.08
-            h = h * min(5.0, max(0.2, fac))
-            err_prev = max(E, 1e-4)
-        else:
-            rejected += 1
-            h = h * max(0.2, 0.9 * E ** -0.2)
-    return _freeze(times, points, norms, accepted, rejected, min_dt, max_dt)
-
-
-def _freeze(times, points, norms, accepted, rejected, min_dt, max_dt) -> Trajectory:
-    stats = StepStats(accepted, rejected,
-                      0.0 if not math.isfinite(min_dt) else min_dt, max_dt)
-    return Trajectory(np.asarray(times, dtype=np.float64),
-                      np.asarray(points, dtype=np.complex128),
-                      np.asarray(norms, dtype=np.float64), stats)
+    return _raise_stop(_integrate_rows(G, [z0], [t_end], rtol, max_steps)[0])
 
 
 def flow_endpoint(G, z0, t_end: float, rtol: float = 1e-9) -> np.ndarray:
@@ -183,13 +220,15 @@ def flow_endpoint(G, z0, t_end: float, rtol: float = 1e-9) -> np.ndarray:
 def check_semigroup(G, z0, t: float, s: float, rtol: float = 1e-9) -> dict:
     """Compare flowing t+s at once against flowing t then s more.
 
+    The direct leg (t + s) and the first leg (t) run as two rows of one
+    batch, then the relay leg (s); a stop on the direct leg is raised first.
     The two endpoints must agree within 10 * rtol in the space norm.
     """
     if not (t >= 0.0 and s >= 0.0):
         raise ValueError("both time arguments must be nonnegative")
     space = G.space
-    direct = flow_endpoint(G, z0, t + s, rtol)
-    mid = flow_endpoint(G, z0, t, rtol)
+    direct, mid = (_raise_stop(out).points[-1]
+                   for out in _integrate_rows(G, [z0, z0], [t + s, t], rtol))
     relay = flow_endpoint(G, mid, s, rtol)
     diff = space.norm(direct - relay)
     return {
@@ -205,8 +244,10 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
                      max_start_norm: float = 0.95, seed: int = 0) -> dict:
     """Integrate from seeded random starts and report the largest norm seen.
 
-    A certified generator keeps every trajectory inside the ball; any
-    escape is recorded with its witness instead of aborting the sweep.
+    The starts run as rows of one batch, each with its own step control.
+    A certified generator keeps every trajectory inside the ball;
+    each escape is recorded with its witness, in start order, instead of
+    aborting the sweep. Any other stop is raised for the lowest-indexed start.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -217,18 +258,17 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
     radii = np.random.default_rng([seed, _START_SALT]).uniform(0.05, max_start_norm, starts)
     max_norm = 0.0
     escapes = []
-    for i in range(starts):
-        z0 = radii[i] * dirs[i]
-        try:
-            traj = integrate(G, z0, t_end, rtol)
-            max_norm = max(max_norm, float(np.max(traj.norms)))
-        except BallEscapeError as exc:
+    for i, out in enumerate(_integrate_rows(G, [radii[k] * dirs[k] for k in range(starts)],
+                                            [t_end] * starts, rtol)):
+        if isinstance(out, BallEscapeError):
             escapes.append({
                 "start_index": i,
-                "time": float(exc.time),
-                "state": _pairs(exc.state),
+                "time": float(out.time),
+                "state": _pairs(out.state),
             })
-            max_norm = max(max_norm, space.norm(exc.state))
+            max_norm = max(max_norm, space.norm(out.state))
+        else:
+            max_norm = max(max_norm, float(np.max(_raise_stop(out).norms)))
     return {
         "starts": int(starts),
         "t_end": float(t_end),

@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from hologen.flows import (BallEscapeError, FlowStopError, StepUnderflowError, Trajectory,
-                           check_semigroup, flow_endpoint, integrate,
-                           invariance_sweep, invariant_ball_probe,
+from hologen.flows import (_START_SALT, BallEscapeError, FlowStopError, StepUnderflowError,
+                           Trajectory, _integrate_rows, check_semigroup, flow_endpoint,
+                           integrate, invariance_sweep, invariant_ball_probe,
                            trajectory_to_csv)
-from hologen.polymaps import CallableMap, HomogeneousPoly, PolyMap, sample_generator
+from hologen.polymaps import (CallableMap, HomogeneousPoly, PolyMap, _pairs,
+                              sample_generator)
 from hologen.spaces import NormedSpace
 
 from conftest import identity_map, minus_identity
@@ -123,11 +124,133 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="open unit ball"):
             integrate(minus_identity(l2_2d), np.array([bad, 0.0]), 1.0)
 
+    def test_retried_step_opens_with_the_drift_at_its_start(self):
+        # after a rejected step the next trial must start from G(z), not from
+        # the drift at the rejected endpoint; reusing that stale drift left
+        # the tanh flow 5.2e-9 off after 54 accepted and 6 rejected steps
+        space = NormedSpace(1, 2.0)
+        G = PolyMap(space, np.array([1.0]), np.zeros((1, 1)),
+                    (HomogeneousPoly(2, np.array([[2]]), np.array([[-1.0]])),))
+        traj = integrate(G, np.array([0.0j]), 2.0, rtol=1e-9)
+        assert traj.step_stats.rejected >= 1
+        assert abs(traj.points[-1][0] - math.tanh(2.0)) <= 1e-9
+
     def test_sampled_generator_stays_inside(self):
         space = NormedSpace(2, 2.0)
         G = sample_generator(space, seed=5, degree=3)
         traj = integrate(G, np.array([0.5 + 0.3j, -0.4 + 0.2j]), 4.0)
         assert np.all(traj.norms < 1.0)
+
+
+class TestNonFiniteDrift:
+    """A drift that turns NaN or infinite outside |z_j| <= 0.3 must end in a
+    step underflow: Python's min and max drop a NaN error ratio, so every
+    reject shrinks the step by 0.2 instead of leaving it NaN."""
+
+    @staticmethod
+    def drift(space, bad):
+        return CallableMap(space, lambda Z: np.where(np.abs(Z) > 0.3, bad, -Z))
+
+    def test_nan_drift_underflows_after_21_rejects(self, l2_2d):
+        with pytest.raises(StepUnderflowError) as info:
+            integrate(self.drift(l2_2d, math.nan), np.array([0.5, 0.0]), 1.0)
+        stats = info.value.trajectory.step_stats
+        assert info.value.time == 0.0
+        assert (stats.accepted, stats.rejected) == (0, 21)
+
+    def test_infinite_drift_underflows_at_once(self, l2_2d):
+        # an infinite first drift sets the first step to 1e-2 / inf = 0
+        with pytest.raises(StepUnderflowError) as info:
+            integrate(self.drift(l2_2d, math.inf), np.array([0.5, 0.0]), 1.0)
+        stats = info.value.trajectory.step_stats
+        assert info.value.time == 0.0
+        assert (stats.accepted, stats.rejected) == (0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sweep_underflows(self, l2_2d, bad):
+        with pytest.raises(StepUnderflowError):
+            invariance_sweep(self.drift(l2_2d, bad), starts=3, t_end=1.0)
+
+
+def sweep_starts(space, starts, seed=0, max_start_norm=0.95):
+    """The start points `invariance_sweep` draws for these arguments."""
+    dirs = space.sphere_sample(starts, seed)
+    radii = np.random.default_rng([seed, _START_SALT]).uniform(0.05, max_start_norm, starts)
+    return [radii[i] * dirs[i] for i in range(starts)]
+
+
+def serial_outcome(G, z0, t_end, rtol=1e-7, max_steps=200000):
+    try:
+        return integrate(G, z0, t_end, rtol, max_steps)
+    except (FlowStopError, RuntimeError) as exc:
+        return exc
+
+
+class TestBatchedRows:
+    """Rows of one batch step, stop and report as `integrate` does alone."""
+
+    def test_escapes_match_integrate_in_start_order(self, l2_2d):
+        G = identity_map(l2_2d)
+        out = invariance_sweep(G, starts=6, t_end=4.0, max_start_norm=0.5)
+        starts = sweep_starts(l2_2d, 6, max_start_norm=0.5)
+        assert [rec["start_index"] for rec in out["escapes"]] == list(range(6))
+        for rec, z0 in zip(out["escapes"], starts):
+            exc = serial_outcome(G, z0, 4.0)
+            assert isinstance(exc, BallEscapeError)
+            assert rec["time"] == exc.time
+            assert rec["state"] == _pairs(exc.state)
+
+    def test_lowest_indexed_underflow_is_raised(self):
+        # right half plane: z' = z escapes; left half plane: z' = -z decays
+        # until a stage lands inside |z| < 0.3, where the drift is NaN
+        line = NormedSpace(1, 2.0)
+        G = CallableMap(line, lambda Z: np.where(
+            Z.real > 0.0, Z, np.where(np.abs(Z) < 0.3, np.nan, -Z)))
+        serial = [serial_outcome(G, z0, 4.0) for z0 in sweep_starts(line, 6)]
+        kinds = [type(out).__name__ for out in serial]
+        assert kinds[:3] == ["BallEscapeError", "StepUnderflowError", "StepUnderflowError"]
+        # start 2 stops in fewer steps, so it leaves the batch before start 1
+        steps = [out.trajectory.step_stats for out in serial[1:3]]
+        assert steps[1].accepted + steps[1].rejected < steps[0].accepted + steps[0].rejected
+        with pytest.raises(StepUnderflowError) as info:
+            invariance_sweep(G, starts=6, t_end=4.0)
+        assert info.value.time == serial[1].time
+        assert np.array_equal(info.value.state, serial[1].state)
+        assert info.value.trajectory.step_stats == serial[1].trajectory.step_stats
+
+    def test_step_cap_is_per_row(self, l2_2d):
+        G = minus_identity(l2_2d)
+        z0 = np.array([0.1j, 0.0j])
+        capped, short = _integrate_rows(G, [z0, z0], [1e6, 1e-3], 1e-9, max_steps=10)
+        assert isinstance(capped, RuntimeError)
+        assert str(capped) == "integration exceeded 10 steps"
+        alone = integrate(G, z0, 1e-3, max_steps=10)
+        assert short.step_stats == alone.step_stats
+        assert np.array_equal(short.points, alone.points)
+
+    def test_sweep_evaluates_each_stage_once_per_pass(self, count_calls):
+        G = sample_generator(NormedSpace(2, 2.0), seed=5, degree=3)
+        steps = []
+        for z0 in sweep_starts(G.space, 8):
+            stats = integrate(G, z0, 3.0, 1e-7).step_stats
+            steps.append(stats.accepted + stats.rejected)
+        calls = count_calls(PolyMap, "eval_batch")
+        assert invariance_sweep(G, starts=8, t_end=3.0)["passed"]
+        # one batch for the first drifts, then six stages per pass; the
+        # rows are those of eight serial integrations
+        assert len(calls) == 1 + 6 * max(steps)
+        assert sum(args[1].shape[0] for args, _ in calls) == 8 + 6 * sum(steps)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_rows_step_as_integrate_does(self, p):
+        G = sample_generator(NormedSpace(2, p), seed=5, degree=3)
+        starts = sweep_starts(G.space, 8)
+        rows = _integrate_rows(G, starts, [3.0] * 8, 1e-7)
+        for z0, row in zip(starts, rows):
+            alone = integrate(G, z0, 3.0, 1e-7)
+            assert row.step_stats.accepted == alone.step_stats.accepted
+            assert row.step_stats.rejected == alone.step_stats.rejected
+            assert G.space.norm(row.points[-1] - alone.points[-1]) <= 1e-12
 
 
 class TestSemigroup:
