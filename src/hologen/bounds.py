@@ -164,7 +164,7 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
 def generator_certificate(G, verdict=None) -> PseudoDissipativityCertificate:
     """Canonical certificate (theta 0, shift 0, budget ||G(0)||) of a certified
     generator, read off its verdict: z* has dual norm ||z||, so Re<G(z), z*>
-    <= Re<G(0), z*>(1 - ||z||^2) <= ||G(0)|| (1 - ||z||^2). No hull; samples and
+    <= Re<G(0), z*>(1 - ||z||^2) <= ||G(0)|| (1 - ||z||^2). Its samples and
     worst_slack (a lower bound on this slack at those samples) are the verdict's.
 
     Raises:
@@ -173,7 +173,7 @@ def generator_certificate(G, verdict=None) -> PseudoDissipativityCertificate:
     verdict = _require_certified(G, verdict)
     return PseudoDissipativityCertificate(
         "certified", 0.0, 0.0, float(G.space.norm(np.asarray(G.constant))), 0.1,
-        np.zeros((0, 2)), verdict.samples, verdict.worst_slack, None)
+        verdict.samples, verdict.worst_slack, None)
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,20 @@ class GeneratorVerdict:
 
 @dataclass(frozen=True)
 class PseudoDissipativityCertificate:
-    """Outcome of certify_pseudo_dissipative with the fitted budget."""
+    """Outcome of certify_pseudo_dissipative with the fitted budget.
+
+    theta, a and b give Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2)
+    on the annulus of width epsilon; samples counts the evaluations spent.
+    worst_slack is the least slack seen, or minus the refutation scale on a
+    refutation, whose witness is the point of largest pairing found; the
+    other verdicts carry no witness.
+    """
 
     verdict: str
     theta: float
     a: float
     b: float
     epsilon: float
-    hull_vertices: np.ndarray
     samples: int
     worst_slack: float
     witness: np.ndarray | None = None
@@ -120,9 +126,9 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
     """Certify or refute the generator inequality for a ball map.
 
     Shell-times-sphere sampling followed by local refinement at the worst
-    points. Refutes on slack below -tolerance, certifies when the refined
-    minimum stays above -1e-9, and returns "inconclusive" only when an
-    evaluation cap cuts refinement short without a violation.
+    points. Refutes when some slack falls below -tolerance and certifies
+    otherwise, except that an evaluation cap cutting refinement short
+    without such a violation gives "inconclusive".
 
     Args:
         G: PolyMap or CallableMap.
@@ -201,33 +207,6 @@ def certify_disc_generator(g, budget: CertifyBudget | None = None,
 # -- pseudo-dissipativity ----------------------------------------------------
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Counterclockwise convex hull of (M, 2) planar points, monotone chain."""
-    pts = np.unique(points, axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    # cross products of raw coordinates overflow for pairing clouds that reach
-    # e^500 scales, so the chain walks a normalized copy; the vertex set is
-    # scale invariant and the returned rows are the originals
-    scaled = pts / max(float(np.max(np.abs(pts))), 1e-300)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[int] = []
-    for i in range(scaled.shape[0]):
-        while len(lower) >= 2 and cross(scaled[lower[-2]], scaled[lower[-1]], scaled[i]) <= 0.0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in range(scaled.shape[0] - 1, -1, -1):
-        while len(upper) >= 2 and cross(scaled[upper[-2]], scaled[upper[-1]], scaled[i]) <= 0.0:
-            upper.pop()
-        upper.append(i)
-    return pts[np.array(lower[:-1] + upper[:-1])]
-
-
 def _pairings_on(F, Z):
     space = F.space
     W = space.support_batch(Z)
@@ -239,61 +218,49 @@ def _pairings_on(F, Z):
     return omega
 
 
-def _annulus(F, epsilon, V):
-    """Rows of V on six shells from 1 - epsilon + epsilon/20 to 0.999.
-
-    Returns (Z, omega, r2): the points, their pairings and squared norms.
-    Raises ValueError unless 0 < epsilon < 1.
-    """
+def _annulus_bounds(epsilon) -> tuple[float, float]:
+    """Norm bounds (lo, hi) of the sampled annulus; ValueError unless 0 < epsilon < 1."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    shells = np.linspace(1.0 - epsilon + epsilon / 20.0, 0.999, 6)
-    Z = _shell_grid(shells, V)
+    return 1.0 - epsilon + epsilon / 20.0, 0.999
+
+
+def _annulus(F, lo, hi, V):
+    """Rows of V on six shells from lo to hi: (points, pairings, squared norms)."""
+    Z = _shell_grid(np.linspace(lo, hi, 6), V)
     return Z, _pairings_on(F, Z), F.space.norm_batch(Z) ** 2
 
 
 def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
-        bool, np.ndarray | None, int, np.ndarray | None]:
+        bool, np.ndarray | None, int]:
     """Probe whether refined samples exceed R_big in every half-plane direction.
 
-    Returns (covered, witness, evals, extremes), extremes holding the
-    pairings at the refined directional maxima once the probe gets that
-    far. Climbing refinement per direction; tame maps fail the quick
-    magnitude check immediately, so the full probe only runs on data that
-    already reaches the refutation scale.
+    Returns (covered, witness, evals). Climbing refinement per direction;
+    tame maps fail the quick magnitude check immediately, so the full probe
+    only runs on data that already reaches the refutation scale.
     """
     space = F.space
     rng = np.random.default_rng([budget.seed, 707])
-    evals = 0
 
     def neg_abs(flat, g):
         return -np.abs(_pairings_on(F, flat))
 
     start = Z[int(np.argmax(np.abs(omega)))][None, :]
-    zq, vq, used = _refine_points(space, neg_abs, start, lo, hi,
-                                  budget.refine_iters, rng)
-    evals += used
-    peak = -float(vq[0])
-    if peak < 0.5 * R_big:
-        return False, None, evals, None
+    zq, vq, evals = _refine_points(space, neg_abs, start, lo, hi, budget.refine_iters, rng)
+    if -float(vq[0]) < 0.5 * R_big:
+        return False, None, evals
 
     dirs = np.exp(-1j * 2.0 * np.pi * np.arange(_COVERAGE_DIRECTIONS) / _COVERAGE_DIRECTIONS)
-    X = np.real(dirs[:, None] * omega[None, :])
-    starts = Z[np.argmax(X, axis=1)].copy()
+    starts = Z[np.argmax(np.real(dirs[:, None] * omega[None, :]), axis=1)]
 
     def neg_directional(flat, g):
         return -np.real(dirs[g] * _pairings_on(F, flat))
 
     # refine all directions in one batch, start g climbing direction g
-    zc, vc, used = _refine_points(space, neg_directional, starts, lo, hi,
-                                  2 * budget.refine_iters, rng)
-    evals += used
-    reached = -vc
-    extremes = _pairings_on(F, zc)
-    if np.all(reached >= R_big):
-        witness = zq[0]
-        return True, witness, evals, extremes
-    return False, None, evals, extremes
+    _, vc, used = _refine_points(space, neg_directional, starts, lo, hi,
+                                 2 * budget.refine_iters, rng)
+    covered = bool(np.all(-vc >= R_big))
+    return covered, zq[0] if covered else None, evals + used
 
 
 def _fit_at_theta(theta, omega, r2, b0):
@@ -317,38 +284,25 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     fresh samples plus descent refinement, enlarging `a` until no violation
     beyond 1e-12 survives. A certificate is only issued once the shifted map
     e^(i theta) F - a id also passes the whole-ball generator certifier, with
-    refutation witnesses converted into further increases of a. Retries twice
-    on a halved annulus width before giving up as "inconclusive". Raises
-    ValueError unless tolerance > 0 and 0 < epsilon < 1.
+    refutation witnesses converted into further increases of a. There are no
+    retries: when either repair loop ends without a clean pass (12 rounds
+    each, or a max_evals cap cutting the generator certifier short), the
+    result is "inconclusive" at the given epsilon. Raises ValueError unless
+    tolerance > 0 and 0 < epsilon < 1.
     """
     _check_tolerance(tolerance)
+    lo, hi = _annulus_bounds(epsilon)
     budget = budget or CertifyBudget(sphere=192)
-    eps = epsilon
-    last = None
-    for _ in range(3):
-        cert = _pd_attempt(F, eps, budget, tolerance)
-        if cert.verdict in ("certified", "refuted"):
-            return cert
-        last = cert
-        eps = eps / 2.0
-    return last
-
-
-def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate:
     space = F.space
-    lo, hi = 1.0 - epsilon + epsilon / 20.0, 0.999  # the annulus, as refinement bounds
-    Z, omega, r2 = _annulus(F, epsilon, space.sphere_sample(budget.sphere, budget.seed))
+    Z, omega, r2 = _annulus(F, lo, hi, space.sphere_sample(budget.sphere, budget.seed))
     evals = Z.shape[0]
 
     R_big = 1000.0 * (1.0 + float(np.quantile(np.abs(omega), 0.9)))
-    covered, cover_witness, used, extremes = _covers_all_directions(
-        F, lo, hi, Z, omega, R_big, budget)
+    covered, cover_witness, used = _covers_all_directions(F, lo, hi, Z, omega, R_big, budget)
     evals += used
-    cloud = omega if extremes is None else np.concatenate([omega, extremes])
-    hull = _convex_hull(np.column_stack([cloud.real, cloud.imag]))
     if covered:
         return PseudoDissipativityCertificate(
-            "refuted", 0.0, 0.0, 0.0, epsilon, hull, evals, -R_big, cover_witness)
+            "refuted", 0.0, 0.0, 0.0, epsilon, evals, -R_big, cover_witness)
 
     b0 = space.norm(np.asarray(F.constant))
     thetas = 2.0 * np.pi * np.arange(720) / 720.0
@@ -367,12 +321,10 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     # enlarging a (slope r^2 > 0 on the annulus) until nothing violates
     xs_all = [np.real(phase * omega)]
     r2_all = [r2]
-    certified = False
-    worst = math.nan
     for round_idx in range(12):
         rng = np.random.default_rng([budget.seed, _PD_ROUND_SALT, round_idx])
         Zr, omr, r2r = _annulus(
-            F, epsilon, space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1)))
+            F, lo, hi, space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1)))
         xr = np.real(phase * omr)
         evals += Zr.shape[0]
         xs_all.append(xr)
@@ -393,8 +345,8 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
         xs_all.append(np.real(phase * omW))
         r2_all.append(r2W)
         worst = float(min(slack.min(), sW.min()))
-        if worst >= -1e-12:
-            certified = True
+        certified = worst >= -1e-12
+        if certified:
             break
         w_idx = int(np.argmin(sW))
         rw2 = float(r2W[w_idx]) if sW[w_idx] <= slack.min() else float(r2r[int(np.argmin(slack))])
@@ -405,37 +357,32 @@ def _pd_attempt(F, epsilon, budget, tolerance) -> PseudoDissipativityCertificate
     # misses; a refutation witness prices the repair exactly, because raising
     # a adds r^2 of slack at every point and leaves the center value alone
     if certified:
-        certified = False
         for _ in range(12):
             inner = certify_generator(F.shifted(theta, a), budget, tolerance)
             evals += inner.samples
-            if inner.verdict == "certified":
-                certified = True
-                break
-            if inner.witness is None:
-                worst = inner.worst_slack
-                break
-            rw2 = space.norm(inner.witness) ** 2
             worst = inner.worst_slack
-            a += (-worst) / max(rw2, 1e-12) * 1.05 + 1e-12
+            certified = inner.verdict == "certified"
+            if certified or inner.witness is None:
+                break
+            a += (-worst) / max(space.norm(inner.witness) ** 2, 1e-12) * 1.05 + 1e-12
 
-    xs = np.concatenate(xs_all)
-    r2s = np.concatenate(r2_all)
     if not certified:
         return PseudoDissipativityCertificate(
-            "inconclusive", theta, a, b, epsilon, hull, evals, worst, None)
+            "inconclusive", theta, a, b, epsilon, evals, worst, None)
     # re-minimize b at the final a over every collected sample
+    xs = np.concatenate(xs_all)
+    r2s = np.concatenate(r2_all)
     b = max(0.0, float(np.max((xs - a * r2s) / (1.0 - r2s))))
     worst = float(np.min(a * r2s + b * (1.0 - r2s) - xs))
     return PseudoDissipativityCertificate(
-        "certified", theta, a, b, epsilon, hull, evals, worst, None)
+        "certified", theta, a, b, epsilon, evals, worst, None)
 
 
 def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
                          seed: int = 0) -> dict:
     """Check a given (theta, a, b) budget against 192 fresh directions on
     each of the six annulus shells; epsilon must lie in (0, 1)."""
-    Z, omega, r2 = _annulus(F, epsilon, F.space.sphere_sample(192, seed))
+    Z, omega, r2 = _annulus(F, *_annulus_bounds(epsilon), F.space.sphere_sample(192, seed))
     slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)
     worst = float(np.min(slack))
     return {"min_slack": worst, "samples": int(Z.shape[0]), "passed": worst >= -1e-9}

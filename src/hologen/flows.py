@@ -297,10 +297,13 @@ def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
         seed: direction sampling key.
 
     Raises:
-        ValueError: when theta or a is not finite, or F(0) != 0.
+        ValueError: when theta or a is not finite, F has no explicit linear
+            part, or F(0) != 0.
     """
     if not (math.isfinite(theta) and math.isfinite(a)):
         raise ValueError(f"probe theta {theta} and a {a} must be finite")
+    if not hasattr(F, "linear"):
+        raise ValueError("the iteration probe needs a map with an explicit linear part")
     space = F.space
     if space.norm(np.asarray(F.constant)) > 1e-12:
         raise ValueError("the iteration probe requires F(0) = 0")

@@ -9,6 +9,7 @@ generator form built from such a part, or an opaque callable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -195,9 +196,12 @@ class CallableMap:
     space: NormedSpace
     fn: Callable
 
-    @property
+    @functools.cached_property
     def constant(self) -> np.ndarray:
-        return self.eval_batch(np.zeros((1, self.space.dim), dtype=np.complex128))[0]
+        """F(0), evaluated on first read and kept read-only."""
+        c = self.eval_batch(np.zeros((1, self.space.dim), dtype=np.complex128))[0]
+        c.flags.writeable = False
+        return c
 
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=np.complex128)

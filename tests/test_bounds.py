@@ -31,7 +31,7 @@ STAGE_LABELS = ("shell_supremum", "triangle_split", "degree_aggregation",
 
 def manual_certificate(theta, a, b=0.0, epsilon=0.1):
     return PseudoDissipativityCertificate(
-        "certified", theta, a, b, epsilon, np.zeros((0, 2)), 0, 0.0, None)
+        "certified", theta, a, b, epsilon, 0, 0.0, None)
 
 
 class TestUniversalConstants:
@@ -203,7 +203,7 @@ class TestGrowthInputsFrom:
     def test_rejects_uncertified_certificate(self, l2_2d):
         G = minus_identity(l2_2d)
         bad = PseudoDissipativityCertificate(
-            "refuted", 0.0, 0.0, 0.0, 0.1, np.zeros((0, 2)), 0, -1.0, None)
+            "refuted", 0.0, 0.0, 0.0, 0.1, 0, -1.0, None)
         with pytest.raises(NotCertifiedError, match="refuted"):
             growth_inputs_from(G, bad)
 
@@ -264,7 +264,6 @@ class TestGeneratorCertificate:
         cert = generator_certificate(G, verdict)
         assert sum(args[1].shape[0] for args, _ in evals) == 0
         assert (cert.theta, cert.a, cert.b) == (0.0, 0.0, space.norm(G.constant))
-        assert cert.hull_vertices.shape == (0, 2)
         assert cert.samples == verdict.samples
         assert cert.worst_slack == verdict.worst_slack
 

@@ -201,7 +201,7 @@ class TestBound:
     def test_no_certificate_skips_the_bound(self, capsys, monkeypatch, identity_path):
         def inconclusive(F, epsilon, budget, tolerance):
             return PseudoDissipativityCertificate(
-                "inconclusive", 0.0, 0.0, 0.0, epsilon, np.zeros((0, 2)), 0, -1.0)
+                "inconclusive", 0.0, 0.0, 0.0, epsilon, 0, -1.0)
 
         monkeypatch.setattr("hologen.cli.certify_pseudo_dissipative", inconclusive)
         rc, out, _ = invoke(capsys, "bound", identity_path, "--no-timestamp")

@@ -375,6 +375,11 @@ class TestInvariantBallProbe:
         with pytest.raises(ValueError, match="radii"):
             invariant_ball_probe(G, 0.0, 0.0, radius_grid=[0.5, 1.0])
 
+    def test_map_without_linear_part_rejected(self, l2_2d):
+        F = CallableMap(l2_2d, lambda Z: 0.5 * Z)
+        with pytest.raises(ValueError, match="explicit linear part"):
+            invariant_ball_probe(F, math.pi, -0.5)
+
     def test_nan_radius_rejected(self, l2_2d):
         G = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
         with pytest.raises(ValueError, match="radii"):

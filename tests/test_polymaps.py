@@ -198,6 +198,8 @@ class TestCallableMap:
         F = CallableMap(l2_2d, lambda Z: Z * 2.0)
         np.testing.assert_array_equal(F(np.array([0.1, 0.2])), np.array([0.2, 0.4]))
         np.testing.assert_allclose(F.constant, np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            F.constant[0] = 1.0
         with pytest.raises(ValueError):
             F(np.array([1.0, 0.0]))
 
