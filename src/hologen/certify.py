@@ -41,7 +41,9 @@ class CertifyBudget:
     0.99), refine_points: worst points refined, refine_iters: climb
     iterations, each trying numrange's `_PROPOSALS` candidates per point,
     seed: key of the direction and refinement streams, max_evals: cap on
-    slack evaluations; reaching it makes a clean run "inconclusive".
+    `certify_generator`'s slack evaluations; reaching it makes a clean run
+    "inconclusive". `certify_pseudo_dissipative` caps only its whole-ball
+    guard, not its annulus grid, coverage probe or validation rounds.
     """
 
     sphere: int = 128

@@ -24,6 +24,12 @@ _HERGLOTZ_SALT = 202
 _CENTER_SALT = 203
 
 
+def _power_table(Z: np.ndarray, degree: int) -> np.ndarray:
+    """(B, (degree + 1) * dim) table whose column k * dim + i is Z[:, i] ** k."""
+    powers = Z[:, None, :] ** np.arange(degree + 1)[:, None]
+    return powers.reshape(len(Z), (degree + 1) * Z.shape[1])
+
+
 @dataclass(frozen=True)
 class HomogeneousPoly:
     """Homogeneous vector polynomial stored as sparse monomials.
@@ -54,6 +60,9 @@ class HomogeneousPoly:
             raise ValueError(f"every multi-index must sum to degree {self.degree}")
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "coeffs", coeffs)
+        # (dim_in, terms) `_power_table` columns of the factors z_i^a_i
+        n = self.dim_in
+        object.__setattr__(self, "_columns", powers.T * n + np.arange(n)[:, None])
 
     @property
     def dim_in(self) -> int:
@@ -64,11 +73,22 @@ class HomogeneousPoly:
         return self.coeffs.shape[1]
 
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
-        """Evaluate on rows of Z, shape (B, dim_in) -> (B, dim_out)."""
-        Z = np.asarray(Z, dtype=np.complex128)
-        if self.powers.shape[0] == 0:
-            return np.zeros((Z.shape[0], self.dim_out), dtype=np.complex128)
-        mono = np.prod(Z[:, None, :] ** self.powers[None, :, :], axis=2)
+        """Evaluate on rows of Z, shape (B, dim_in) -> (B, dim_out).
+
+        Powers are bit-identical to `z ** k`; a monomial multiplies its factors
+        left to right with binary `*`, independent of batch size, and rounds unlike
+        `np.prod` once two factors are nonunit. The final `@` depends on the batch
+        size: gemv for one row, gemm for more."""
+        return self._eval_table(_power_table(np.asarray(Z, dtype=np.complex128), self.degree))
+
+    def _eval_table(self, table: np.ndarray) -> np.ndarray:
+        """Evaluate from a `_power_table` of degree >= self.degree."""
+        # (B, dim_in, terms); the reshape copies the gather to C order, without
+        # which the products' rounding would depend on the batch size
+        factors = table[:, self._columns.ravel()].reshape(len(table), *self._columns.shape)
+        mono = factors[:, 0]
+        for i in range(1, self.dim_in):
+            mono *= factors[:, i]  # in place: rounds as binary `*`
         return mono @ self.coeffs
 
     def __call__(self, z) -> np.ndarray:
@@ -124,11 +144,12 @@ class PolyMap:
         return self.higher[-1].degree if self.higher else 1
 
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
-        """Unchecked batch evaluation on rows of Z."""
+        """Unchecked batch evaluation on rows of Z; one power table serves all parts."""
         Z = np.asarray(Z, dtype=np.complex128)
         out = self.constant[None, :] + Z @ self.linear.T
+        table = _power_table(Z, self.degree)
         for part in self.higher:
-            out = out + part.eval_batch(Z)
+            out = out + part._eval_table(table)
         return out
 
     def evaluate(self, z) -> np.ndarray:
@@ -156,8 +177,9 @@ class PolyMap:
         C = np.zeros((V.shape[0], self.degree + 1), dtype=np.complex128)
         C[:, 0] = W @ self.constant
         C[:, 1] = self.space.pairing_batch(V @ self.linear.T, W)
+        table = _power_table(V, self.degree)
         for part in self.higher:
-            C[:, part.degree] = self.space.pairing_batch(part.eval_batch(V), W)
+            C[:, part.degree] = self.space.pairing_batch(part._eval_table(table), W)
         return C
 
     def restrict(self, v) -> "DiscFunction":

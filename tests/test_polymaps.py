@@ -67,6 +67,76 @@ class TestHomogeneousPoly:
             HomogeneousPoly(2, np.array([[1, 1], [2, 0]]), np.array([[1.0, 0.0]]))
 
 
+def reference_part(part, Z):
+    """The evaluation formula before power tables: a complex power per
+    entry, then an np.prod reduction over the input coordinates."""
+    return np.prod(Z[:, None, :] ** part.powers[None, :, :], axis=2) @ part.coeffs
+
+
+def dense_copy(dim, seed, degree):
+    rng = np.random.default_rng([seed, dim, 31])
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return unitary_conjugate(sample_generator(NormedSpace(dim, 2.0), seed, degree), U)
+
+
+SLOT_PAIRS = [(dim, p) for dim in (1, 2, 4) for p in (1.0, 2.0, math.inf)]
+
+
+class TestPowerTableKernel:
+    @pytest.mark.parametrize("dim,p", SLOT_PAIRS)
+    def test_coordinatewise_maps_match_reference_bit_for_bit(self, dim, p):
+        space = NormedSpace(dim, p)
+        for degree in range(2, 9):
+            F = sample_generator(space, seed=40 + degree, degree=degree)
+            for count in (0, 1, 2, 8, 608, 2432):
+                Z = (ball_points(space, count, seed=count + degree, rmax=0.99) if count
+                     else np.zeros((0, dim), dtype=np.complex128))
+                expected = F.constant[None, :] + Z @ F.linear.T
+                for part in F.higher:
+                    ref = reference_part(part, Z)
+                    assert part.eval_batch(Z).tobytes() == ref.tobytes()
+                    expected = expected + ref
+                assert F.eval_batch(Z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_dense_maps_agree_to_rounding(self, dim):
+        space = NormedSpace(dim, 2.0)
+        for degree in range(2, 9):
+            F = dense_copy(dim, seed=degree, degree=degree)
+            Z = ball_points(space, 608, seed=degree, rmax=0.99)
+            for part in F.higher:
+                ref = reference_part(part, Z)
+                assert np.max(np.abs(part.eval_batch(Z) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_monomials_do_not_depend_on_batch_size(self, dim):
+        # identity coefficients make the output the monomials themselves:
+        # products with exact 0 and 1 leave the matmul nothing to round but
+        # the sign of a zero, which assert_array_equal does not compare
+        F = dense_copy(dim, seed=5, degree=7)
+        Z = ball_points(NormedSpace(dim, 2.0), 64, seed=6)
+        for part in F.higher:
+            terms = part.powers.shape[0]
+            mono = HomogeneousPoly(part.degree, part.powers, np.eye(terms))
+            alone = np.concatenate([mono.eval_batch(Z[b:b + 1]) for b in range(64)])
+            eights = np.concatenate([mono.eval_batch(Z[b:b + 8]) for b in range(0, 64, 8)])
+            np.testing.assert_array_equal(eights, alone)
+            np.testing.assert_array_equal(mono.eval_batch(Z), alone)
+
+    def test_empty_part_inside_a_map_is_zero(self, l2_2d):
+        empty = HomogeneousPoly(3, np.zeros((0, 2), dtype=np.int64),
+                                np.zeros((0, 2), dtype=np.complex128))
+        quad = HomogeneousPoly(2, np.array([[1, 1]]), np.array([[1.0, 2.0j]]))
+        with_empty = PolyMap(l2_2d, np.zeros(2), np.eye(2), (quad, empty))
+        without = PolyMap(l2_2d, np.zeros(2), np.eye(2), (quad,))
+        for count in (1, 5):
+            V = l2_2d.sphere_sample(count, seed=count)
+            Z = 0.5 * V
+            assert with_empty.eval_batch(Z).tobytes() == without.eval_batch(Z).tobytes()
+            np.testing.assert_array_equal(with_empty.line_coefficients(V)[:, 3], 0.0)
+        np.testing.assert_array_equal(empty.eval_batch(np.zeros((0, 2))), np.zeros((0, 2)))
+
+
 class TestPolyMap:
     def test_evaluation_composition(self, l2_2d):
         P = HomogeneousPoly(2, np.array([[2, 0]]), np.array([[0.0, 1.0]]))
