@@ -278,19 +278,20 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
                                tolerance: float = 1e-9) -> PseudoDissipativityCertificate:
     """Find (theta, a, b) certifying pseudo-dissipativity on an annulus.
 
-    Pipeline: sample the annulus 1 - epsilon < ||z|| < 1, refute when the
-    pairing cloud provably surrounds a disc of radius far beyond its bulk
-    scale in every direction, otherwise scan 720 rotation angles, fit the
-    affine budget per angle (anchored at b = ||F(0)||, then the smallest b
-    and tightest a that cover all samples), polish theta, and validate with
-    fresh samples plus descent refinement, enlarging `a` until no violation
-    beyond 1e-12 survives. A certificate is only issued once the shifted map
-    e^(i theta) F - a id also passes the whole-ball generator certifier, with
-    refutation witnesses converted into further increases of a. There are no
-    retries: when either repair loop ends without a clean pass (12 rounds
-    each, or a max_evals cap cutting the generator certifier short), the
-    result is "inconclusive" at the given epsilon. Raises ValueError unless
-    tolerance > 0 and 0 < epsilon < 1.
+    Pipeline: sample the annulus 1 - epsilon < ||z|| < 1, refute a black-box
+    map when the pairing cloud provably surrounds a disc of radius far
+    beyond its bulk scale in every direction (a `PolyMap` is bounded on the
+    closed ball, so it is never refuted), otherwise scan 720 rotation
+    angles, fit the affine budget per angle (anchored at b = ||F(0)||, then
+    the smallest b and tightest a that cover all samples), polish theta, and
+    validate with fresh samples plus descent refinement, enlarging `a` until
+    no violation beyond 1e-12 survives. A certificate is only issued once
+    the shifted map e^(i theta) F - a id also passes the whole-ball
+    generator certifier, with refutation witnesses converted into further
+    increases of a. There are no retries: when either repair loop ends
+    without a clean pass (12 rounds each, or a max_evals cap cutting the
+    generator certifier short), the result is "inconclusive" at the given
+    epsilon. Raises ValueError unless tolerance > 0 and 0 < epsilon < 1.
     """
     _check_tolerance(tolerance)
     lo, hi = _annulus_bounds(epsilon)
@@ -299,12 +300,15 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     Z, omega, r2 = _annulus(F, lo, hi, space.sphere_sample(budget.sphere, budget.seed))
     evals = Z.shape[0]
 
-    R_big = 1000.0 * (1.0 + float(np.quantile(np.abs(omega), 0.9)))
-    covered, cover_witness, used = _covers_all_directions(F, lo, hi, Z, omega, R_big, budget)
-    evals += used
-    if covered:
-        return PseudoDissipativityCertificate(
-            "refuted", 0.0, 0.0, 0.0, epsilon, evals, -R_big, cover_witness)
+    # a polynomial map is bounded on the closed ball, so some finite a fits
+    # it; only a black-box map can surround a disc in every direction
+    if not isinstance(F, PolyMap):
+        R_big = 1000.0 * (1.0 + float(np.quantile(np.abs(omega), 0.9)))
+        covered, cover_witness, used = _covers_all_directions(F, lo, hi, Z, omega, R_big, budget)
+        evals += used
+        if covered:
+            return PseudoDissipativityCertificate(
+                "refuted", 0.0, 0.0, 0.0, epsilon, evals, -R_big, cover_witness)
 
     b0 = space.norm(np.asarray(F.constant))
     thetas = 2.0 * np.pi * np.arange(720) / 720.0

@@ -12,9 +12,10 @@ supplies the default seed, an explicit --seed flag wins.
 
 The parsed argparse namespace is the one settings object: handlers take it
 alone, --seed is resolved into it once, and the positivity of the budget,
-tolerance and count flags is checked by their argparse types. verify-suite
-runs its batteries in order; --jobs is accepted for compatibility and has
-no effect.
+tolerance and count flags is checked by their argparse types. Each
+subcommand accepts only the shared flags its handler reads (`_COMMANDS`),
+so any other one exits 2. verify-suite runs its batteries in order; its
+--jobs is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -108,8 +109,6 @@ def _emit(payload: dict, args) -> None:
 
 
 def _parse_p(raw: str) -> float:
-    if raw in ("inf", "Inf", "INF", "infinity"):
-        return math.inf
     try:
         return float(raw)
     except ValueError:
@@ -389,84 +388,84 @@ def _cmd_verify_suite(args) -> int:
 # -- argument wiring -------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="stream seed (default: HOLOGEN_SEED or 0)")
-    common.add_argument("-o", "--output", default=None, help="write the report here")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit the generated_at field for byte-stable output")
-    common.add_argument("--jobs", type=_positive(int), default=1,
-                        help="accepted for compatibility; batteries run in order, "
-                             "so it has no effect")
-    common.add_argument("--samples", type=_positive(int), default=None,
-                        help="sphere/search sample count override")
-    common.add_argument("--refine-iters", type=_positive(int), default=None,
-                        help="refinement iteration override")
-    common.add_argument("--cert-tol", type=_positive(float), default=1e-9)
-    common.add_argument("--bound-tol", type=_positive(float), default=1e-9)
-    common.add_argument("--rtol", type=_positive(float), default=1e-9)
+# add_argument keywords of the flags that several subcommands share
+_SHARED = {
+    ("--seed",): dict(type=int, help="stream seed (default: HOLOGEN_SEED or 0)"),
+    ("-o", "--output"): dict(help="write the report here"),
+    ("--no-timestamp",): dict(action="store_true",
+                              help="omit the generated_at field for byte-stable output"),
+    ("--samples",): dict(type=_positive(int), help="sphere/search sample count override"),
+    ("--refine-iters",): dict(type=_positive(int), help="refinement iteration override"),
+    ("--cert-tol",): dict(type=_positive(float), default=1e-9),
+    ("--bound-tol",): dict(type=_positive(float), default=1e-9),
+    ("--rtol",): dict(type=_positive(float), default=1e-9),
+    ("--jobs",): dict(type=_positive(int), default=1, help="accepted for compatibility; "
+                      "batteries run in order, so it has no effect"),
+}
 
+# each handler and the shared flags it reads; _SAMPLING serves every sampling one
+_SAMPLING = "--seed -o --no-timestamp --samples --refine-iters"
+_COMMANDS = {
+    "certify-gen": (_cmd_certify_gen, _SAMPLING + " --cert-tol"),
+    "certify-pd": (_cmd_certify_pd, _SAMPLING + " --cert-tol"),
+    "numrange": (_cmd_numrange, _SAMPLING),
+    "bound": (_cmd_bound, _SAMPLING + " --cert-tol --bound-tol"),
+    "flow": (_cmd_flow, "-o --no-timestamp --rtol"),
+    "sample-gen": (_cmd_sample_gen, "--seed -o"),  # written through _write: no timestamp
+    "verify-suite": (_cmd_verify_suite, _SAMPLING + " --cert-tol --bound-tol --jobs"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hologen",
         description="certify, refute, bound, and flow holomorphic ball maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("certify-gen", parents=[common],
-                        help="certify or refute the generator inequality")
+    sp = sub.add_parser("certify-gen", help="certify or refute the generator inequality")
     sp.add_argument("map", help="map description JSON")
 
-    sp = sub.add_parser("certify-pd", parents=[common],
-                        help="fit a pseudo-dissipativity certificate")
+    sp = sub.add_parser("certify-pd", help="fit a pseudo-dissipativity certificate")
     sp.add_argument("map")
     sp.add_argument("--epsilon", type=float, default=0.1)
 
-    sp = sub.add_parser("numrange", parents=[common],
-                        help="numerical range infimum and radius of a matrix")
+    sp = sub.add_parser("numrange", help="numerical range infimum and radius of a matrix")
     sp.add_argument("matrix", help="matrix JSON (rows of numbers or [re, im] pairs)")
     sp.add_argument("--p", default="2")
 
-    sp = sub.add_parser("bound", parents=[common],
-                        help="verify the radial growth envelopes")
+    sp = sub.add_parser("bound", help="verify the radial growth envelopes")
     sp.add_argument("map")
     sp.add_argument("--curve", default=None, help="write r/lhs/envelope CSV here")
 
-    sp = sub.add_parser("flow", parents=[common], help="integrate dz/dt = G(z)")
+    sp = sub.add_parser("flow", help="integrate dz/dt = G(z)")
     sp.add_argument("map")
     sp.add_argument("--z0", required=True,
                     help="start point JSON, numbers or [re, im] pairs")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--csv", default=None, help="write the trajectory CSV here")
 
-    sp = sub.add_parser("sample-gen", parents=[common],
-                        help="emit a seeded random certified generator")
+    sp = sub.add_parser("sample-gen", help="emit a seeded random certified generator")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--degree", type=int, default=6)
     sp.add_argument("--p", default="2")
     sp.add_argument("--atoms", type=int, default=2)
 
-    sp = sub.add_parser("verify-suite", parents=[common],
-                        help="run the full per-seed property battery")
+    sp = sub.add_parser("verify-suite", help="run the full per-seed property battery")
     sp.add_argument("--seeds", type=_positive(int), default=3)
+
+    for name, (_, takes) in _COMMANDS.items():
+        for options, kwargs in _SHARED.items():
+            if options[0] in takes.split():
+                sub.choices[name].add_argument(*options, **kwargs)
     return parser
-
-
-_HANDLERS = {
-    "certify-gen": _cmd_certify_gen,
-    "certify-pd": _cmd_certify_pd,
-    "numrange": _cmd_numrange,
-    "bound": _cmd_bound,
-    "flow": _cmd_flow,
-    "sample-gen": _cmd_sample_gen,
-    "verify-suite": _cmd_verify_suite,
-}
 
 
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        args.seed = _resolve_seed(args.seed)
-        return _HANDLERS[args.command](args)
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # argparse has printed usage or help
         return 0 if exc.code in (0, None) else 2
     except _CliError as exc:

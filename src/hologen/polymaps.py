@@ -147,7 +147,7 @@ class PolyMap:
         """Unchecked batch evaluation on rows of Z; one power table serves all parts."""
         Z = np.asarray(Z, dtype=np.complex128)
         out = self.constant[None, :] + Z @ self.linear.T
-        table = _power_table(Z, self.degree)
+        table = _power_table(Z, self.degree) if self.higher else None
         for part in self.higher:
             out = out + part._eval_table(table)
         return out
@@ -177,7 +177,7 @@ class PolyMap:
         C = np.zeros((V.shape[0], self.degree + 1), dtype=np.complex128)
         C[:, 0] = W @ self.constant
         C[:, 1] = self.space.pairing_batch(V @ self.linear.T, W)
-        table = _power_table(V, self.degree)
+        table = _power_table(V, self.degree) if self.higher else None
         for part in self.higher:
             C[:, part.degree] = self.space.pairing_batch(part._eval_table(table), W)
         return C

@@ -196,6 +196,21 @@ class TestPseudoDissipative:
         assert cert.verdict == "refuted"
         assert cert.witness is not None
 
+    @pytest.mark.parametrize("p,c", [(2.0, 1e4), (1.0, 1e6)])
+    def test_steep_polynomial_is_certified(self, p, c):
+        # c z_1^32 e_1 pairs far beyond its 90 % quantile, in every direction,
+        # only near the boundary; a polynomial map is bounded on the closed
+        # ball, so a finite a fits it and a refutation would be wrong
+        powers = np.zeros((1, 4), dtype=np.int64)
+        powers[0, 0] = 32
+        coeffs = np.zeros((1, 4), dtype=np.complex128)
+        coeffs[0, 0] = c
+        F = PolyMap(NormedSpace(4, p), np.zeros(4), np.zeros((4, 4)),
+                    (HomogeneousPoly(32, powers, coeffs),))
+        cert = certify_pseudo_dissipative(F)
+        assert cert.verdict == "certified"
+        assert validate_certificate(F, cert.theta, cert.a, cert.b, cert.epsilon)["passed"]
+
     def test_round_trip_through_shift(self):
         rng = np.random.default_rng(42)
         for seed, (n, p) in enumerate(((1, 2.0), (2, 1.0), (2, math.inf))):

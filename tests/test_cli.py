@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -370,6 +371,67 @@ class TestVerifySuite:
 
     def test_seed_count_validation(self, capsys):
         assert invoke(capsys, "verify-suite", "--seeds", "0")[0] == 2
+
+
+# each shared flag with a valid value, and the shared flags each subcommand
+# reads: 37 of the 63 (subcommand, flag) pairs
+SHARED_FLAGS = {
+    "--seed": ["3"], "-o": ["report.json"], "--no-timestamp": [], "--samples": ["8"],
+    "--refine-iters": ["2"], "--cert-tol": ["1e-8"], "--bound-tol": ["1e-8"],
+    "--rtol": ["1e-8"], "--jobs": ["2"],
+}
+SAMPLING = {"--seed", "-o", "--no-timestamp", "--samples", "--refine-iters"}
+TAKES = {
+    "certify-gen": SAMPLING | {"--cert-tol"},
+    "certify-pd": SAMPLING | {"--cert-tol"},
+    "numrange": SAMPLING,
+    "bound": SAMPLING | {"--cert-tol", "--bound-tol"},
+    "flow": {"-o", "--no-timestamp", "--rtol"},
+    "sample-gen": {"--seed", "-o"},
+    "verify-suite": SAMPLING | {"--cert-tol", "--bound-tol", "--jobs"},
+}
+
+
+def base_argv(command, map_path):
+    """A valid invocation of the subcommand without shared flags."""
+    return {
+        "flow": ["flow", map_path, "--z0", "[0.1,0]", "--t", "0.1"],
+        "sample-gen": ["sample-gen", "--n", "1"],
+        "verify-suite": ["verify-suite", "--seeds", "1"],
+    }.get(command, [command, map_path])
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("command,flag", sorted(
+        (c, f) for c in TAKES for f in SHARED_FLAGS if f not in TAKES[c]))
+    def test_unread_flag_exits_two(self, capsys, minus_id_path, command, flag):
+        argv = base_argv(command, minus_id_path) + [flag] + SHARED_FLAGS[flag]
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command,flag", sorted(
+        (c, f) for c in TAKES for f in TAKES[c]))
+    def test_read_flag_is_accepted(self, minus_id_path, command, flag):
+        # parsed only: the flag sets exactly one setting away from its default
+        parse = cli._build_parser().parse_args
+        plain = vars(parse(base_argv(command, minus_id_path)))
+        given = vars(parse(base_argv(command, minus_id_path) + [flag] + SHARED_FLAGS[flag]))
+        assert len([key for key in given if given[key] != plain[key]]) == 1
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_help_names_exactly_the_read_flags(self, capsys, command):
+        rc, out, _ = invoke(capsys, command, "--help")
+        assert rc == 0
+        named = set(re.findall(r"(?<![\w-])-{1,2}[a-z][\w-]*", out))
+        assert named & set(SHARED_FLAGS) == TAKES[command]
+
+    def test_flow_ignores_a_bad_seed_environment(self, capsys, monkeypatch, minus_id_path):
+        # only subcommands that take a seed resolve HOLOGEN_SEED
+        monkeypatch.setenv("HOLOGEN_SEED", "not-a-number")
+        rc, out, _ = invoke(capsys, *base_argv("flow", minus_id_path), "--no-timestamp")
+        assert rc == 0
+        assert json.loads(out)["outcome"] == "completed"
 
 
 class TestErrorPaths:

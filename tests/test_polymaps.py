@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hologen import polymaps
 from hologen.polymaps import (
     CallableMap,
     DiscFunction,
@@ -135,6 +136,15 @@ class TestPowerTableKernel:
             assert with_empty.eval_batch(Z).tobytes() == without.eval_batch(Z).tobytes()
             np.testing.assert_array_equal(with_empty.line_coefficients(V)[:, 3], 0.0)
         np.testing.assert_array_equal(empty.eval_batch(np.zeros((0, 2))), np.zeros((0, 2)))
+
+    def test_map_without_parts_builds_no_table(self, l2_2d, count_calls):
+        # -id, the decay closed form of the flow checks, has no power to tabulate
+        tables = count_calls(polymaps, "_power_table")
+        F = make_linear_map(l2_2d, -np.eye(2))
+        V = l2_2d.sphere_sample(4, seed=3)
+        np.testing.assert_array_equal(F.eval_batch(0.5 * V), -0.5 * V)
+        np.testing.assert_array_equal(F.line_coefficients(V), np.array([[0.0, -1.0]] * 4))
+        assert tables == []
 
 
 class TestPolyMap:
