@@ -1,12 +1,14 @@
 """Certifiers and refuters for the two dissipation inequalities on the ball.
 
 certify_generator probes Re<G(z), z*> <= Re<G(0), z*>(1 - ||z||^2) on shell
-grids and refines the worst points; certify_pseudo_dissipative searches a
-rotation angle and affine budget (a, b) covering Re e^(i theta)<F(z), z*>
-<= a ||z||^2 + b (1 - ||z||^2) on an annulus, with a direction-coverage
-probe that refutes maps whose pairing cloud surrounds every half plane at
-a scale far beyond the data. The shift between the two forms and the
-coefficient checks certified maps must satisfy live here as well.
+grids and refines the worst points, in one batched core that certifies a
+ball map, a disc function or many slices, each as if alone;
+certify_pseudo_dissipative searches a rotation angle and affine budget
+(a, b) covering Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2) on
+an annulus, with a direction-coverage probe that refutes maps whose pairing
+cloud surrounds every half plane at a scale far beyond the data. The shift
+between the two forms and the coefficient checks certified maps must
+satisfy live here as well.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numrange import _PROPOSALS, _climb, _golden_max
-from .polymaps import CallableMap, PolyMap, _least_real_part, _pairs, taylor_coefficients
+from .polymaps import PolyMap, _least_real_part, _pairs, taylor_coefficients
 from .spaces import NormedSpace, _shell_grid
 
 
@@ -41,9 +43,11 @@ class CertifyBudget:
     0.99), refine_points: worst points refined, refine_iters: climb
     iterations, each trying numrange's `_PROPOSALS` candidates per point,
     seed: key of the direction and refinement streams, max_evals: cap on
-    `certify_generator`'s slack evaluations; reaching it makes a clean run
-    "inconclusive". `certify_pseudo_dissipative` caps only its whole-ball
-    guard, not its annulus grid, coverage probe or validation rounds.
+    `certify_generator`'s slack evaluations, each map of a batch on its own;
+    reaching it makes a clean run "inconclusive". `certify_pseudo_dissipative`
+    caps only its whole-ball guard, not its annulus grid, coverage probe or
+    validation rounds. ValueError unless sphere and refine_points are >= 1,
+    refine_iters >= 0 and max_evals is None or >= 0.
     """
 
     sphere: int = 128
@@ -51,6 +55,13 @@ class CertifyBudget:
     refine_iters: int = 40
     seed: int = 0
     max_evals: int | None = None
+
+    def __post_init__(self):
+        for name, least in (("sphere", 1), ("refine_points", 1), ("refine_iters", 0)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.max_evals is not None and not self.max_evals >= 0:
+            raise ValueError(f"max_evals must be >= 0 or None, got {self.max_evals}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,46 @@ def _check_tolerance(tolerance) -> None:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
 
+def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[GeneratorVerdict]:
+    """Certify `count` maps on `space` at once, each exactly as if alone.
+
+    slack_batch(Z, g) is map g[i]'s slack at Z[i], a map's rows one block;
+    the maps share the shell grid and the climb noise, and rows climb alone.
+    """
+    _check_tolerance(tolerance)
+    budget = budget or CertifyBudget()
+    Z = _shell_grid(np.asarray(_DEFAULT_RADII), space.sphere_sample(budget.sphere, budget.seed))
+    evals, maps = Z.shape[0], np.arange(count)
+    slack = slack_batch(np.tile(Z, (count, 1)), maps.repeat(evals)).reshape(count, -1)
+    take = min(budget.refine_points, evals)
+    order = np.argsort(slack, axis=1)[:, :take]
+    refined_z, refined_s = Z[order], np.take_along_axis(slack, order, axis=1)
+    cap = budget.max_evals
+    iters = budget.refine_iters if cap is None else min(
+        budget.refine_iters, max(0, (cap - evals - take) // (take * _PROPOSALS)))
+    exhausted = iters < budget.refine_iters or cap is not None and evals >= cap
+    if cap is None or evals < cap:  # a grid that reaches the cap is not refined
+        rng = np.random.default_rng([budget.seed, _REFINE_SALT])
+        noise = rng.standard_normal((iters, take, _PROPOSALS, 2 * space.dim))
+        groups = maps.repeat(take)
+        seeds = refined_z.reshape(-1, space.dim)
+        refined_z, neg = _climb(space, lambda Z, g: -slack_batch(Z, g), seeds,
+                                -slack_batch(seeds, groups), np.tile(noise, (1, count, 1, 1)),
+                                groups, _REFINE_STEPS, (1e-8, 0.9995))
+        refined_z, refined_s = refined_z.reshape(count, take, -1), -neg.reshape(count, take)
+        evals += take + iters * take * _PROPOSALS
+    verdicts = []
+    for grid_s, zs, ss in zip(slack, refined_z, refined_s):
+        i = int(np.argmin(ss))
+        worst = float(min(grid_s.min(), ss[i]))
+        refuted = worst < -tolerance
+        witness = zs[i] if ss[i] <= grid_s.min() else Z[int(np.argmin(grid_s))]
+        verdict = "refuted" if refuted else "inconclusive" if exhausted else "certified"
+        verdicts.append(GeneratorVerdict(verdict, tolerance, worst, witness if refuted else None,
+                                         evals))
+    return verdicts
+
+
 def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float = 1e-9,
                       alt_support: bool = False) -> GeneratorVerdict:
     """Certify or refute the generator inequality for a ball map.
@@ -139,49 +190,8 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
         alt_support: use the alternative support-functional selection at
             non-smooth points (p = 1 or p = inf tie-breaking).
     """
-    _check_tolerance(tolerance)
-    budget = budget or CertifyBudget()
-    space = G.space
-
-    def slack_batch(Z, g=None):
-        return generator_slack(G, Z, alt_support=alt_support)
-
-    V = space.sphere_sample(budget.sphere, budget.seed)
-    Z = _shell_grid(np.asarray(_DEFAULT_RADII), V)
-    slack = slack_batch(Z)
-    evals = Z.shape[0]
-
-    order = np.argsort(slack)
-    take = min(budget.refine_points, Z.shape[0])
-    seeds_z = Z[order[:take]].copy()
-    exhausted = False
-    refined_z, refined_s = seeds_z, slack[order[:take]]
-    if budget.max_evals is not None and evals >= budget.max_evals:
-        exhausted = True
-    else:
-        iters = budget.refine_iters
-        if budget.max_evals is not None:
-            per_iter = take * _PROPOSALS
-            allowed = max(0, (budget.max_evals - evals - take) // max(per_iter, 1))
-            if allowed < iters:
-                iters = int(allowed)
-                exhausted = True
-        rng = np.random.default_rng([budget.seed, _REFINE_SALT])
-        refined_z, refined_s, used = _refine_points(
-            space, slack_batch, seeds_z, 1e-8, 0.9995, iters, rng)
-        evals += used
-
-    worst_idx = int(np.argmin(refined_s))
-    worst = float(min(slack.min(), refined_s[worst_idx]))
-    if worst < -tolerance:
-        if refined_s[worst_idx] <= slack.min():
-            witness = refined_z[worst_idx]
-        else:
-            witness = Z[int(np.argmin(slack))]
-        return GeneratorVerdict("refuted", tolerance, worst, witness, evals)
-    if exhausted:
-        return GeneratorVerdict("inconclusive", tolerance, worst, None, evals)
-    return GeneratorVerdict("certified", tolerance, worst, None, evals)
+    return _certify_maps(G.space, lambda Z, g: generator_slack(G, Z, alt_support=alt_support),
+                         1, budget, tolerance)[0]
 
 
 def _require_certified(G, verdict=None):
@@ -193,17 +203,31 @@ def _require_certified(G, verdict=None):
     return verdict
 
 
+def _certify_discs(fns, budget, tolerance) -> list[GeneratorVerdict]:
+    """Certify disc functions at once; each evaluates its own block of rows,
+    with the center term `W @ g(0)` per block, as `generator_slack` rounds it."""
+    space = NormedSpace(1, 2.0)
+    centers = [np.asarray(g(np.zeros(1, complex)), dtype=np.complex128) for g in fns]
+
+    def slack_batch(Z, groups):
+        W = space.support_batch(Z)
+        vals, center = np.empty(Z.shape[0], dtype=np.complex128), np.empty(Z.shape[0])
+        edges = np.searchsorted(groups, np.arange(len(fns) + 1))
+        for g, c, lo, hi in zip(fns, centers, edges, edges[1:]):
+            vals[lo:hi], center[lo:hi] = g(Z[lo:hi, 0]), np.real(W[lo:hi] @ c)
+        return center * (1.0 - space.norm_batch(Z) ** 2) - np.real(vals * W[:, 0])
+
+    return _certify_maps(space, slack_batch, len(fns), budget, tolerance)
+
+
 def certify_disc_generator(g, budget: CertifyBudget | None = None,
                            tolerance: float = 1e-9) -> GeneratorVerdict:
     """Run the generator certifier on a scalar disc function.
 
-    Wraps the function, whatever its kind (black boxes included), as a
-    dimension-1 ball map that evaluates it on the first coordinate.
+    The function, whatever its kind (black boxes included), is a batch of
+    one for the certifier core, which samples the disc as the ball of C^1.
     """
-    def fn(Z, _g=g):
-        return np.asarray(_g(Z[:, 0]), dtype=np.complex128)[:, None]
-
-    return certify_generator(CallableMap(NormedSpace(1, 2.0), fn), budget, tolerance)
+    return _certify_discs([g], budget, tolerance)[0]
 
 
 # -- pseudo-dissipativity ----------------------------------------------------
@@ -482,14 +506,15 @@ def restriction_agreement(G, v_count: int = 12, seed: int = 0,
     certified and a refuted one must have some refuted slice; the refuting
     direction (the witness direction) is always added to the sample set.
     Directions come from seed, and each slice is certified at the tolerance
-    of the ball verdict; verdict=None certifies G with the defaults.
+    of the ball verdict; verdict=None certifies G with the defaults. All
+    slices are certified in one batched climb, each exactly as if alone.
     """
     ball = verdict if verdict is not None else certify_generator(G)
     directions = list(G.space.sphere_sample(v_count, seed))
     if ball.verdict == "refuted" and ball.witness is not None:
         directions.append(ball.witness / G.space.norm(ball.witness))
-    disc_verdicts = [certify_disc_generator(G.restrict(v), disc_budget, ball.tolerance).verdict
-                     for v in directions]
+    disc_verdicts = [d.verdict for d in _certify_discs(
+        [G.restrict(v) for v in directions], disc_budget, ball.tolerance)]
     if ball.verdict == "certified":
         agree = all(d == "certified" for d in disc_verdicts)
     elif ball.verdict == "refuted":

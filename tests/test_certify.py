@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hologen import certify
 from hologen.certify import (
     CertifyBudget,
     GeneratorVerdict,
@@ -47,6 +48,23 @@ def slack_probe(G, seed=0, count=64):
     for r in (0.3, 0.7, 0.95):
         worst = min(worst, float(np.min(generator_slack(G, r * V))))
     return worst
+
+
+class TestCertifyBudget:
+    @pytest.mark.parametrize("field, value", [
+        ("sphere", 0), ("refine_points", 0), ("refine_points", -3),
+        ("refine_iters", -1), ("max_evals", -5), ("sphere", math.nan)])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        # refine_points = 0 used to crash certify_generator on an empty
+        # argmin, refine_iters = -1 on a negative noise shape, and
+        # max_evals = -5 to report "inconclusive" without a word
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            CertifyBudget(**{field: value})
+
+    def test_least_values_are_accepted(self, l2_2d):
+        least = CertifyBudget(sphere=1, refine_points=1, refine_iters=0, max_evals=0)
+        assert certify_generator(minus_identity(l2_2d), least).verdict == "inconclusive"
+        assert CertifyBudget(max_evals=None).max_evals is None
 
 
 class TestCertifyGenerator:
@@ -380,6 +398,81 @@ class TestRestrictionAgreement:
         assert report["ball_verdict"] == "refuted"
         assert report["disc_verdicts"] == ["certified", "certified"]
         assert not report["agree"]
+
+
+def _bits(v: GeneratorVerdict) -> tuple:
+    """Every field of a verdict, floats and witness by their bits."""
+    witness = None if v.witness is None else v.witness.tobytes()
+    return v.verdict, v.tolerance.hex(), v.worst_slack.hex(), witness, v.samples
+
+
+def _nine_slots():
+    return [sample_generator(NormedSpace(n, p), seed=3 * i + j, degree=2 + (3 * i + j) % 7)
+            for i, n in enumerate((1, 2, 4)) for j, p in enumerate((1.0, 2.0, math.inf))]
+
+
+class TestBatchedSlices:
+    """restriction_agreement certifies its slices in one batch, each as if alone."""
+
+    def _batch_and_alone(self, monkeypatch, G, verdict, budget=None):
+        batches = []
+        real = certify._certify_discs
+
+        def record(fns, *args):
+            out = real(fns, *args)
+            batches.append((fns, out))
+            return out
+
+        monkeypatch.setattr(certify, "_certify_discs", record)
+        report = restriction_agreement(G, verdict=verdict, disc_budget=budget)
+        monkeypatch.undo()
+        (slices, batch), = batches
+        assert report["disc_verdicts"] == [v.verdict for v in batch]
+        alone = [certify_disc_generator(g, budget, verdict.tolerance) for g in slices]
+        assert [_bits(v) for v in batch] == [_bits(v) for v in alone]
+        return batch
+
+    @pytest.mark.parametrize("slot", range(9))
+    def test_clean_slices_match_alone(self, monkeypatch, slot):
+        G = _nine_slots()[slot]
+        batch = self._batch_and_alone(monkeypatch, G, certify_generator(G))
+        assert len(batch) == 12
+        assert all(v.verdict == "certified" for v in batch)
+
+    @pytest.mark.parametrize("slot", range(9))
+    def test_refuted_slices_match_alone(self, monkeypatch, slot):
+        G = _nine_slots()[slot]
+        bad = shift_to_generator(G, 0.0, -(max(0.0, slack_probe(G)) + 1.0) / 0.25)
+        batch = self._batch_and_alone(monkeypatch, bad, certify_generator(bad))
+        assert len(batch) == 13
+        assert any(v.verdict == "refuted" and v.witness is not None for v in batch)
+
+    @pytest.mark.parametrize("slot", [0, 4, 8])
+    def test_black_box_slices_match_alone(self, monkeypatch, slot):
+        G = _nine_slots()[slot]
+        bad = shift_to_generator(G, 0.0, -(max(0.0, slack_probe(G)) + 1.0) / 0.25)
+        for M in (G, bad):
+            box = CallableMap(M.space, M.eval_batch)
+            batch = self._batch_and_alone(monkeypatch, box, certify_generator(M), QUICK)
+            assert batch
+
+    def test_capped_slices_are_each_inconclusive(self, monkeypatch):
+        # 304 grid points and 4 seeds leave 2 of the 10 iterations per slice
+        capped = CertifyBudget(sphere=16, refine_points=4, refine_iters=10, max_evals=400)
+        G = _nine_slots()[4]
+        batch = self._batch_and_alone(monkeypatch, G, certify_generator(G), capped)
+        assert [v.verdict for v in batch] == ["inconclusive"] * 12
+        assert all(v.samples == 304 + 4 + 2 * 4 * 8 for v in batch)
+
+    def test_one_climb_for_all_slices(self, count_calls):
+        G = _nine_slots()[5]
+        verdict = certify_generator(G, QUICK)
+        climbs = count_calls(certify, "_climb")
+        report = restriction_agreement(G, v_count=6, verdict=verdict, disc_budget=QUICK)
+        assert report["directions"] == 6
+        assert len(climbs) == 1
+        seeds = climbs[0][0][2]
+        assert seeds.shape == (6 * QUICK.refine_points, 1)
 
 
 class TestUnitaryInvariance:
