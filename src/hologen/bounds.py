@@ -265,8 +265,7 @@ class ChainReport:
 
 def verify_intermediate_chain(G, budget: SearchBudget | None = None,
                               radii=None, v_count: int = 64, seed: int = 0,
-                              inputs: GrowthInputs | None = None,
-                              tolerance: float = 1e-9) -> ChainReport:
+                              inputs: GrowthInputs | None = None) -> ChainReport:
     """Walk every estimate between shell suprema and the sharp envelope.
 
     Stages on each radius r, for a certified generator with linear part T,
@@ -284,9 +283,10 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     (|c_2(v)| <= ||G(0)|| - 2 Re c_1(v) and |c_j(v)| <= -2 Re c_1(v), with
     c_j(v) = <Q_j v, v*> and c_1(v) = <Tv, v*> read from
     `PolyMap.line_coefficients`) and the aggregated forms are reported as
-    margins; all must clear -1e-8. c, V_T and m(T) are read from inputs, the
-    growth inputs of G under its canonical certificate as `verify_growth_bound`
-    reports them; None certifies G and measures them with `growth_inputs_from`.
+    margins; all must clear -1e-8, and the stage margins -1e-9. c, V_T and
+    m(T) are read from inputs, the growth inputs of G under its canonical
+    certificate as `verify_growth_bound` reports them; None certifies G and
+    measures them with `growth_inputs_from`.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.
@@ -358,7 +358,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     all_j = np.arange(2, 33)
     concavity = majorant_line(all_j) - np.array([harris_constant(int(j)) for j in all_j])
 
-    passed = (bool(np.all(margins >= -tolerance))
+    passed = (bool(np.all(margins >= -1e-9))
               and all(v >= -1e-8 for v in coeff_margins.values())
               and bool(np.all(concavity >= -1e-12)))
     return ChainReport(

@@ -5,10 +5,11 @@ grids and refines the worst points, in one batched core that certifies a
 ball map, a disc function or many slices, each as if alone;
 certify_pseudo_dissipative searches a rotation angle and affine budget
 (a, b) covering Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2) on
-an annulus, with a direction-coverage probe that refutes maps whose pairing
-cloud surrounds every half plane at a scale far beyond the data. The shift
-between the two forms and the coefficient checks certified maps must
-satisfy live here as well.
+an annulus, and refutes a black box whose pairing cloud surrounds every
+half plane far beyond the data. Every refinement is one descent from grid
+rows whose values the caller holds, so `samples` counts each evaluated row
+once. The shift between the two forms and the coefficient checks certified
+maps must satisfy live here as well.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _DEFAULT_RADII = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
 _REFINE_SALT = 505
 _REFINE_STEPS = (0.05, 1.4, 0.2, 0.5)  # sigma0, grow, cap, shrink
 _PD_ROUND_SALT = 7919
+_VALIDATE_SEED_OFFSET = 1009 * 13  # the certifier draws seed + 1009 k for k = 0..12
 _COVERAGE_DIRECTIONS = 24
 
 
@@ -44,10 +46,11 @@ class CertifyBudget:
     iterations, each trying numrange's `_PROPOSALS` candidates per point,
     seed: key of the direction and refinement streams, max_evals: cap on
     `certify_generator`'s slack evaluations, each map of a batch on its own;
-    reaching it makes a clean run "inconclusive". `certify_pseudo_dissipative`
-    caps only its whole-ball guard, not its annulus grid, coverage probe or
-    validation rounds. ValueError unless sphere and refine_points are >= 1,
-    refine_iters >= 0 and max_evals is None or >= 0.
+    reaching it makes a clean run "inconclusive", and samples exceed it only
+    when the shell grid alone does. `certify_pseudo_dissipative` caps only its
+    whole-ball guard, not its annulus grid, coverage probe or validation
+    rounds. ValueError unless sphere and refine_points are >= 1, refine_iters
+    >= 0 and max_evals is None or >= 0.
     """
 
     sphere: int = 128
@@ -114,19 +117,16 @@ def generator_slack(G, Z: np.ndarray, alt_support: bool = False) -> np.ndarray:
     return center * (1.0 - r2) - lhs
 
 
-def _refine_points(space, value_batch, Z0, lo, hi, iters, rng):
-    """Minimize value_batch(Z, g) around each row g of Z0, norms clipped to [lo, hi].
+def _descend(space, slack_batch, Z, s, groups, noise, bounds):
+    """Minimize slack_batch(Z, g) from rows Z, whose slack s the caller holds.
 
-    Returns (points, values, evals): numrange's climb engine on the negated
-    values with a tighter step schedule, all rows advanced in one batch.
+    Returns (points, slack): numrange's climb engine on the negated slack with
+    a tighter step schedule, norms clipped to bounds = (lo, hi). It evaluates
+    only its noise[..., 0].size proposals, none when noise has no iterations.
     """
-    B, n = Z0.shape
-    groups = np.arange(B)
-    noise = rng.standard_normal((iters, B, _PROPOSALS, 2 * n))
-    Z, neg = _climb(space, lambda Z, g: -value_batch(Z, g), Z0,
-                    -np.asarray(value_batch(Z0, groups), dtype=np.float64),
-                    noise, groups, _REFINE_STEPS, (lo, hi))
-    return Z, -neg, B + iters * B * _PROPOSALS
+    Z, neg = _climb(space, lambda Z, g: -slack_batch(Z, g), Z, -s, noise, groups, _REFINE_STEPS,
+                    bounds)
+    return Z, -neg
 
 
 def _check_tolerance(tolerance) -> None:
@@ -147,21 +147,17 @@ def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[Generato
     slack = slack_batch(np.tile(Z, (count, 1)), maps.repeat(evals)).reshape(count, -1)
     take = min(budget.refine_points, evals)
     order = np.argsort(slack, axis=1)[:, :take]
-    refined_z, refined_s = Z[order], np.take_along_axis(slack, order, axis=1)
     cap = budget.max_evals
     iters = budget.refine_iters if cap is None else min(
-        budget.refine_iters, max(0, (cap - evals - take) // (take * _PROPOSALS)))
+        budget.refine_iters, max(0, (cap - evals) // (take * _PROPOSALS)))
     exhausted = iters < budget.refine_iters or cap is not None and evals >= cap
-    if cap is None or evals < cap:  # a grid that reaches the cap is not refined
-        rng = np.random.default_rng([budget.seed, _REFINE_SALT])
-        noise = rng.standard_normal((iters, take, _PROPOSALS, 2 * space.dim))
-        groups = maps.repeat(take)
-        seeds = refined_z.reshape(-1, space.dim)
-        refined_z, neg = _climb(space, lambda Z, g: -slack_batch(Z, g), seeds,
-                                -slack_batch(seeds, groups), np.tile(noise, (1, count, 1, 1)),
-                                groups, _REFINE_STEPS, (1e-8, 0.9995))
-        refined_z, refined_s = refined_z.reshape(count, take, -1), -neg.reshape(count, take)
-        evals += take + iters * take * _PROPOSALS
+    noise = np.random.default_rng([budget.seed, _REFINE_SALT]).standard_normal(
+        (iters, take, _PROPOSALS, 2 * space.dim))
+    refined_z, refined_s = _descend(
+        space, slack_batch, Z[order.ravel()], np.take_along_axis(slack, order, axis=1).ravel(),
+        maps.repeat(take), np.tile(noise, (1, count, 1, 1)), (1e-8, 0.9995))
+    refined_z, refined_s = refined_z.reshape(count, take, -1), refined_s.reshape(count, take)
+    evals += noise[..., 0].size
     verdicts = []
     for grid_s, zs, ss in zip(slack, refined_z, refined_s):
         i = int(np.argmin(ss))
@@ -268,25 +264,27 @@ def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
     space = F.space
     rng = np.random.default_rng([budget.seed, 707])
 
-    def neg_abs(flat, g):
-        return -np.abs(_pairings_on(F, flat))
-
-    start = Z[int(np.argmax(np.abs(omega)))][None, :]
-    zq, vq, evals = _refine_points(space, neg_abs, start, lo, hi, budget.refine_iters, rng)
+    i = int(np.argmax(np.abs(omega)))
+    noise = rng.standard_normal((budget.refine_iters, 1, _PROPOSALS, 2 * space.dim))
+    zq, vq = _descend(space, lambda flat, g: -np.abs(_pairings_on(F, flat)), Z[i:i + 1],
+                      -np.abs(omega[i:i + 1]), [0], noise, (lo, hi))
     if -float(vq[0]) < 0.5 * R_big:
-        return False, None, evals
+        return False, None, noise[..., 0].size
 
     dirs = np.exp(-1j * 2.0 * np.pi * np.arange(_COVERAGE_DIRECTIONS) / _COVERAGE_DIRECTIONS)
-    starts = Z[np.argmax(np.real(dirs[:, None] * omega[None, :]), axis=1)]
+    reach = np.real(dirs[:, None] * omega[None, :])
 
     def neg_directional(flat, g):
         return -np.real(dirs[g] * _pairings_on(F, flat))
 
     # refine all directions in one batch, start g climbing direction g
-    _, vc, used = _refine_points(space, neg_directional, starts, lo, hi,
-                                 2 * budget.refine_iters, rng)
+    noise = rng.standard_normal(
+        (2 * budget.refine_iters, _COVERAGE_DIRECTIONS, _PROPOSALS, 2 * space.dim))
+    _, vc = _descend(space, neg_directional, Z[np.argmax(reach, axis=1)], -reach.max(axis=1),
+                     np.arange(_COVERAGE_DIRECTIONS), noise, (lo, hi))
     covered = bool(np.all(-vc >= R_big))
-    return covered, zq[0] if covered else None, evals + used
+    evals = budget.refine_iters * _PROPOSALS + noise[..., 0].size
+    return covered, zq[0] if covered else None, evals
 
 
 def _fit_at_theta(theta, omega, r2, b0):
@@ -367,10 +365,11 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
             return _a * rr2 + _b * (1.0 - rr2) - np.real(phase * om)
 
         order = np.argsort(slack)[: budget.refine_points]
-        zW, sW, used = _refine_points(space, pd_slack, Zr[order].copy(), lo, hi,
-                                      budget.refine_iters, rng)
-        evals += used
+        noise = rng.standard_normal((budget.refine_iters, order.size, _PROPOSALS, 2 * space.dim))
+        zW, sW = _descend(space, pd_slack, Zr[order], slack[order], np.arange(order.size), noise,
+                          (lo, hi))
         omW = _pairings_on(F, zW)
+        evals += noise[..., 0].size + zW.shape[0]
         r2W = space.norm_batch(zW) ** 2
         xs_all.append(np.real(phase * omW))
         r2_all.append(r2W)
@@ -411,8 +410,10 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
 def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
                          seed: int = 0) -> dict:
     """Check a given (theta, a, b) budget against 192 fresh directions on
-    each of the six annulus shells; epsilon must lie in (0, 1)."""
-    Z, omega, r2 = _annulus(F, *_annulus_bounds(epsilon), F.space.sphere_sample(192, seed))
+    each of the six annulus shells, drawn at seed + 1009 * 13, which the
+    certifier at the same seed never samples; epsilon must lie in (0, 1)."""
+    V = F.space.sphere_sample(192, seed + _VALIDATE_SEED_OFFSET)
+    Z, omega, r2 = _annulus(F, *_annulus_bounds(epsilon), V)
     slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)
     worst = float(np.min(slack))
     return {"min_slack": worst, "samples": int(Z.shape[0]), "passed": worst >= -1e-9}

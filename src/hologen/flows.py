@@ -278,8 +278,7 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
     }
 
 
-def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
-                         seed: int = 0) -> dict:
+def invariant_ball_probe(F, theta: float, a: float, radius_grid=None) -> dict:
     """Iterate a map fixing the origin and look for a radius whose orbits
     stay inside some ball strictly smaller than the unit ball.
 
@@ -293,8 +292,7 @@ def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
         F: PolyMap with F(0) = 0.
         theta, a: certificate rotation and shift for the linear probe.
         radius_grid: start radii, default 0.1 .. 0.9 step 0.1; each radius
-            gets 64 seeded directions, each orbit 256 iterations.
-        seed: direction sampling key.
+            gets the same 64 directions of seed 0, each orbit 256 iterations.
 
     Raises:
         ValueError: when theta or a is not finite, F has no explicit linear
@@ -323,7 +321,7 @@ def invariant_ball_probe(F, theta: float, a: float, radius_grid=None,
                       else [round(0.1 * i, 1) for i in range(1, 10)], dtype=np.float64)
     if not np.all((grid > 0.0) & (grid < 1.0)):
         raise ValueError("probe radii must lie in (0, 1)")
-    dirs = space.sphere_sample(64, seed)
+    dirs = space.sphere_sample(64, 0)
     records = []
     smallest = None
     for r in grid:

@@ -67,6 +67,30 @@ class TestCertifyBudget:
         assert CertifyBudget(max_evals=None).max_evals is None
 
 
+def evaluated_rows(calls) -> int:
+    """Rows passed to the wrapped PolyMap.eval_batch, from count_calls."""
+    return sum(args[1].shape[0] for args, _ in calls)
+
+
+class TestEvaluationCounts:
+    """samples is the number of rows a certifier evaluates."""
+
+    @pytest.mark.parametrize("budget", [QUICK, CertifyBudget(max_evals=3000)])
+    def test_generator_samples_are_the_rows_evaluated(self, count_calls, l2_2d, budget):
+        G = sample_generator(l2_2d, seed=2, degree=3)
+        calls = count_calls(PolyMap, "eval_batch")
+        assert certify_generator(G, budget).samples == evaluated_rows(calls)
+
+    def test_pseudo_dissipative_samples_are_the_rows_evaluated(self, count_calls):
+        # the descended points of each validation round are evaluated once
+        # more for their pairings; those rows used to go uncounted
+        F = inverse_shift(sample_generator(NormedSpace(2, 1.0), seed=1, degree=3), 1.1, 0.5)
+        calls = count_calls(PolyMap, "eval_batch")
+        cert = certify_pseudo_dissipative(F, budget=QUICK)
+        assert cert.verdict == "certified"
+        assert cert.samples == evaluated_rows(calls)
+
+
 class TestCertifyGenerator:
     def test_contraction_drift_certified(self, l2_2d):
         verdict = certify_generator(minus_identity(l2_2d))
@@ -109,11 +133,28 @@ class TestCertifyGenerator:
         assert verdict.verdict == "inconclusive"
 
     def test_cap_between_grid_and_full_refinement(self, l2_2d):
-        # 152 grid points, then 2 of the 40 iterations fit under the cap
+        # 152 grid points, then 3 of the 40 iterations of 2 * 8 rows fit
         capped = CertifyBudget(sphere=8, refine_points=2, refine_iters=40, max_evals=200)
         verdict = certify_generator(minus_identity(l2_2d), capped)
         assert verdict.verdict == "inconclusive"
-        assert verdict.samples == 186
+        assert verdict.samples == 200
+
+    @pytest.mark.parametrize("cap", [2432, 2440, 2463])
+    def test_samples_stay_within_a_cap_above_the_grid(self, cap):
+        # 19 shells of 128 directions are 2432 grid rows; the 32 refined
+        # points used to be evaluated again, giving 2464 samples at any of
+        # these caps
+        G = sample_generator(NormedSpace(2, 2.0), 1, 3)
+        verdict = certify_generator(G, CertifyBudget(max_evals=cap))
+        assert verdict.verdict == "inconclusive"
+        assert verdict.samples == 2432
+
+    def test_one_slack_call_per_stage(self, count_calls, l2_2d):
+        # the grid, then one call per climb iteration; the refined points
+        # start from their grid slack and are not evaluated again
+        calls = count_calls(certify, "generator_slack")
+        certify_generator(sample_generator(l2_2d, seed=2, degree=3), QUICK)
+        assert len(calls) == 1 + QUICK.refine_iters
 
     def test_determinism(self, l2_2d):
         G = sample_generator(l2_2d, seed=8, degree=4)
@@ -241,6 +282,17 @@ class TestPseudoDissipative:
             assert cert.verdict == "certified"
             recovered = shift_to_generator(F, cert.theta, cert.a)
             assert certify_generator(recovered).verdict == "certified"
+
+    def test_validation_directions_are_not_the_fitted_ones(self, count_calls, l2_2d):
+        # at the same seed, validate_certificate used to draw the certifier's
+        # own first grid, over which b is fitted, and so passed by design
+        draws = count_calls(NormedSpace, "sphere_sample")
+        cert = certify_pseudo_dissipative(identity_map(l2_2d))
+        fitted = {args[2] for args, _ in draws}
+        draws.clear()
+        validate_certificate(identity_map(l2_2d), cert.theta, cert.a, cert.b, cert.epsilon)
+        assert len(draws) == 1
+        assert draws[0][0][2] not in fitted
 
     def test_validate_rejects_wrong_shift(self, l2_2d):
         report = validate_certificate(identity_map(l2_2d), 0.0, -2.0, 0.0, 0.1)
@@ -457,12 +509,12 @@ class TestBatchedSlices:
             assert batch
 
     def test_capped_slices_are_each_inconclusive(self, monkeypatch):
-        # 304 grid points and 4 seeds leave 2 of the 10 iterations per slice
+        # 304 grid points leave 3 of the 10 iterations of 4 * 8 rows per slice
         capped = CertifyBudget(sphere=16, refine_points=4, refine_iters=10, max_evals=400)
         G = _nine_slots()[4]
         batch = self._batch_and_alone(monkeypatch, G, certify_generator(G), capped)
         assert [v.verdict for v in batch] == ["inconclusive"] * 12
-        assert all(v.samples == 304 + 4 + 2 * 4 * 8 for v in batch)
+        assert all(v.samples == 304 + 3 * 4 * 8 for v in batch)
 
     def test_one_climb_for_all_slices(self, count_calls):
         G = _nine_slots()[5]
