@@ -77,8 +77,11 @@ class GrowthInputs:
     shifted_range_inf: float
 
 
-def _check_radii(r) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64)
+def _check_radii(r, grid: bool = False) -> np.ndarray:
+    """r as floats in [0, 1); a grid (None: the default) must be nonempty and 1-D."""
+    r = np.asarray(_DEFAULT_RADII if grid and r is None else r, dtype=np.float64)
+    if grid and (r.ndim != 1 or r.size == 0):
+        raise ValueError(f"radii must form a nonempty 1-D grid, got shape {r.shape}")
     if not np.all((r >= 0.0) & (r < 1.0)):
         raise ValueError("radii must lie in [0, 1)")
     return r
@@ -205,18 +208,17 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     Args:
         F: map with an explicit linear part.
         cert: certified rotation/shift certificate, or None.
-        radii: shell radii, defaults to 0.1 .. 0.95 step 0.05 plus 0.99.
+        radii: nonempty 1-D grid of shell radii, default 0.1 .. 0.95 step 0.05, 0.99.
         budget: search effort for the suprema and range estimates.
         tolerance: slack below -tolerance marks it violated; must be > 0.
     """
     _check_tolerance(tolerance)
+    grid = _check_radii(radii, grid=True)
     if cert is None:
         cert = generator_certificate(F)
     inputs = growth_inputs_from(F, cert, budget)
     space = F.space
     F0 = np.asarray(F.constant, dtype=np.complex128)
-    grid = np.asarray(radii if radii is not None else _DEFAULT_RADII, dtype=np.float64)
-    _check_radii(grid)
     # every shell is one group of a single climb, shell i on stream salt 11 + i
     found = _sphere_search(
         space, lambda V, g: space.norm_batch(F.eval_batch(grid[g][:, None] * V) - F0[None, :]),
@@ -295,8 +297,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     if not hasattr(G, "higher"):
         raise ValueError("the chain needs an explicit polynomial map")
     space = G.space
-    grid = np.asarray(radii if radii is not None else _DEFAULT_RADII, dtype=np.float64)
-    _check_radii(grid)
+    grid = _check_radii(radii, grid=True)
     T = np.asarray(G.linear, dtype=np.complex128)
     g0 = np.asarray(G.constant, dtype=np.complex128)
     degree = G.degree

@@ -1,15 +1,14 @@
 """Certifiers and refuters for the two dissipation inequalities on the ball.
 
 certify_generator probes Re<G(z), z*> <= Re<G(0), z*>(1 - ||z||^2) on shell
-grids and refines the worst points, in one batched core that certifies a
-ball map, a disc function or many slices, each as if alone;
-certify_pseudo_dissipative searches a rotation angle and affine budget
-(a, b) covering Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2) on
-an annulus, and refutes a black box whose pairing cloud surrounds every
-half plane far beyond the data. Every refinement is one descent from grid
-rows whose values the caller holds, so `samples` counts each evaluated row
-once. The shift between the two forms and the coefficient checks certified
-maps must satisfy live here as well.
+grids, in one batched core that certifies a ball map, a disc function or
+many slices, each as if alone; certify_pseudo_dissipative fits a rotation
+angle and affine budget (a, b) covering Re e^(i theta)<F(z), z*> <=
+a ||z||^2 + b (1 - ||z||^2) on an annulus, and refutes a black box whose
+pairing cloud surrounds every half plane far beyond the data. Both find
+their worst point through one stage, a descent from the worst grid rows
+whose slack the caller holds, so `samples` counts each evaluated row once.
+The shift between the two forms and the coefficient checks live here too.
 """
 
 from __future__ import annotations
@@ -117,21 +116,34 @@ def generator_slack(G, Z: np.ndarray, alt_support: bool = False) -> np.ndarray:
     return center * (1.0 - r2) - lhs
 
 
-def _descend(space, slack_batch, Z, s, groups, noise, bounds):
-    """Minimize slack_batch(Z, g) from rows Z, whose slack s the caller holds.
-
-    Returns (points, slack): numrange's climb engine on the negated slack with
-    a tighter step schedule, norms clipped to bounds = (lo, hi). It evaluates
-    only its noise[..., 0].size proposals, none when noise has no iterations.
-    """
-    Z, neg = _climb(space, lambda Z, g: -slack_batch(Z, g), Z, -s, noise, groups, _REFINE_STEPS,
-                    bounds)
-    return Z, -neg
-
-
 def _check_tolerance(tolerance) -> None:
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+
+
+def _worst_points(space, slack_batch, Z, slack, noise, bounds):
+    """Each map's least slack, after one descent from its worst grid rows.
+
+    slack[m] holds map m's slack on the rows of Z. Its noise.shape[1] least
+    rows descend through numrange's climb on the negated slack, with a
+    tighter step schedule, noise tiled per map and norms clipped to bounds,
+    evaluating noise[..., 0].size rows per map. Returns per map the least
+    slack and its point (the best descended row unless the grid minimum is
+    lower), then all descended rows and their slack, map after map.
+    """
+    count, take = slack.shape[0], noise.shape[1]
+    order = np.argsort(slack, axis=1)[:, :take]
+    points, neg = _climb(space, lambda rows, g: -slack_batch(rows, g), Z[order.ravel()],
+                         -np.take_along_axis(slack, order, axis=1).ravel(),
+                         np.tile(noise, (1, count, 1, 1)), np.arange(count).repeat(take),
+                         _REFINE_STEPS, bounds)
+    values = -neg
+    worst, witness = [], []
+    for grid_s, zs, ss in zip(slack, points.reshape(count, take, -1), values.reshape(count, take)):
+        i = int(np.argmin(ss))
+        worst.append(float(min(grid_s.min(), ss[i])))
+        witness.append(zs[i] if ss[i] <= grid_s.min() else Z[int(np.argmin(grid_s))])
+    return worst, witness, points, values
 
 
 def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[GeneratorVerdict]:
@@ -143,31 +155,21 @@ def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[Generato
     _check_tolerance(tolerance)
     budget = budget or CertifyBudget()
     Z = _shell_grid(np.asarray(_DEFAULT_RADII), space.sphere_sample(budget.sphere, budget.seed))
-    evals, maps = Z.shape[0], np.arange(count)
-    slack = slack_batch(np.tile(Z, (count, 1)), maps.repeat(evals)).reshape(count, -1)
+    evals = Z.shape[0]
+    slack = slack_batch(np.tile(Z, (count, 1)), np.arange(count).repeat(evals)).reshape(count, -1)
     take = min(budget.refine_points, evals)
-    order = np.argsort(slack, axis=1)[:, :take]
     cap = budget.max_evals
     iters = budget.refine_iters if cap is None else min(
         budget.refine_iters, max(0, (cap - evals) // (take * _PROPOSALS)))
     exhausted = iters < budget.refine_iters or cap is not None and evals >= cap
     noise = np.random.default_rng([budget.seed, _REFINE_SALT]).standard_normal(
         (iters, take, _PROPOSALS, 2 * space.dim))
-    refined_z, refined_s = _descend(
-        space, slack_batch, Z[order.ravel()], np.take_along_axis(slack, order, axis=1).ravel(),
-        maps.repeat(take), np.tile(noise, (1, count, 1, 1)), (1e-8, 0.9995))
-    refined_z, refined_s = refined_z.reshape(count, take, -1), refined_s.reshape(count, take)
+    worst, witness, _, _ = _worst_points(space, slack_batch, Z, slack, noise, (1e-8, 0.9995))
     evals += noise[..., 0].size
-    verdicts = []
-    for grid_s, zs, ss in zip(slack, refined_z, refined_s):
-        i = int(np.argmin(ss))
-        worst = float(min(grid_s.min(), ss[i]))
-        refuted = worst < -tolerance
-        witness = zs[i] if ss[i] <= grid_s.min() else Z[int(np.argmin(grid_s))]
-        verdict = "refuted" if refuted else "inconclusive" if exhausted else "certified"
-        verdicts.append(GeneratorVerdict(verdict, tolerance, worst, witness if refuted else None,
-                                         evals))
-    return verdicts
+    return [GeneratorVerdict("refuted" if w < -tolerance else
+                             "inconclusive" if exhausted else "certified",
+                             tolerance, w, z if w < -tolerance else None, evals)
+            for w, z in zip(worst, witness)]
 
 
 def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float = 1e-9,
@@ -253,6 +255,11 @@ def _annulus(F, lo, hi, V):
     return Z, _pairings_on(F, Z), F.space.norm_batch(Z) ** 2
 
 
+def _annulus_slack(a, b, r2, x):
+    """Slack a r^2 + b (1 - r^2) - x at squared norms r2, x = Re e^(i theta) omega."""
+    return a * r2 + b * (1.0 - r2) - x
+
+
 def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
         bool, np.ndarray | None, int]:
     """Probe whether refined samples exceed R_big in every half-plane direction.
@@ -266,23 +273,21 @@ def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
 
     i = int(np.argmax(np.abs(omega)))
     noise = rng.standard_normal((budget.refine_iters, 1, _PROPOSALS, 2 * space.dim))
-    zq, vq = _descend(space, lambda flat, g: -np.abs(_pairings_on(F, flat)), Z[i:i + 1],
-                      -np.abs(omega[i:i + 1]), [0], noise, (lo, hi))
-    if -float(vq[0]) < 0.5 * R_big:
+    zq, vq = _climb(space, lambda flat, g: np.abs(_pairings_on(F, flat)), Z[i:i + 1],
+                    np.abs(omega[i:i + 1]), noise, [0], _REFINE_STEPS, (lo, hi))
+    if float(vq[0]) < 0.5 * R_big:
         return False, None, noise[..., 0].size
 
     dirs = np.exp(-1j * 2.0 * np.pi * np.arange(_COVERAGE_DIRECTIONS) / _COVERAGE_DIRECTIONS)
     reach = np.real(dirs[:, None] * omega[None, :])
 
-    def neg_directional(flat, g):
-        return -np.real(dirs[g] * _pairings_on(F, flat))
-
     # refine all directions in one batch, start g climbing direction g
     noise = rng.standard_normal(
         (2 * budget.refine_iters, _COVERAGE_DIRECTIONS, _PROPOSALS, 2 * space.dim))
-    _, vc = _descend(space, neg_directional, Z[np.argmax(reach, axis=1)], -reach.max(axis=1),
-                     np.arange(_COVERAGE_DIRECTIONS), noise, (lo, hi))
-    covered = bool(np.all(-vc >= R_big))
+    _, vc = _climb(space, lambda flat, g: np.real(dirs[g] * _pairings_on(F, flat)),
+                   Z[np.argmax(reach, axis=1)], reach.max(axis=1), noise,
+                   np.arange(_COVERAGE_DIRECTIONS), _REFINE_STEPS, (lo, hi))
+    covered = bool(np.all(vc >= R_big))
     evals = budget.refine_iters * _PROPOSALS + noise[..., 0].size
     return covered, zq[0] if covered else None, evals
 
@@ -305,15 +310,17 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     beyond its bulk scale in every direction (a `PolyMap` is bounded on the
     closed ball, so it is never refuted), otherwise scan 720 rotation
     angles, fit the affine budget per angle (anchored at b = ||F(0)||, then
-    the smallest b and tightest a that cover all samples), polish theta, and
-    validate with fresh samples plus descent refinement, enlarging `a` until
-    no violation beyond 1e-12 survives. A certificate is only issued once
-    the shifted map e^(i theta) F - a id also passes the whole-ball
-    generator certifier, with refutation witnesses converted into further
-    increases of a. There are no retries: when either repair loop ends
-    without a clean pass (12 rounds each, or a max_evals cap cutting the
-    generator certifier short), the result is "inconclusive" at the given
-    epsilon. Raises ValueError unless tolerance > 0 and 0 < epsilon < 1.
+    the smallest b and tightest a that cover all samples) and polish theta.
+    Each validation round then samples fresh directions and finds its worst
+    point through the generator certifier's stage; a violation beyond 1e-12
+    raises a at that point. The shifted map e^(i theta) F - a id must also
+    pass the whole-ball generator certifier, whose witnesses raise a by the
+    same step. No row is evaluated twice: the final re-fit of b reads each
+    descended row's pairing back from its slack. There are no retries: when
+    either repair loop ends without a clean pass (12 rounds each, or a
+    max_evals cap cutting the generator certifier short), the result is
+    "inconclusive" at the given epsilon. Raises ValueError unless
+    tolerance > 0 and 0 < epsilon < 1.
     """
     _check_tolerance(tolerance)
     lo, hi = _annulus_bounds(epsilon)
@@ -345,46 +352,37 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
     a, b = map(float, _fit_at_theta(theta, omega, r2, b0))
     phase = complex(math.cos(theta), math.sin(theta))
 
-    # validation and repair: fresh samples plus descent on the slack,
-    # enlarging a (slope r^2 > 0 on the annulus) until nothing violates
-    xs_all = [np.real(phase * omega)]
-    r2_all = [r2]
+    def pd_slack(flat, g):  # at the current (a, b)
+        return _annulus_slack(a, b, space.norm_batch(flat) ** 2,
+                              np.real(phase * _pairings_on(F, flat)))
+
+    def raised(worst, w):  # both loops' repair: a adds ||w||^2 of slack at w
+        return a + (-worst / max(space.norm(w) ** 2, 1e-12) * 1.05 + 1e-12)
+
+    # validation and repair on fresh samples, until nothing violates
+    xs_all, r2_all = [np.real(phase * omega)], [r2]
     for round_idx in range(12):
-        rng = np.random.default_rng([budget.seed, _PD_ROUND_SALT, round_idx])
         Zr, omr, r2r = _annulus(
             F, lo, hi, space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1)))
         xr = np.real(phase * omr)
-        evals += Zr.shape[0]
-        xs_all.append(xr)
-        r2_all.append(r2r)
-        slack = a * r2r + b * (1.0 - r2r) - xr
-
-        def pd_slack(flat, g, _a=a, _b=b):
-            om = _pairings_on(F, flat)
-            rr2 = space.norm_batch(flat) ** 2
-            return _a * rr2 + _b * (1.0 - rr2) - np.real(phase * om)
-
-        order = np.argsort(slack)[: budget.refine_points]
-        noise = rng.standard_normal((budget.refine_iters, order.size, _PROPOSALS, 2 * space.dim))
-        zW, sW = _descend(space, pd_slack, Zr[order], slack[order], np.arange(order.size), noise,
-                          (lo, hi))
-        omW = _pairings_on(F, zW)
-        evals += noise[..., 0].size + zW.shape[0]
+        noise = np.random.default_rng([budget.seed, _PD_ROUND_SALT, round_idx]).standard_normal(
+            (budget.refine_iters, min(budget.refine_points, len(Zr)), _PROPOSALS, 2 * space.dim))
+        (worst,), (witness,), zW, sW = _worst_points(
+            space, pd_slack, Zr, _annulus_slack(a, b, r2r, xr)[None], noise, (lo, hi))
+        evals += Zr.shape[0] + noise[..., 0].size
+        # b is fixed in the loop, so the descended slack gives back the
+        # rotated pairing of each descended row without evaluating F again
         r2W = space.norm_batch(zW) ** 2
-        xs_all.append(np.real(phase * omW))
-        r2_all.append(r2W)
-        worst = float(min(slack.min(), sW.min()))
+        xs_all += [xr, _annulus_slack(a, b, r2W, sW)]
+        r2_all += [r2r, r2W]
         certified = worst >= -1e-12
         if certified:
             break
-        w_idx = int(np.argmin(sW))
-        rw2 = float(r2W[w_idx]) if sW[w_idx] <= slack.min() else float(r2r[int(np.argmin(slack))])
-        a += (-worst) / rw2 * 1.05 + 1e-12
+        a = raised(worst, witness)
 
     # round-trip guard: the shifted map must survive the whole-ball generator
     # certifier, whose shell sweep and descent reach pockets the annulus grid
-    # misses; a refutation witness prices the repair exactly, because raising
-    # a adds r^2 of slack at every point and leaves the center value alone
+    # misses; raising a adds r^2 of slack at every point, so a witness prices it
     if certified:
         for _ in range(12):
             inner = certify_generator(F.shifted(theta, a), budget, tolerance)
@@ -393,16 +391,15 @@ def certify_pseudo_dissipative(F, epsilon: float = 0.1,
             certified = inner.verdict == "certified"
             if certified or inner.witness is None:
                 break
-            a += (-worst) / max(space.norm(inner.witness) ** 2, 1e-12) * 1.05 + 1e-12
+            a = raised(worst, inner.witness)
 
     if not certified:
         return PseudoDissipativityCertificate(
             "inconclusive", theta, a, b, epsilon, evals, worst, None)
     # re-minimize b at the final a over every collected sample
-    xs = np.concatenate(xs_all)
-    r2s = np.concatenate(r2_all)
+    xs, r2s = np.concatenate(xs_all), np.concatenate(r2_all)
     b = max(0.0, float(np.max((xs - a * r2s) / (1.0 - r2s))))
-    worst = float(np.min(a * r2s + b * (1.0 - r2s) - xs))
+    worst = float(np.min(_annulus_slack(a, b, r2s, xs)))
     return PseudoDissipativityCertificate(
         "certified", theta, a, b, epsilon, evals, worst, None)
 
@@ -414,8 +411,7 @@ def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
     certifier at the same seed never samples; epsilon must lie in (0, 1)."""
     V = F.space.sphere_sample(192, seed + _VALIDATE_SEED_OFFSET)
     Z, omega, r2 = _annulus(F, *_annulus_bounds(epsilon), V)
-    slack = a * r2 + b * (1.0 - r2) - np.real(np.exp(1j * theta) * omega)
-    worst = float(np.min(slack))
+    worst = float(np.min(_annulus_slack(a, b, r2, np.real(np.exp(1j * theta) * omega))))
     return {"min_slack": worst, "samples": int(Z.shape[0]), "passed": worst >= -1e-9}
 
 

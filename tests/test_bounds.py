@@ -323,6 +323,11 @@ class TestVerifyGrowthBound:
             verify_growth_bound(G, radii=[0.5, 1.0])
         with pytest.raises(ValueError, match="radii"):
             verify_growth_bound(G, radii=[-0.1])
+        # an empty or 2-D grid used to fail deep in numpy, the 2-D one only
+        # after building a 4096 x 4096 x 2 array of proposals
+        for bad in ([], [[0.2, 0.4]]):
+            with pytest.raises(ValueError, match="radii must form a nonempty 1-D grid"):
+                verify_growth_bound(G, radii=bad)
 
     def test_nan_radius_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="radii"):
@@ -475,3 +480,6 @@ class TestIntermediateChain:
     def test_nan_radius_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="radii"):
             verify_intermediate_chain(minus_identity(l2_2d), radii=[math.nan])
+        for bad in ([], [[0.2, 0.4]]):
+            with pytest.raises(ValueError, match="radii must form a nonempty 1-D grid"):
+                verify_intermediate_chain(minus_identity(l2_2d), radii=bad)

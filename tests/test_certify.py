@@ -82,13 +82,28 @@ class TestEvaluationCounts:
         assert certify_generator(G, budget).samples == evaluated_rows(calls)
 
     def test_pseudo_dissipative_samples_are_the_rows_evaluated(self, count_calls):
-        # the descended points of each validation round are evaluated once
-        # more for their pairings; those rows used to go uncounted
+        # every row the certifier evaluates is counted: the annulus grids, the
+        # descents of the validation rounds and the whole-ball guard
         F = inverse_shift(sample_generator(NormedSpace(2, 1.0), seed=1, degree=3), 1.1, 0.5)
         calls = count_calls(PolyMap, "eval_batch")
         cert = certify_pseudo_dissipative(F, budget=QUICK)
         assert cert.verdict == "certified"
         assert cert.samples == evaluated_rows(calls)
+
+    def test_pseudo_dissipative_evaluates_each_row_once(self, count_calls):
+        # a validation round used to evaluate its descended rows again for
+        # the final re-fit of b; it now reads their pairings off their slack
+        F = inverse_shift(sample_generator(NormedSpace(2, 1.0), seed=1, degree=3), 1.1, 0.5)
+        calls = count_calls(PolyMap, "eval_batch")
+        assert certify_pseudo_dissipative(F, budget=QUICK).verdict == "certified"
+        # every grid shares a few fixed directions, but no call may repeat
+        # only rows evaluated before
+        seen = set()
+        for args, _ in calls:
+            if args[0] is F:
+                rows = {row.tobytes() for row in args[1]}
+                assert not rows <= seen
+                seen |= rows
 
 
 class TestCertifyGenerator:
@@ -293,6 +308,27 @@ class TestPseudoDissipative:
         validate_certificate(identity_map(l2_2d), cert.theta, cert.a, cert.b, cert.epsilon)
         assert len(draws) == 1
         assert draws[0][0][2] not in fitted
+
+    # validate_certificate's min_slack at criterion 3's certificates for
+    # seeds 0-8, from the certifier that still evaluated its descended rows
+    # twice; recovering their pairings from the slack moves at most rounding
+    CRITERION_3_MIN_SLACK = (
+        0.0007607978355765876, 0.4078595602652577, 0.4150947569175035,
+        0.0013612452617765558, 0.05277925669289374, 0.13809136268368172,
+        0.0017114033622185332, 0.0009166757179559504, 0.002861593042592203)
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_criterion_3_certificates_validate_as_before(self, seed):
+        space = NormedSpace((1, 2, 4)[seed % 3], (1.0, 2.0, math.inf)[(seed // 3) % 3])
+        rng = np.random.default_rng([seed, 1311])
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        a = float(rng.uniform(-2.0, 2.0))
+        F = inverse_shift(sample_generator(space, seed=seed, degree=2 + seed % 7), theta, a)
+        cert = certify_pseudo_dissipative(F)
+        report = validate_certificate(F, cert.theta, cert.a, cert.b, cert.epsilon)
+        assert report["passed"]
+        assert report["min_slack"] == pytest.approx(self.CRITERION_3_MIN_SLACK[seed],
+                                                    rel=0.0, abs=1e-12)
 
     def test_validate_rejects_wrong_shift(self, l2_2d):
         report = validate_certificate(identity_map(l2_2d), 0.0, -2.0, 0.0, 0.1)
