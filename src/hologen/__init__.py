@@ -22,15 +22,14 @@ from .certify import (CertifyBudget, GeneratorVerdict, NotCertifiedError,
                       certify_generator, certify_pseudo_dissipative,
                       generator_slack, inverse_shift,
                       linear_dissipation_check, restriction_agreement,
-                      shift_to_generator, validate_certificate,
-                      verdict_to_dict)
+                      shift_to_generator, verdict_to_dict)
 from .bounds import (ALPHA, BETA, ChainReport, GrowthBoundReport, GrowthInputs,
                      alpha_beta, generator_certificate, growth_inputs_from,
                      majorant_line, rhs_coarse, rhs_sharp,
                      verify_growth_bound, verify_intermediate_chain)
 from .flows import (BallEscapeError, FlowStopError, StepStats, StepUnderflowError,
                     Trajectory, check_semigroup, flow_endpoint, integrate,
-                    invariance_sweep, invariant_ball_probe, trajectory_to_csv)
+                    invariance_sweep, trajectory_to_csv)
 
 __version__ = "0.1.0"
 
@@ -48,13 +47,13 @@ __all__ = [
     "generator_slack", "growth_inputs_from", "harris_check",
     "harris_constant", "herglotz_sample", "hilbert_radius_oracle",
     "hilbert_range_inf_oracle", "integrate", "invariance_sweep",
-    "invariant_ball_probe", "inverse_shift", "lift_to_ball",
+    "inverse_shift", "lift_to_ball",
     "linear_dissipation_check", "majorant_line", "map_from_dict",
     "map_to_dict", "numerical_radius", "numerical_range_inf",
     "operator_norm", "polynomial_numerical_radius", "restriction_agreement",
     "rhs_coarse", "rhs_sharp", "sample_generator", "shift_to_generator",
     "space_from_dict", "space_to_dict", "sup_norm_on_sphere",
     "taylor_coefficients", "trajectory_to_csv", "unitary_conjugate",
-    "validate_certificate", "verdict_to_dict", "verify_growth_bound",
+    "verdict_to_dict", "verify_growth_bound",
     "verify_intermediate_chain",
 ]

@@ -175,8 +175,8 @@ def generator_certificate(G, verdict=None) -> PseudoDissipativityCertificate:
     """
     verdict = _require_certified(G, verdict)
     return PseudoDissipativityCertificate(
-        "certified", 0.0, 0.0, float(G.space.norm(np.asarray(G.constant))), 0.1,
-        verdict.samples, verdict.worst_slack, None)
+        "certified", 0.0, 0.0, float(G.space.norm(np.asarray(G.constant))),
+        verdict.samples, verdict.worst_slack)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,13 @@
 
 certify_generator probes Re<G(z), z*> <= Re<G(0), z*>(1 - ||z||^2) on shell
 grids, in one batched core that certifies a ball map, a disc function or
-many slices, each as if alone; certify_pseudo_dissipative fits a rotation
-angle and affine budget (a, b) covering Re e^(i theta)<F(z), z*> <=
-a ||z||^2 + b (1 - ||z||^2) on an annulus, and refutes a black box whose
-pairing cloud surrounds every half plane far beyond the data. Both find
-their worst point through one stage, a descent from the worst grid rows
-whose slack the caller holds, so `samples` counts each evaluated row once.
-The shift between the two forms and the coefficient checks live here too.
+many slices, each as if alone, and finds its worst point through a descent
+from the worst grid rows whose slack it holds. certify_pseudo_dissipative
+fits a rotation angle and shift (theta, a) along complex lines of a
+PolyMap, exactly in radius and phase (Berkson-Porta), with b = ||F(0)||, so
+Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2) holds on every line
+it reads. Both count each evaluated row once in `samples`. The shift
+between the two forms and the coefficient checks live here too.
 """
 
 from __future__ import annotations
@@ -31,25 +31,24 @@ _DEFAULT_RADII = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
 
 _REFINE_SALT = 505
 _REFINE_STEPS = (0.05, 1.4, 0.2, 0.5)  # sigma0, grow, cap, shrink
-_PD_ROUND_SALT = 7919
-_VALIDATE_SEED_OFFSET = 1009 * 13  # the certifier draws seed + 1009 k for k = 0..12
-_COVERAGE_DIRECTIONS = 24
 
 
 @dataclass(frozen=True)
 class CertifyBudget:
     """Sampling and refinement effort for the certifiers.
 
-    sphere: directions per shell (the shells are 0.1 .. 0.95 step 0.05 plus
-    0.99), refine_points: worst points refined, refine_iters: climb
-    iterations, each trying numrange's `_PROPOSALS` candidates per point,
+    sphere: sphere directions, per shell of the generator certifier (the
+    shells are 0.1 .. 0.95 step 0.05 plus 0.99) and one line each for the
+    pseudo-dissipativity fit, refine_points: worst points (best lines)
+    refined, refine_iters: climb iterations, each trying numrange's
+    `_PROPOSALS` candidates per point,
     seed: key of the direction and refinement streams, max_evals: cap on
-    `certify_generator`'s slack evaluations, each map of a batch on its own;
-    reaching it makes a clean run "inconclusive", and samples exceed it only
-    when the shell grid alone does. `certify_pseudo_dissipative` caps only its
-    whole-ball guard, not its annulus grid, coverage probe or validation
-    rounds. ValueError unless sphere and refine_points are >= 1, refine_iters
-    >= 0 and max_evals is None or >= 0.
+    the rows each certifier evaluates (slack rows of `certify_generator`,
+    each map of a batch on its own; lines of `certify_pseudo_dissipative`,
+    whose sphere directions are its grid); reaching it makes a clean run
+    "inconclusive", and samples exceed it only when the grid alone does.
+    ValueError unless sphere and refine_points are >= 1, refine_iters >= 0
+    and max_evals is None or >= 0.
     """
 
     sphere: int = 128
@@ -86,20 +85,16 @@ class PseudoDissipativityCertificate:
     """Outcome of certify_pseudo_dissipative with the fitted budget.
 
     theta, a and b give Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2)
-    on the annulus of width epsilon; samples counts the evaluations spent.
-    worst_slack is the least slack seen, or minus the refutation scale on a
-    refutation, whose witness is the point of largest pairing found; the
-    other verdicts carry no witness.
+    on the unit ball; samples counts the evaluations spent. worst_slack is
+    the least slack seen: 0 for a line fit, whose a touches its best line.
     """
 
     verdict: str
     theta: float
     a: float
     b: float
-    epsilon: float
     samples: int
     worst_slack: float
-    witness: np.ndarray | None = None
 
 
 def generator_slack(G, Z: np.ndarray, alt_support: bool = False) -> np.ndarray:
@@ -128,8 +123,8 @@ def _worst_points(space, slack_batch, Z, slack, noise, bounds):
     rows descend through numrange's climb on the negated slack, with a
     tighter step schedule, noise tiled per map and norms clipped to bounds,
     evaluating noise[..., 0].size rows per map. Returns per map the least
-    slack and its point (the best descended row unless the grid minimum is
-    lower), then all descended rows and their slack, map after map.
+    slack and its point: the best descended row unless the grid minimum is
+    lower.
     """
     count, take = slack.shape[0], noise.shape[1]
     order = np.argsort(slack, axis=1)[:, :take]
@@ -143,7 +138,16 @@ def _worst_points(space, slack_batch, Z, slack, noise, bounds):
         i = int(np.argmin(ss))
         worst.append(float(min(grid_s.min(), ss[i])))
         witness.append(zs[i] if ss[i] <= grid_s.min() else Z[int(np.argmin(grid_s))])
-    return worst, witness, points, values
+    return worst, witness
+
+
+def _capped_iters(budget, evals, width) -> tuple[int, bool]:
+    """Climb iterations of `width` rows that fit under max_evals after
+    `evals` rows, and whether the cap cut the climb (or the grid) short."""
+    cap = budget.max_evals
+    iters = budget.refine_iters if cap is None else min(
+        budget.refine_iters, max(0, (cap - evals) // width))
+    return iters, iters < budget.refine_iters or cap is not None and evals >= cap
 
 
 def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[GeneratorVerdict]:
@@ -158,13 +162,10 @@ def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[Generato
     evals = Z.shape[0]
     slack = slack_batch(np.tile(Z, (count, 1)), np.arange(count).repeat(evals)).reshape(count, -1)
     take = min(budget.refine_points, evals)
-    cap = budget.max_evals
-    iters = budget.refine_iters if cap is None else min(
-        budget.refine_iters, max(0, (cap - evals) // (take * _PROPOSALS)))
-    exhausted = iters < budget.refine_iters or cap is not None and evals >= cap
+    iters, exhausted = _capped_iters(budget, evals, take * _PROPOSALS)
     noise = np.random.default_rng([budget.seed, _REFINE_SALT]).standard_normal(
         (iters, take, _PROPOSALS, 2 * space.dim))
-    worst, witness, _, _ = _worst_points(space, slack_batch, Z, slack, noise, (1e-8, 0.9995))
+    worst, witness = _worst_points(space, slack_batch, Z, slack, noise, (1e-8, 0.9995))
     evals += noise[..., 0].size
     return [GeneratorVerdict("refuted" if w < -tolerance else
                              "inconclusive" if exhausted else "certified",
@@ -230,189 +231,146 @@ def certify_disc_generator(g, budget: CertifyBudget | None = None,
 
 # -- pseudo-dissipativity ----------------------------------------------------
 
-
-def _pairings_on(F, Z):
-    space = F.space
-    W = space.support_batch(Z)
-    omega = space.pairing_batch(F.eval_batch(Z), W)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError(
-            "map evaluation produced non-finite pairings on the annulus; "
-            "clamp the evaluator before certifying")
-    return omega
+_PHASES = 24  # grid phases on each line's boundary circle
+_PHI = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
+_NEWTON = 4  # Newton steps that finish a grid phase
+_THETAS = 720
+_FACE_SNAP = 0.02  # l1 coordinates below this share of a row's largest read 0
+_LINE_SALT = 7919
 
 
-def _annulus_bounds(epsilon) -> tuple[float, float]:
-    """Norm bounds (lo, hi) of the sampled annulus; ValueError unless 0 < epsilon < 1."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return 1.0 - epsilon + epsilon / 20.0, 0.999
+def _phase_grid(terms: int) -> np.ndarray:
+    """(terms, _PHASES) array of e^(i (k - 1) phi) at the grid phases."""
+    return np.exp(1j * np.outer(np.arange(terms) - 1, _PHI))
 
 
-def _annulus(F, lo, hi, V):
-    """Rows of V on six shells from lo to hi: (points, pairings, squared norms)."""
-    Z = _shell_grid(np.linspace(lo, hi, 6), V)
-    return Z, _pairings_on(F, Z), F.space.norm_batch(Z) ** 2
+def _phase_max(C, every=False) -> np.ndarray:
+    """Each row's max over phi of Re sum_k C[:, k] e^(i (k - 1) phi).
 
-
-def _annulus_slack(a, b, r2, x):
-    """Slack a r^2 + b (1 - r^2) - x at squared norms r2, x = Re e^(i theta) omega."""
-    return a * r2 + b * (1.0 - r2) - x
-
-
-def _covers_all_directions(F, lo, hi, Z, omega, R_big, budget) -> tuple[
-        bool, np.ndarray | None, int]:
-    """Probe whether refined samples exceed R_big in every half-plane direction.
-
-    Returns (covered, witness, evals). Climbing refinement per direction;
-    tame maps fail the quick magnitude check immediately, so the full probe
-    only runs on data that already reaches the refutation scale.
+    Newton steps of at most half the grid spacing, uphill where the sum is
+    convex, finish the best grid phase, or with every=True each grid phase,
+    which also reaches a narrow peak that lower grid values flank. Every
+    value is the sum at some phase.
     """
-    space = F.space
-    rng = np.random.default_rng([budget.seed, 707])
-
-    i = int(np.argmax(np.abs(omega)))
-    noise = rng.standard_normal((budget.refine_iters, 1, _PROPOSALS, 2 * space.dim))
-    zq, vq = _climb(space, lambda flat, g: np.abs(_pairings_on(F, flat)), Z[i:i + 1],
-                    np.abs(omega[i:i + 1]), noise, [0], _REFINE_STEPS, (lo, hi))
-    if float(vq[0]) < 0.5 * R_big:
-        return False, None, noise[..., 0].size
-
-    dirs = np.exp(-1j * 2.0 * np.pi * np.arange(_COVERAGE_DIRECTIONS) / _COVERAGE_DIRECTIONS)
-    reach = np.real(dirs[:, None] * omega[None, :])
-
-    # refine all directions in one batch, start g climbing direction g
-    noise = rng.standard_normal(
-        (2 * budget.refine_iters, _COVERAGE_DIRECTIONS, _PROPOSALS, 2 * space.dim))
-    _, vc = _climb(space, lambda flat, g: np.real(dirs[g] * _pairings_on(F, flat)),
-                   Z[np.argmax(reach, axis=1)], reach.max(axis=1), noise,
-                   np.arange(_COVERAGE_DIRECTIONS), _REFINE_STEPS, (lo, hi))
-    covered = bool(np.all(vc >= R_big))
-    evals = budget.refine_iters * _PROPOSALS + noise[..., 0].size
-    return covered, zq[0] if covered else None, evals
+    j = np.arange(C.shape[1]) - 1.0
+    P = (C @ _phase_grid(C.shape[1])).real
+    if every:
+        C, phi, best = np.repeat(C, _PHASES, axis=0), np.tile(_PHI, len(P)), P.ravel()
+    else:
+        i = np.argmax(P, axis=1)
+        phi, best = _PHI[i], P[np.arange(len(P)), i]
+    J = np.stack([np.ones_like(j), j, j * j], axis=1)
+    cap = np.pi / _PHASES
+    for _ in range(_NEWTON + 1):
+        # f = Re S0, f' = -Im S1, f'' = -Re S2
+        S = (C * np.exp(np.multiply.outer(phi, 1j * j))) @ J
+        best = np.maximum(best, S[:, 0].real)
+        phi = phi - np.clip(S[:, 1].imag / np.maximum(np.abs(S[:, 2].real), 1e-12), -cap, cap)
+    return best.reshape(len(P), -1).max(axis=1)
 
 
-def _fit_at_theta(theta, omega, r2, b0):
-    """Affine budget (a, b) at angle theta; a column of angles gives arrays."""
-    x = np.real(np.exp(1j * theta) * omega)
-    acap = np.max((x - b0 * (1.0 - r2)) / r2, axis=-1, keepdims=True)
-    b = np.maximum(0.0, np.max((x - acap * r2) / (1.0 - r2), axis=-1, keepdims=True))
-    return np.max((x - b * (1.0 - r2)) / r2, axis=-1), b[..., 0]
+def _lines(F, V):
+    """The lines through the rows of V: (Taylor vectors, functionals, free).
 
-
-def certify_pseudo_dissipative(F, epsilon: float = 0.1,
-                               budget: CertifyBudget | None = None,
-                               tolerance: float = 1e-9) -> PseudoDissipativityCertificate:
-    """Find (theta, a, b) certifying pseudo-dissipativity on an annulus.
-
-    Pipeline: sample the annulus 1 - epsilon < ||z|| < 1, refute a black-box
-    map when the pairing cloud provably surrounds a disc of radius far
-    beyond its bulk scale in every direction (a `PolyMap` is bounded on the
-    closed ball, so it is never refuted), otherwise scan 720 rotation
-    angles, fit the affine budget per angle (anchored at b = ||F(0)||, then
-    the smallest b and tightest a that cover all samples) and polish theta.
-    Each validation round then samples fresh directions and finds its worst
-    point through the generator certifier's stage; a violation beyond 1e-12
-    raises a at that point. The shifted map e^(i theta) F - a id must also
-    pass the whole-ball generator certifier, whose witnesses raise a by the
-    same step. No row is evaluated twice: the final re-fit of b reads each
-    descended row's pairing back from its slack. There are no retries: when
-    either repair loop ends without a clean pass (12 rounds each, or a
-    max_evals cap cutting the generator certifier short), the result is
-    "inconclusive" at the given epsilon. Raises ValueError unless
-    tolerance > 0 and 0 < epsilon < 1.
+    At p = 1 a coordinate below _FACE_SNAP of its row's largest is set to 0
+    first. There the l1 support functional may take any unimodular entry,
+    and lines through nearby directions approach each choice, so `free`
+    marks those entries, which `support_batch` leaves at 0.
     """
-    _check_tolerance(tolerance)
-    lo, hi = _annulus_bounds(epsilon)
+    mag = np.abs(V)
+    free = (F.space.p == 1.0) & (mag < _FACE_SNAP * mag.max(axis=1, keepdims=True))
+    V = np.where(free, 0.0, V)
+    V = V / F.space.norm_batch(V)[:, None]
+    return F.line_vectors(V), F.space.support_batch(V), free
+
+
+def _free_terms(X, free) -> np.ndarray:
+    """(B, _PHASES, dim) terms e^(-i phi) F_m(e^(i phi) v) of the free entries
+    at the grid phases, 0 elsewhere."""
+    return np.einsum("bkn,km->bmn", X * free[:, None], _phase_grid(X.shape[1]))
+
+
+def _line_values(X, W, free, rot):
+    """Each line's max of -Re q on |zeta| = 1 for the rotated map, and the
+    rotated line coefficients it is read from. A free entry takes the phase
+    that adds its term's modulus at the best grid phase."""
+    X = rot * X
+    C = np.einsum("bkn,bn->bk", X, W)
+    if free.any():
+        terms = _free_terms(X, free)
+        g = np.argmax((C @ _phase_grid(C.shape[1])).real + np.abs(terms).sum(axis=2), axis=1)
+        q = terms[np.arange(len(C)), g]
+        mag = np.abs(q)
+        C = C + np.einsum("bkn,bn->bk", X, np.conj(q) / np.where(mag > 0.0, mag, 1.0))
+    return _phase_max(C), C
+
+
+def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
+                               ) -> PseudoDissipativityCertificate:
+    """Fit (theta, a, b) along complex lines through the origin.
+
+    By Berkson-Porta the slack of e^(i theta) F - a id at zeta v, v a unit
+    vector, is |zeta|^2 Re q_v(zeta) with Re q_v harmonic, so it holds on the
+    closed ball when Re q_v = a - Re e^(i theta) <F(zeta v), (zeta v)*> >= 0
+    on |zeta| = 1. The fit reads budget.sphere lines, picks theta where the
+    largest rotated pairing is least (720 angles, golden-section polish),
+    climbs the best refine_points lines at theta and sets a to the largest
+    -Re q found, each line maximized over its phase; b = ||F(0)|| then holds
+    exactly. Only directions are sampled. A climb that max_evals cuts short
+    gives "inconclusive"; samples counts the lines read.
+
+    Raises:
+        ValueError: F is not a PolyMap, whose lines the fit reads exactly.
+    """
+    if not isinstance(F, PolyMap):
+        raise ValueError("certify_pseudo_dissipative reads the line coefficients of a "
+                         f"PolyMap; got {type(F).__name__}")
     budget = budget or CertifyBudget(sphere=192)
     space = F.space
-    Z, omega, r2 = _annulus(F, lo, hi, space.sphere_sample(budget.sphere, budget.seed))
-    evals = Z.shape[0]
+    V = space.sphere_sample(budget.sphere, budget.seed)
+    X, W, free = lines = _lines(F, V)
+    evals = V.shape[0]
 
-    # a polynomial map is bounded on the closed ball, so some finite a fits
-    # it; only a black-box map can surround a disc in every direction
-    if not isinstance(F, PolyMap):
-        R_big = 1000.0 * (1.0 + float(np.quantile(np.abs(omega), 0.9)))
-        covered, cover_witness, used = _covers_all_directions(F, lo, hi, Z, omega, R_big, budget)
-        evals += used
-        if covered:
-            return PseudoDissipativityCertificate(
-                "refuted", 0.0, 0.0, 0.0, epsilon, evals, -R_big, cover_witness)
-
-    b0 = space.norm(np.asarray(F.constant))
-    thetas = 2.0 * np.pi * np.arange(720) / 720.0
-    a_s, bs = _fit_at_theta(thetas[:, None], omega, r2, b0)
-    t_idx = int(np.lexsort((thetas, bs, a_s))[0])
-
-    # golden-section polish of the angle around the best grid cell, on -a
-    step = 2.0 * np.pi / 720.0
-    x1, f1, x2, f2 = _golden_max(lambda t: -_fit_at_theta(t, omega, r2, b0)[0],
-                                 thetas[t_idx] - 2.0 * step, thetas[t_idx] + 2.0 * step, 60)
+    # theta: least support function h(t) = max Re e^(i t) x + |free terms| of the cloud
+    x = (np.einsum("bkn,bn->bk", X, W) @ _phase_grid(X.shape[1])).ravel()
+    re, im, radius = x.real.copy(), x.imag.copy(), np.abs(_free_terms(X, free)).sum(axis=2).ravel()
+    thetas, h = 2.0 * np.pi * np.arange(_THETAS) / _THETAS, np.empty(_THETAS)
+    for i in range(0, _THETAS, 90):  # blocks of 90 angles keep the scan's memory small
+        block = np.multiply.outer(np.cos(thetas[i:i + 90]), re) + radius
+        block -= np.multiply.outer(np.sin(thetas[i:i + 90]), im)
+        h[i:i + 90] = block.max(axis=1)
+    t0, step = thetas[int(np.argmin(h))], 2.0 * np.pi / _THETAS
+    x1, f1, x2, f2 = _golden_max(lambda t: -np.max(math.cos(t) * re - math.sin(t) * im + radius),
+                                 t0 - 2.0 * step, t0 + 2.0 * step, 60)
     theta = float(x1 if f1 >= f2 else x2)
-    a, b = map(float, _fit_at_theta(theta, omega, r2, b0))
-    phase = complex(math.cos(theta), math.sin(theta))
+    rot = complex(math.cos(theta), math.sin(theta))
 
-    def pd_slack(flat, g):  # at the current (a, b)
-        return _annulus_slack(a, b, space.norm_batch(flat) ** 2,
-                              np.real(phase * _pairings_on(F, flat)))
+    # climb the best lines at theta; each start keeps its best line for the
+    # final every-phase maximization
+    values, C = _line_values(*lines, rot)
+    take = min(budget.refine_points, evals)
+    order = np.argsort(-values, kind="stable")[:take]
+    iters, exhausted = _capped_iters(budget, evals, take * _PROPOSALS)
+    noise = np.random.default_rng([budget.seed, _LINE_SALT]).standard_normal(
+        (iters, take, _PROPOSALS, 2 * space.dim))
+    kept, kept_C, rows = values[order], C[order], np.arange(take)
 
-    def raised(worst, w):  # both loops' repair: a adds ||w||^2 of slack at w
-        return a + (-worst / max(space.norm(w) ** 2, 1e-12) * 1.05 + 1e-12)
+    def objective(Z, groups):
+        vals, CZ = _line_values(*_lines(F, Z), rot)
+        block = vals.reshape(take, -1)
+        j = np.argmax(block, axis=1)
+        up = block[rows, j] > kept
+        kept[up] = block[rows, j][up]
+        kept_C[up] = CZ.reshape(take, block.shape[1], -1)[rows, j][up]
+        return vals
 
-    # validation and repair on fresh samples, until nothing violates
-    xs_all, r2_all = [np.real(phase * omega)], [r2]
-    for round_idx in range(12):
-        Zr, omr, r2r = _annulus(
-            F, lo, hi, space.sphere_sample(budget.sphere, budget.seed + 1009 * (round_idx + 1)))
-        xr = np.real(phase * omr)
-        noise = np.random.default_rng([budget.seed, _PD_ROUND_SALT, round_idx]).standard_normal(
-            (budget.refine_iters, min(budget.refine_points, len(Zr)), _PROPOSALS, 2 * space.dim))
-        (worst,), (witness,), zW, sW = _worst_points(
-            space, pd_slack, Zr, _annulus_slack(a, b, r2r, xr)[None], noise, (lo, hi))
-        evals += Zr.shape[0] + noise[..., 0].size
-        # b is fixed in the loop, so the descended slack gives back the
-        # rotated pairing of each descended row without evaluating F again
-        r2W = space.norm_batch(zW) ** 2
-        xs_all += [xr, _annulus_slack(a, b, r2W, sW)]
-        r2_all += [r2r, r2W]
-        certified = worst >= -1e-12
-        if certified:
-            break
-        a = raised(worst, witness)
-
-    # round-trip guard: the shifted map must survive the whole-ball generator
-    # certifier, whose shell sweep and descent reach pockets the annulus grid
-    # misses; raising a adds r^2 of slack at every point, so a witness prices it
-    if certified:
-        for _ in range(12):
-            inner = certify_generator(F.shifted(theta, a), budget, tolerance)
-            evals += inner.samples
-            worst = inner.worst_slack
-            certified = inner.verdict == "certified"
-            if certified or inner.witness is None:
-                break
-            a = raised(worst, inner.witness)
-
-    if not certified:
-        return PseudoDissipativityCertificate(
-            "inconclusive", theta, a, b, epsilon, evals, worst, None)
-    # re-minimize b at the final a over every collected sample
-    xs, r2s = np.concatenate(xs_all), np.concatenate(r2_all)
-    b = max(0.0, float(np.max((xs - a * r2s) / (1.0 - r2s))))
-    worst = float(np.min(_annulus_slack(a, b, r2s, xs)))
+    _climb(space, objective, V[order], values[order], noise, np.zeros(take, dtype=int),
+           _REFINE_STEPS)
+    evals += noise[..., 0].size
+    a = float(np.max(_phase_max(kept_C, every=True)))
+    b = float(space.norm(np.asarray(F.constant)))
     return PseudoDissipativityCertificate(
-        "certified", theta, a, b, epsilon, evals, worst, None)
-
-
-def validate_certificate(F, theta: float, a: float, b: float, epsilon: float,
-                         seed: int = 0) -> dict:
-    """Check a given (theta, a, b) budget against 192 fresh directions on
-    each of the six annulus shells, drawn at seed + 1009 * 13, which the
-    certifier at the same seed never samples; epsilon must lie in (0, 1)."""
-    V = F.space.sphere_sample(192, seed + _VALIDATE_SEED_OFFSET)
-    Z, omega, r2 = _annulus(F, *_annulus_bounds(epsilon), V)
-    worst = float(np.min(_annulus_slack(a, b, r2, np.real(np.exp(1j * theta) * omega))))
-    return {"min_slack": worst, "samples": int(Z.shape[0]), "passed": worst >= -1e-9}
+        "inconclusive" if exhausted else "certified", theta, a, b, evals, 0.0)
 
 
 # -- shifting between the two forms ------------------------------------------
@@ -530,22 +488,8 @@ def restriction_agreement(G, v_count: int = 12, seed: int = 0,
 
 
 def verdict_to_dict(v: GeneratorVerdict) -> dict:
-    return {
-        "verdict": v.verdict,
-        "tolerance": v.tolerance,
-        "worst_slack": v.worst_slack,
-        "witness": _pairs(v.witness) if v.witness is not None else None,
-        "samples": v.samples,
-    }
+    return {**vars(v), "witness": _pairs(v.witness) if v.witness is not None else None}
 
 
 def certificate_to_dict(c: PseudoDissipativityCertificate) -> dict:
-    return {
-        "verdict": c.verdict,
-        "theta": c.theta,
-        "a": c.a,
-        "b": c.b,
-        "epsilon": c.epsilon,
-        "witness": _pairs(c.witness) if c.witness is not None else None,
-        "samples": c.samples,
-    }
+    return {key: getattr(c, key) for key in ("verdict", "theta", "a", "b", "samples")}

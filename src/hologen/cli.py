@@ -147,7 +147,7 @@ def _cmd_certify_gen(args) -> int:
 
 def _cmd_certify_pd(args) -> int:
     F = _load_map(args.map)
-    cert = certify_pseudo_dissipative(F, args.epsilon, _certify_budget(args), args.cert_tol)
+    cert = certify_pseudo_dissipative(F, _certify_budget(args))
     payload = {"command": "certify-pd", "input": args.map, **certificate_to_dict(cert)}
     _emit(payload, args)
     return 0 if cert.verdict == "certified" else 1
@@ -208,7 +208,7 @@ def _cmd_bound(args) -> int:
         cert = generator_certificate(F, verdict)
         mode = "generator"
     else:
-        cert = certify_pseudo_dissipative(F, 0.1, cbud, args.cert_tol)
+        cert = certify_pseudo_dissipative(F, cbud)
         mode = "pseudo-dissipative"
         if cert.verdict != "certified":
             _emit({"command": "bound", "input": args.map, "mode": mode,
@@ -407,7 +407,7 @@ _SHARED = {
 _SAMPLING = "--seed -o --no-timestamp --samples --refine-iters"
 _COMMANDS = {
     "certify-gen": (_cmd_certify_gen, _SAMPLING + " --cert-tol"),
-    "certify-pd": (_cmd_certify_pd, _SAMPLING + " --cert-tol"),
+    "certify-pd": (_cmd_certify_pd, _SAMPLING),
     "numrange": (_cmd_numrange, _SAMPLING),
     "bound": (_cmd_bound, _SAMPLING + " --cert-tol --bound-tol"),
     "flow": (_cmd_flow, "-o --no-timestamp --rtol"),
@@ -427,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify-pd", help="fit a pseudo-dissipativity certificate")
     sp.add_argument("map")
-    sp.add_argument("--epsilon", type=float, default=0.1)
 
     sp = sub.add_parser("numrange", help="numerical range infimum and radius of a matrix")
     sp.add_argument("matrix", help="matrix JSON (rows of numbers or [re, im] pairs)")

@@ -1,6 +1,5 @@
 """Flow integration for the Cauchy problem dz/dt = G(z), ball-invariance
-sweeps, the semigroup consistency check, and the discrete iteration probe
-for invariant neighborhoods of maps fixing the origin.
+sweeps and the semigroup consistency check.
 
 The integrator is the embedded Runge-Kutta 4(5) pair of Dormand and Prince
 with FSAL reuse and a PI step controller. One kernel integrates a (B, n)
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numrange import operator_norm
 from .polymaps import _pairs
 from .spaces import NormedSpace
 
@@ -275,79 +273,6 @@ def invariance_sweep(G, starts: int = 100, t_end: float = 10.0, rtol: float = 1e
         "max_norm": float(max_norm),
         "escapes": escapes,
         "passed": bool(not escapes and max_norm < 1.0),
-    }
-
-
-def invariant_ball_probe(F, theta: float, a: float, radius_grid=None) -> dict:
-    """Iterate a map fixing the origin and look for a radius whose orbits
-    stay inside some ball strictly smaller than the unit ball.
-
-    Also probes power-boundedness of the shifted linear part
-    M = e^(i theta) A - a I through sup over k <= 256 of the operator norm
-    of M^k, reported as bounded when the sup stays under 1e6 (a desk-scale
-    cap; unbounded growth blows past it within 256 powers for any
-    interesting spectral radius).
-
-    Args:
-        F: PolyMap with F(0) = 0.
-        theta, a: certificate rotation and shift for the linear probe.
-        radius_grid: start radii, default 0.1 .. 0.9 step 0.1; each radius
-            gets the same 64 directions of seed 0, each orbit 256 iterations.
-
-    Raises:
-        ValueError: when theta or a is not finite, F has no explicit linear
-            part, or F(0) != 0.
-    """
-    if not (math.isfinite(theta) and math.isfinite(a)):
-        raise ValueError(f"probe theta {theta} and a {a} must be finite")
-    if not hasattr(F, "linear"):
-        raise ValueError("the iteration probe needs a map with an explicit linear part")
-    space = F.space
-    if space.norm(np.asarray(F.constant)) > 1e-12:
-        raise ValueError("the iteration probe requires F(0) = 0")
-    A = np.asarray(F.linear, dtype=np.complex128)
-    phase = complex(math.cos(theta), math.sin(theta))
-    M = phase * A - a * np.eye(space.dim, dtype=np.complex128)
-    power = np.eye(space.dim, dtype=np.complex128)
-    power_sup = 0.0
-    for _ in range(256):
-        power = power @ M
-        power_sup = max(power_sup, operator_norm(space, power))
-        if power_sup > 1e6:
-            break
-    power_bounded = power_sup <= 1e6
-
-    grid = np.asarray(radius_grid if radius_grid is not None
-                      else [round(0.1 * i, 1) for i in range(1, 10)], dtype=np.float64)
-    if not np.all((grid > 0.0) & (grid < 1.0)):
-        raise ValueError("probe radii must lie in (0, 1)")
-    dirs = space.sphere_sample(64, 0)
-    records = []
-    smallest = None
-    for r in grid:
-        Z = r * dirs
-        r_out = float(r)
-        invariant = True
-        for _ in range(256):
-            Z = F.eval_batch(Z)
-            nrm = space.norm_batch(Z)
-            if not np.all(np.isfinite(nrm)):
-                invariant = False
-                r_out = math.inf
-                break
-            r_out = max(r_out, float(np.max(nrm)))
-            if r_out >= 1.0 - 1e-9:
-                invariant = False
-                break
-        records.append({"r": float(r), "r_out": r_out, "invariant": bool(invariant)})
-        if invariant and smallest is None:
-            smallest = float(r)
-    return {
-        "power_bounded": bool(power_bounded),
-        "power_norm_sup": float(power_sup),
-        "radii": records,
-        "smallest_invariant_radius": smallest,
-        "verdict": "found" if smallest is not None else "none-found",
     }
 
 

@@ -168,18 +168,30 @@ class PolyMap:
                 return part
         return None
 
-    def line_coefficients(self, V) -> np.ndarray:
-        """(B, degree + 1) array of the Taylor coefficients c_k(v) = <F_k(v), v*>
-        of zeta -> <F(zeta v), v*> for the rows v of V, unit rows unchecked.
-        Each part is evaluated once per batch; degrees the map lacks read 0."""
+    def line_vectors(self, V) -> np.ndarray:
+        """(B, degree + 1, dim) array of the Taylor vectors F_k(v) of
+        zeta -> F(zeta v) for the rows v of V. Each part is evaluated once
+        per batch; degrees the map lacks read 0."""
         V = np.asarray(V, dtype=np.complex128)
-        W = self.space.support_batch(V)
-        C = np.zeros((V.shape[0], self.degree + 1), dtype=np.complex128)
-        C[:, 0] = W @ self.constant
-        C[:, 1] = self.space.pairing_batch(V @ self.linear.T, W)
+        X = np.zeros((V.shape[0], self.degree + 1, self.space.dim), dtype=np.complex128)
+        X[:, 0] = self.constant
+        X[:, 1] = V @ self.linear.T
         table = _power_table(V, self.degree) if self.higher else None
         for part in self.higher:
-            C[:, part.degree] = self.space.pairing_batch(part._eval_table(table), W)
+            X[:, part.degree] = part._eval_table(table)
+        return X
+
+    def line_coefficients(self, V) -> np.ndarray:
+        """(B, degree + 1) array of the Taylor coefficients c_k(v) = <F_k(v), v*>
+        of zeta -> <F(zeta v), v*> for the rows v of V, unit rows unchecked:
+        the `line_vectors` paired with the support functionals."""
+        V = np.asarray(V, dtype=np.complex128)
+        W = self.space.support_batch(V)
+        X = self.line_vectors(V)
+        C = np.zeros(X.shape[:2], dtype=np.complex128)
+        C[:, 0] = W @ self.constant
+        for k in (1, *(part.degree for part in self.higher)):
+            C[:, k] = self.space.pairing_batch(X[:, k], W)
         return C
 
     def restrict(self, v) -> "DiscFunction":

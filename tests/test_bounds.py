@@ -29,9 +29,8 @@ STAGE_LABELS = ("shell_supremum", "triangle_split", "degree_aggregation",
                 "coefficient_bounds", "affine_majorant", "series_envelope")
 
 
-def manual_certificate(theta, a, b=0.0, epsilon=0.1):
-    return PseudoDissipativityCertificate(
-        "certified", theta, a, b, epsilon, 0, 0.0, None)
+def manual_certificate(theta, a, b=0.0):
+    return PseudoDissipativityCertificate("certified", theta, a, b, 0, 0.0)
 
 
 class TestUniversalConstants:
@@ -202,8 +201,7 @@ class TestGrowthInputsFrom:
 
     def test_rejects_uncertified_certificate(self, l2_2d):
         G = minus_identity(l2_2d)
-        bad = PseudoDissipativityCertificate(
-            "refuted", 0.0, 0.0, 0.0, 0.1, 0, -1.0, None)
+        bad = PseudoDissipativityCertificate("refuted", 0.0, 0.0, 0.0, 0, -1.0)
         with pytest.raises(NotCertifiedError, match="refuted"):
             growth_inputs_from(G, bad)
 

@@ -107,13 +107,16 @@ class TestCertifyPd:
         assert rc == 0
         payload = json.loads(out)
         assert payload["verdict"] == "certified"
-        for key in ("theta", "a", "b", "epsilon", "witness", "samples"):
-            assert key in payload
+        assert {"theta", "a", "b", "samples"} <= set(payload)
+        assert "epsilon" not in payload and "witness" not in payload
 
-    def test_epsilon_validation(self, capsys, minus_id_path):
-        rc, _, err = invoke(capsys, "certify-pd", minus_id_path, "--epsilon", "1.5")
-        assert rc == 2
-        assert "epsilon" in err
+    @pytest.mark.parametrize("flag", [["--epsilon", "0.1"], ["--cert-tol", "1e-9"]])
+    def test_line_fit_takes_no_annulus_or_tolerance_flag(self, capsys, minus_id_path, flag):
+        # the fit is exact in radius and phase and never refutes a PolyMap,
+        # so neither an annulus width nor a refutation tolerance is read
+        rc, out, err = invoke(capsys, "certify-pd", minus_id_path, *flag)
+        assert (rc, out) == (2, "")
+        assert "unrecognized arguments" in err
 
 
 class TestNumrange:
@@ -200,9 +203,8 @@ class TestBound:
         assert not payload["violated"]
 
     def test_no_certificate_skips_the_bound(self, capsys, monkeypatch, identity_path):
-        def inconclusive(F, epsilon, budget, tolerance):
-            return PseudoDissipativityCertificate(
-                "inconclusive", 0.0, 0.0, 0.0, epsilon, 0, -1.0)
+        def inconclusive(F, budget):
+            return PseudoDissipativityCertificate("inconclusive", 0.0, 0.0, 0.0, 0, 0.0)
 
         monkeypatch.setattr("hologen.cli.certify_pseudo_dissipative", inconclusive)
         rc, out, _ = invoke(capsys, "bound", identity_path, "--no-timestamp")
@@ -374,7 +376,7 @@ class TestVerifySuite:
 
 
 # each shared flag with a valid value, and the shared flags each subcommand
-# reads: 37 of the 63 (subcommand, flag) pairs
+# reads: 36 of the 63 (subcommand, flag) pairs
 SHARED_FLAGS = {
     "--seed": ["3"], "-o": ["report.json"], "--no-timestamp": [], "--samples": ["8"],
     "--refine-iters": ["2"], "--cert-tol": ["1e-8"], "--bound-tol": ["1e-8"],
@@ -383,7 +385,7 @@ SHARED_FLAGS = {
 SAMPLING = {"--seed", "-o", "--no-timestamp", "--samples", "--refine-iters"}
 TAKES = {
     "certify-gen": SAMPLING | {"--cert-tol"},
-    "certify-pd": SAMPLING | {"--cert-tol"},
+    "certify-pd": SAMPLING,
     "numrange": SAMPLING,
     "bound": SAMPLING | {"--cert-tol", "--bound-tol"},
     "flow": {"-o", "--no-timestamp", "--rtol"},

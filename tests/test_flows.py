@@ -1,5 +1,4 @@
-"""Flow integration, semigroup consistency, ball-invariance sweeps, and the
-discrete invariant-ball probe."""
+"""Flow integration, semigroup consistency and ball-invariance sweeps."""
 
 import csv
 import io
@@ -10,8 +9,7 @@ import pytest
 
 from hologen.flows import (_START_SALT, BallEscapeError, FlowStopError, StepUnderflowError,
                            Trajectory, _integrate_rows, check_semigroup, flow_endpoint,
-                           integrate, invariance_sweep, invariant_ball_probe,
-                           trajectory_to_csv)
+                           integrate, invariance_sweep, trajectory_to_csv)
 from hologen.polymaps import (CallableMap, HomogeneousPoly, PolyMap, _pairs,
                               sample_generator)
 from hologen.spaces import NormedSpace
@@ -332,68 +330,6 @@ class TestInvarianceSweep:
     def test_start_norm_must_lie_in_the_open_ball(self, l2_2d, bad):
         with pytest.raises(ValueError, match="max_start_norm"):
             invariance_sweep(minus_identity(l2_2d), starts=2, t_end=1.0, max_start_norm=bad)
-
-
-class TestInvariantBallProbe:
-    def test_halving_map_keeps_every_radius(self, l2_2d):
-        F = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
-        out = invariant_ball_probe(F, math.pi, -0.5)
-        assert out["verdict"] == "found"
-        assert out["smallest_invariant_radius"] == 0.1
-        assert all(rec["invariant"] for rec in out["radii"])
-        # the probe matrix e^(i pi) A + A vanishes, so every power does too
-        assert out["power_bounded"]
-        assert out["power_norm_sup"] <= 1e-12
-
-    def test_quadratic_perturbation_still_found(self, l2_2d):
-        F = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2),
-                    (HomogeneousPoly(2, np.array([[0, 2]]),
-                                     np.array([[0.125, 0.0]])),))
-        out = invariant_ball_probe(F, math.pi, -0.5)
-        assert out["verdict"] == "found"
-        assert out["smallest_invariant_radius"] == 0.1
-
-    def test_doubling_map_finds_nothing(self, l2_2d):
-        F = PolyMap(l2_2d, np.zeros(2), 2.0 * np.eye(2), ())
-        out = invariant_ball_probe(F, 0.0, 0.0)
-        assert out["verdict"] == "none-found"
-        assert out["smallest_invariant_radius"] is None
-        assert not out["power_bounded"]
-        assert not any(rec["invariant"] for rec in out["radii"])
-
-    def test_custom_radius_grid(self, l2_2d):
-        F = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
-        out = invariant_ball_probe(F, math.pi, -0.5, radius_grid=[0.3, 0.6])
-        assert [rec["r"] for rec in out["radii"]] == [0.3, 0.6]
-        assert out["smallest_invariant_radius"] == 0.3
-
-    def test_validation(self, l2_2d):
-        F = PolyMap(l2_2d, np.array([0.1, 0.0]), 0.5 * np.eye(2), ())
-        with pytest.raises(ValueError, match="F\\(0\\) = 0"):
-            invariant_ball_probe(F, 0.0, 0.0)
-        G = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
-        with pytest.raises(ValueError, match="radii"):
-            invariant_ball_probe(G, 0.0, 0.0, radius_grid=[0.5, 1.0])
-
-    def test_map_without_linear_part_rejected(self, l2_2d):
-        F = CallableMap(l2_2d, lambda Z: 0.5 * Z)
-        with pytest.raises(ValueError, match="explicit linear part"):
-            invariant_ball_probe(F, math.pi, -0.5)
-
-    def test_nan_radius_rejected(self, l2_2d):
-        G = PolyMap(l2_2d, np.zeros(2), 0.5 * np.eye(2), ())
-        with pytest.raises(ValueError, match="radii"):
-            invariant_ball_probe(G, 0.0, 0.0, radius_grid=[0.5, math.nan])
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-    @pytest.mark.parametrize("theta, a", [(math.nan, 0.0), (0.0, math.nan),
-                                          (0.0, math.inf)])
-    def test_non_finite_certificate_rejected(self, p, theta, a):
-        # a NaN operator norm never wins Python's max, so the power sup would
-        # read 0 and the probe would call the linear part power bounded
-        G = PolyMap(NormedSpace(2, p), np.zeros(2), 0.5 * np.eye(2), ())
-        with pytest.raises(ValueError, match="must be finite"):
-            invariant_ball_probe(G, theta, a)
 
 
 class TestTrajectoryCsv:
