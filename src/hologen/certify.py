@@ -1,14 +1,16 @@
 """Certifiers and refuters for the two dissipation inequalities on the ball.
 
 certify_generator probes Re<G(z), z*> <= Re<G(0), z*>(1 - ||z||^2) on shell
-grids, in one batched core that certifies a ball map, a disc function or
-many slices, each as if alone, and finds its worst point through a descent
-from the worst grid rows whose slack it holds. certify_pseudo_dissipative
-fits a rotation angle and shift (theta, a) along complex lines of a
-PolyMap, exactly in radius and phase (Berkson-Porta), with b = ||F(0)||, so
+grids and descends from the worst grid rows whose slack it holds; samples
+counts each evaluated row once. A disc function, and each slice of
+restriction_agreement, is decided exactly from its coefficients instead:
+by Berkson-Porta its slack is |zeta|^2 Re q(zeta) with Re q harmonic, so
+the least Re q on the unit circle, one `_phase_max` row, decides it.
+certify_pseudo_dissipative fits a rotation angle and shift (theta, a) along
+complex lines of a PolyMap with the same phase kernel, with b = ||F(0)||, so
 Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2) holds on every line
-it reads. Both count each evaluated row once in `samples`. The shift
-between the two forms and the coefficient checks live here too.
+it reads. The shift between the two forms and the coefficient checks live
+here too.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numrange import _PROPOSALS, _climb, _golden_max
-from .polymaps import PolyMap, _least_real_part, _pairs, taylor_coefficients
-from .spaces import NormedSpace, _shell_grid
+from .polymaps import (PolyMap, _least_real_part, _pairs, _polynomial_coefficients,
+                       taylor_coefficients)
+from .spaces import _shell_grid
 
 
 class NotCertifiedError(RuntimeError):
@@ -43,10 +46,11 @@ class CertifyBudget:
     refined, refine_iters: climb iterations, each trying numrange's
     `_PROPOSALS` candidates per point,
     seed: key of the direction and refinement streams, max_evals: cap on
-    the rows each certifier evaluates (slack rows of `certify_generator`,
-    each map of a batch on its own; lines of `certify_pseudo_dissipative`,
-    whose sphere directions are its grid); reaching it makes a clean run
-    "inconclusive", and samples exceed it only when the grid alone does.
+    the rows each certifier evaluates (slack rows of `certify_generator`;
+    lines of `certify_pseudo_dissipative`, whose sphere directions are its
+    grid); reaching it makes a clean run "inconclusive", and samples exceed
+    it only when the grid alone does. Disc and slice verdicts are exact and
+    take no budget.
     ValueError unless sphere and refine_points are >= 1, refine_iters >= 0
     and max_evals is None or >= 0.
     """
@@ -67,7 +71,7 @@ class CertifyBudget:
 
 @dataclass(frozen=True)
 class GeneratorVerdict:
-    """Outcome of certify_generator.
+    """Outcome of certify_generator, certify_disc_generator or one slice.
 
     witness is present exactly when the verdict is "refuted" and then
     violates the inequality by more than the tolerance on re-evaluation.
@@ -97,13 +101,13 @@ class PseudoDissipativityCertificate:
     worst_slack: float
 
 
-def generator_slack(G, Z: np.ndarray, alt_support: bool = False) -> np.ndarray:
+def generator_slack(G, Z: np.ndarray) -> np.ndarray:
     """Pointwise slack Re<G(0), z*>(1 - ||z||^2) - Re<G(z), z*> on rows of Z.
 
     Nonnegative slack everywhere is the generator inequality.
     """
     space = G.space
-    W = space.support_batch(Z, alt=alt_support)
+    W = space.support_batch(Z)
     vals = G.eval_batch(Z)
     r2 = space.norm_batch(Z) ** 2
     lhs = np.real(np.sum(vals * W, axis=1))
@@ -116,31 +120,6 @@ def _check_tolerance(tolerance) -> None:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
 
-def _worst_points(space, slack_batch, Z, slack, noise, bounds):
-    """Each map's least slack, after one descent from its worst grid rows.
-
-    slack[m] holds map m's slack on the rows of Z. Its noise.shape[1] least
-    rows descend through numrange's climb on the negated slack, with a
-    tighter step schedule, noise tiled per map and norms clipped to bounds,
-    evaluating noise[..., 0].size rows per map. Returns per map the least
-    slack and its point: the best descended row unless the grid minimum is
-    lower.
-    """
-    count, take = slack.shape[0], noise.shape[1]
-    order = np.argsort(slack, axis=1)[:, :take]
-    points, neg = _climb(space, lambda rows, g: -slack_batch(rows, g), Z[order.ravel()],
-                         -np.take_along_axis(slack, order, axis=1).ravel(),
-                         np.tile(noise, (1, count, 1, 1)), np.arange(count).repeat(take),
-                         _REFINE_STEPS, bounds)
-    values = -neg
-    worst, witness = [], []
-    for grid_s, zs, ss in zip(slack, points.reshape(count, take, -1), values.reshape(count, take)):
-        i = int(np.argmin(ss))
-        worst.append(float(min(grid_s.min(), ss[i])))
-        witness.append(zs[i] if ss[i] <= grid_s.min() else Z[int(np.argmin(grid_s))])
-    return worst, witness
-
-
 def _capped_iters(budget, evals, width) -> tuple[int, bool]:
     """Climb iterations of `width` rows that fit under max_evals after
     `evals` rows, and whether the cap cut the climb (or the grid) short."""
@@ -150,35 +129,15 @@ def _capped_iters(budget, evals, width) -> tuple[int, bool]:
     return iters, iters < budget.refine_iters or cap is not None and evals >= cap
 
 
-def _certify_maps(space, slack_batch, count, budget, tolerance) -> list[GeneratorVerdict]:
-    """Certify `count` maps on `space` at once, each exactly as if alone.
-
-    slack_batch(Z, g) is map g[i]'s slack at Z[i], a map's rows one block;
-    the maps share the shell grid and the climb noise, and rows climb alone.
-    """
-    _check_tolerance(tolerance)
-    budget = budget or CertifyBudget()
-    Z = _shell_grid(np.asarray(_DEFAULT_RADII), space.sphere_sample(budget.sphere, budget.seed))
-    evals = Z.shape[0]
-    slack = slack_batch(np.tile(Z, (count, 1)), np.arange(count).repeat(evals)).reshape(count, -1)
-    take = min(budget.refine_points, evals)
-    iters, exhausted = _capped_iters(budget, evals, take * _PROPOSALS)
-    noise = np.random.default_rng([budget.seed, _REFINE_SALT]).standard_normal(
-        (iters, take, _PROPOSALS, 2 * space.dim))
-    worst, witness = _worst_points(space, slack_batch, Z, slack, noise, (1e-8, 0.9995))
-    evals += noise[..., 0].size
-    return [GeneratorVerdict("refuted" if w < -tolerance else
-                             "inconclusive" if exhausted else "certified",
-                             tolerance, w, z if w < -tolerance else None, evals)
-            for w, z in zip(worst, witness)]
-
-
-def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float = 1e-9,
-                      alt_support: bool = False) -> GeneratorVerdict:
+def certify_generator(G, budget: CertifyBudget | None = None,
+                      tolerance: float = 1e-9) -> GeneratorVerdict:
     """Certify or refute the generator inequality for a ball map.
 
-    Shell-times-sphere sampling followed by local refinement at the worst
-    points. Refutes when some slack falls below -tolerance and certifies
+    Shell-times-sphere sampling, then one descent from the worst grid rows:
+    numrange's climb on the negated slack with a tighter step schedule and
+    norms clipped to [1e-8, 0.9995]. The least slack seen is the best
+    descended row's unless the grid minimum is lower, and its point is the
+    witness. Refutes when that slack falls below -tolerance and certifies
     otherwise, except that an evaluation cap cutting refinement short
     without such a violation gives "inconclusive".
 
@@ -186,11 +145,28 @@ def certify_generator(G, budget: CertifyBudget | None = None, tolerance: float =
         G: PolyMap or CallableMap.
         budget: sampling effort; None for the default.
         tolerance: refutation threshold on the slack; ValueError unless > 0.
-        alt_support: use the alternative support-functional selection at
-            non-smooth points (p = 1 or p = inf tie-breaking).
     """
-    return _certify_maps(G.space, lambda Z, g: generator_slack(G, Z, alt_support=alt_support),
-                         1, budget, tolerance)[0]
+    _check_tolerance(tolerance)
+    budget = budget or CertifyBudget()
+    space = G.space
+    Z = _shell_grid(np.asarray(_DEFAULT_RADII), space.sphere_sample(budget.sphere, budget.seed))
+    slack = generator_slack(G, Z)
+    take = min(budget.refine_points, len(Z))
+    iters, exhausted = _capped_iters(budget, len(Z), take * _PROPOSALS)
+    noise = np.random.default_rng([budget.seed, _REFINE_SALT]).standard_normal(
+        (iters, take, _PROPOSALS, 2 * space.dim))
+    order = np.argsort(slack)[:take]
+    points, neg = _climb(space, lambda rows, g: -generator_slack(G, rows), Z[order],
+                         -slack[order], noise, np.zeros(take, dtype=int), _REFINE_STEPS,
+                         (1e-8, 0.9995))
+    values = -neg
+    i, k = int(np.argmin(values)), int(np.argmin(slack))
+    worst = float(min(slack[k], values[i]))
+    witness = points[i] if values[i] <= slack[k] else Z[k]
+    return GeneratorVerdict("refuted" if worst < -tolerance else
+                            "inconclusive" if exhausted else "certified",
+                            tolerance, worst, witness if worst < -tolerance else None,
+                            len(Z) + noise[..., 0].size)
 
 
 def _require_certified(G, verdict=None):
@@ -202,31 +178,45 @@ def _require_certified(G, verdict=None):
     return verdict
 
 
-def _certify_discs(fns, budget, tolerance) -> list[GeneratorVerdict]:
-    """Certify disc functions at once; each evaluates its own block of rows,
-    with the center term `W @ g(0)` per block, as `generator_slack` rounds it."""
-    space = NormedSpace(1, 2.0)
-    centers = [np.asarray(g(np.zeros(1, complex)), dtype=np.complex128) for g in fns]
-
-    def slack_batch(Z, groups):
-        W = space.support_batch(Z)
-        vals, center = np.empty(Z.shape[0], dtype=np.complex128), np.empty(Z.shape[0])
-        edges = np.searchsorted(groups, np.arange(len(fns) + 1))
-        for g, c, lo, hi in zip(fns, centers, edges, edges[1:]):
-            vals[lo:hi], center[lo:hi] = g(Z[lo:hi, 0]), np.real(W[lo:hi] @ c)
-        return center * (1.0 - space.norm_batch(Z) ** 2) - np.real(vals * W[:, 0])
-
-    return _certify_maps(space, slack_batch, len(fns), budget, tolerance)
+_WITNESS_RADII = 1.0 - 0.5 ** np.arange(1, 54)  # 1 - 2^-k up to the last double below 1
 
 
-def certify_disc_generator(g, budget: CertifyBudget | None = None,
-                           tolerance: float = 1e-9) -> GeneratorVerdict:
-    """Run the generator certifier on a scalar disc function.
+def _disc_verdicts(C, tolerance) -> list[GeneratorVerdict]:
+    """One exact verdict per row of disc coefficients c_0..c_d.
 
-    The function, whatever its kind (black boxes included), is a batch of
-    one for the certifier core, which samples the disc as the ball of C^1.
+    By Berkson-Porta the slack of g = sum_k c_k zeta^k at zeta is
+    |zeta|^2 Re q(zeta) with Re q harmonic, so its least value on the closed
+    disc is min over |zeta| = 1 of Re q = -max over phi of
+    Re sum_k c_k e^(i (k - 1) phi), one `_phase_max` row (c_0 enters as
+    Re conj(c_0) zeta). A refuted row's witness is r e^(i phi*) at the first
+    r = 1 - 2^-k whose slack re-evaluates below -tolerance; a boundary value
+    below it that no such r reproduces, by rounding at the threshold, reads
+    "inconclusive". samples counts the one line read.
     """
-    return _certify_discs([g], budget, tolerance)[0]
+    _check_tolerance(tolerance)
+    top, phi = _phase_max(C, every=True)
+    worst = -top
+    zeta = np.exp(1j * phi)[:, None] * _WITNESS_RADII
+    g = np.polynomial.polynomial.polyval(zeta, C.T[..., None], tensor=False)
+    hit = np.real(np.conj(zeta) * (C[:, :1] * (1.0 - np.abs(zeta) ** 2) - g)) < -tolerance
+    refuted = (worst < -tolerance) & hit.any(axis=1)
+    first = zeta[np.arange(len(C)), np.argmax(hit, axis=1)]
+    return [GeneratorVerdict("refuted" if r else "inconclusive" if w < -tolerance else "certified",
+                             tolerance, float(w), np.array([z]) if r else None, 1)
+            for w, r, z in zip(worst, refuted, first)]
+
+
+def certify_disc_generator(g, tolerance: float = 1e-9) -> GeneratorVerdict:
+    """Decide the generator inequality for a polynomial disc function exactly.
+
+    Reads its coefficients (polymaps._polynomial_coefficients) and decides
+    min over the unit circle of Re q >= -tolerance, see _disc_verdicts.
+
+    Raises:
+        ValueError: g carries no exact polynomial coefficients; truncate it
+            first (fejer_truncate).
+    """
+    return _disc_verdicts(_polynomial_coefficients(g)[None, :], tolerance)[0]
 
 
 # -- pseudo-dissipativity ----------------------------------------------------
@@ -244,13 +234,14 @@ def _phase_grid(terms: int) -> np.ndarray:
     return np.exp(1j * np.outer(np.arange(terms) - 1, _PHI))
 
 
-def _phase_max(C, every=False) -> np.ndarray:
-    """Each row's max over phi of Re sum_k C[:, k] e^(i (k - 1) phi).
+def _phase_max(C, every=False) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max over phi of Re sum_k C[:, k] e^(i (k - 1) phi), and a
+    phase phi* where the sum takes it.
 
     Newton steps of at most half the grid spacing, uphill where the sum is
     convex, finish the best grid phase, or with every=True each grid phase,
     which also reaches a narrow peak that lower grid values flank. Every
-    value is the sum at some phase.
+    value is the sum at its phase.
     """
     j = np.arange(C.shape[1]) - 1.0
     P = (C @ _phase_grid(C.shape[1])).real
@@ -261,12 +252,17 @@ def _phase_max(C, every=False) -> np.ndarray:
         phi, best = _PHI[i], P[np.arange(len(P)), i]
     J = np.stack([np.ones_like(j), j, j * j], axis=1)
     cap = np.pi / _PHASES
+    at = phi
     for _ in range(_NEWTON + 1):
         # f = Re S0, f' = -Im S1, f'' = -Re S2
         S = (C * np.exp(np.multiply.outer(phi, 1j * j))) @ J
+        at = np.where(S[:, 0].real > best, phi, at)
         best = np.maximum(best, S[:, 0].real)
         phi = phi - np.clip(S[:, 1].imag / np.maximum(np.abs(S[:, 2].real), 1e-12), -cap, cap)
-    return best.reshape(len(P), -1).max(axis=1)
+    best, at = best.reshape(len(P), -1), at.reshape(len(P), -1)
+    i = np.argmax(best, axis=1)
+    rows = np.arange(len(P))
+    return best[rows, i], at[rows, i]
 
 
 def _lines(F, V):
@@ -302,7 +298,7 @@ def _line_values(X, W, free, rot):
         q = terms[np.arange(len(C)), g]
         mag = np.abs(q)
         C = C + np.einsum("bkn,bn->bk", X, np.conj(q) / np.where(mag > 0.0, mag, 1.0))
-    return _phase_max(C), C
+    return _phase_max(C)[0], C
 
 
 def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
@@ -367,7 +363,7 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     _climb(space, objective, V[order], values[order], noise, np.zeros(take, dtype=int),
            _REFINE_STEPS)
     evals += noise[..., 0].size
-    a = float(np.max(_phase_max(kept_C, every=True)))
+    a = float(np.max(_phase_max(kept_C, every=True)[0]))
     b = float(space.norm(np.asarray(F.constant)))
     return PseudoDissipativityCertificate(
         "inconclusive" if exhausted else "certified", theta, a, b, evals, 0.0)
@@ -452,24 +448,30 @@ def caratheodory_check(q, order: int = 16) -> dict:
 
 
 def restriction_agreement(G, v_count: int = 12, seed: int = 0,
-                          verdict: GeneratorVerdict | None = None,
-                          disc_budget: CertifyBudget | None = None) -> dict:
+                          verdict: GeneratorVerdict | None = None) -> dict:
     """Ball verdict versus disc verdicts of sampled slice restrictions.
 
     The ball inequality at z = zeta v is exactly the disc inequality of the
     slice through v, so a certified ball map must have every restriction
     certified and a refuted one must have some refuted slice; the refuting
     direction (the witness direction) is always added to the sample set.
-    Directions come from seed, and each slice is certified at the tolerance
-    of the ball verdict; verdict=None certifies G with the defaults. All
-    slices are certified in one batched climb, each exactly as if alone.
+    Directions come from seed, and each slice is decided at the tolerance
+    of the ball verdict; verdict=None certifies G with the defaults. The
+    slices are the rows of `PolyMap.line_coefficients`, all decided exactly
+    in one `_disc_verdicts` call.
+
+    Raises:
+        ValueError: G is not a PolyMap, whose slices are read exactly.
     """
+    if not isinstance(G, PolyMap):
+        raise ValueError("restriction_agreement reads the line coefficients of a "
+                         f"PolyMap; got {type(G).__name__}")
     ball = verdict if verdict is not None else certify_generator(G)
-    directions = list(G.space.sphere_sample(v_count, seed))
+    directions = G.space.sphere_sample(v_count, seed)
     if ball.verdict == "refuted" and ball.witness is not None:
-        directions.append(ball.witness / G.space.norm(ball.witness))
-    disc_verdicts = [d.verdict for d in _certify_discs(
-        [G.restrict(v) for v in directions], disc_budget, ball.tolerance)]
+        directions = np.vstack([directions, ball.witness / G.space.norm(ball.witness)])
+    disc_verdicts = [d.verdict for d in _disc_verdicts(
+        G.line_coefficients(directions), ball.tolerance)]
     if ball.verdict == "certified":
         agree = all(d == "certified" for d in disc_verdicts)
     elif ball.verdict == "refuted":

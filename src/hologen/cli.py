@@ -322,7 +322,7 @@ def _battery(seed: int, args) -> dict:
     verdict = certify_generator(G, cbud, args.cert_tol)
     checks = {"generator_certified": verdict.verdict == "certified"}
 
-    agree = restriction_agreement(G, v_count=4, seed=seed, verdict=verdict, disc_budget=cbud)
+    agree = restriction_agreement(G, v_count=4, seed=seed, verdict=verdict)
     checks["restriction_agreement"] = bool(agree["agree"])
 
     # perturbed counterpart: adding kappa * id overwhelms the sampled slack
@@ -333,8 +333,7 @@ def _battery(seed: int, args) -> dict:
     bad = shift_to_generator(G, 0.0, -kappa)
     bad_verdict = certify_generator(bad, cbud, args.cert_tol)
     checks["perturbed_refuted"] = bad_verdict.verdict == "refuted"
-    agree_bad = restriction_agreement(bad, v_count=4, seed=seed, verdict=bad_verdict,
-                                      disc_budget=cbud)
+    agree_bad = restriction_agreement(bad, v_count=4, seed=seed, verdict=bad_verdict)
     checks["perturbed_agreement"] = bool(agree_bad["agree"])
 
     ld = linear_dissipation_check(G, v_count=128, seed=seed, verdict=verdict)

@@ -3,8 +3,8 @@ coefficient extraction, and the seeded generator sampler.
 
 A ball map is stored as constant + linear + homogeneous parts of distinct
 degrees; a disc function is a scalar function of one complex variable in
-one of four shapes: explicit polynomial, positive-real-part atom sum,
-generator form built from such a part, or an opaque callable.
+one of three shapes: explicit polynomial, positive-real-part atom sum, or
+generator form built from such a part.
 """
 
 from __future__ import annotations
@@ -93,14 +93,6 @@ class HomogeneousPoly:
 
     def __call__(self, z) -> np.ndarray:
         return self.eval_batch(np.asarray(z, dtype=np.complex128)[None, :])[0]
-
-
-def _unit_direction(space: NormedSpace, v) -> np.ndarray:
-    """v as a complex vector, which must have norm within 1e-9 of 1."""
-    v = np.asarray(v, dtype=np.complex128)
-    if not abs(space.norm(v) - 1.0) <= 1e-9:
-        raise ValueError("restriction direction must be a unit vector")
-    return v
 
 
 @dataclass(frozen=True)
@@ -200,7 +192,9 @@ class PolyMap:
         Args:
             v: unit vector (norm within 1e-9 of 1).
         """
-        v = _unit_direction(self.space, v)
+        v = np.asarray(v, dtype=np.complex128)
+        if not abs(self.space.norm(v) - 1.0) <= 1e-9:
+            raise ValueError("restriction direction must be a unit vector")
         return DiscFunction.polynomial(self.line_coefficients(v[None, :])[0])
 
     def shifted(self, theta: float, a: float) -> "PolyMap":
@@ -257,20 +251,10 @@ class CallableMap:
         base = self.fn
         return CallableMap(self.space, lambda Z, _b=base, _p=phase, _a=a: _p * np.asarray(_b(Z)) - _a * np.asarray(Z))
 
-    def restrict(self, v) -> "DiscFunction":
-        """Black-box disc function zeta -> <F(zeta v), v*>."""
-        v = _unit_direction(self.space, v)
-        w = self.space.support_functional(v).vstar
-
-        def slice_fn(zeta, _v=v, _w=w):  # DiscFunction passes a flat array
-            return np.sum(self.eval_batch(zeta[:, None] * _v[None, :]) * _w[None, :], axis=1)
-
-        return DiscFunction.blackbox(slice_fn)
-
 
 @dataclass(frozen=True)
 class DiscFunction:
-    """Scalar holomorphic function on the unit disc in one of four shapes.
+    """Scalar holomorphic function on the unit disc in one of three shapes.
 
     kinds:
       "polynomial": coefficients c_0..c_d.
@@ -279,7 +263,9 @@ class DiscFunction:
                     is nonnegative on the whole disc.
       "generator":  g(zeta) = g0 - conj(g0) zeta^2 - zeta q(zeta) for a
                     nonnegative-real-part q.
-      "blackbox":   an opaque vectorized evaluator.
+
+    An opaque callable is not a DiscFunction; `fejer_truncate` turns one
+    into a polynomial.
     """
 
     kind: str
@@ -289,7 +275,6 @@ class DiscFunction:
     angles: np.ndarray | None = None
     g0: complex = 0.0
     q: "DiscFunction | None" = None
-    evaluator: Callable | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -316,10 +301,6 @@ class DiscFunction:
             raise ValueError("q must be a DiscFunction")
         return cls(kind="generator", g0=complex(g0), q=q)
 
-    @classmethod
-    def blackbox(cls, evaluator: Callable) -> "DiscFunction":
-        return cls(kind="blackbox", evaluator=evaluator)
-
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, zeta):
@@ -334,10 +315,6 @@ class DiscFunction:
             out = 1j * self.beta + np.sum(self.weights[None, :] * (1.0 + t) / (1.0 - t), axis=1)
         elif self.kind == "generator":
             out = self.g0 - np.conj(self.g0) * z * z - z * self.q(z)
-        elif self.kind == "blackbox":
-            out = np.asarray(self.evaluator(z), dtype=np.complex128)
-            if out.shape != z.shape:
-                raise ValueError("black-box evaluator must return one value per input")
         else:
             raise ValueError(f"unknown disc function kind {self.kind!r}")
         out = np.asarray(out, dtype=np.complex128)
@@ -346,7 +323,7 @@ class DiscFunction:
     # -- exact coefficients -------------------------------------------------
 
     def coefficient(self, k: int) -> complex:
-        """Exact Taylor coefficient at 0; unavailable for black boxes."""
+        """Exact Taylor coefficient at 0."""
         if k < 0:
             raise ValueError("coefficient index must be nonnegative")
         if self.kind == "polynomial":
@@ -364,8 +341,7 @@ class DiscFunction:
             if k >= 1:
                 out -= self.q.coefficient(k - 1)
             return complex(out)
-        raise ValueError("black-box disc functions carry no exact coefficients; "
-                         "use taylor_coefficients")
+        raise ValueError(f"unknown disc function kind {self.kind!r}")
 
     def polynomial_degree(self) -> int | None:
         """Degree when the function is an exact polynomial, else None."""
@@ -471,7 +447,7 @@ def disc_generator_from(g0: complex, q: DiscFunction) -> DiscFunction:
 
 def _polynomial_coefficients(g: DiscFunction) -> np.ndarray:
     """Exact coefficient array of a polynomial-backed disc function."""
-    deg = g.polynomial_degree()
+    deg = g.polynomial_degree() if isinstance(g, DiscFunction) else None
     if deg is None:
         raise ValueError("disc function is not an exact polynomial; truncate it first")
     return np.array([g.coefficient(k) for k in range(deg + 1)], dtype=np.complex128)

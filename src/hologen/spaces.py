@@ -91,7 +91,7 @@ class NormedSpace:
 
     # -- duality map ----------------------------------------------------
 
-    def support_functional(self, v, alt: bool = False) -> SupportPair:
+    def support_functional(self, v) -> SupportPair:
         """Support pair at v != 0.
 
         Canonical selection rules:
@@ -104,21 +104,17 @@ class NormedSpace:
 
         Args:
             v: nonzero vector.
-            alt: switch to a second valid selection where the canonical one
-                is not unique (largest-index tie break for p = inf; zero
-                coordinates filled with ||v||_1 for p = 1). For smooth p the
-                functional is unique and alt has no effect.
 
         Raises:
             ValueError: on the zero vector.
         """
         v = self._check_vector(v)
-        W = self.support_batch(v[None, :], alt=alt)
+        W = self.support_batch(v[None, :])
         return SupportPair(
             v=v, vstar=W[0], norm_value=float(self._norm_rows(v[None, :])[0])
         )
 
-    def support_batch(self, Z, alt: bool = False) -> np.ndarray:
+    def support_batch(self, Z) -> np.ndarray:
         """Row-wise support functionals of a (B, dim) array of nonzero rows."""
         Z = self._check_batch(Z)
         nrm = self._norm_rows(Z)
@@ -132,19 +128,12 @@ class NormedSpace:
             phase = np.where(a > 0.0, np.conj(Z) / np.where(a > 0.0, a, 1.0), 0.0 + 0.0j)
         if math.isinf(self.p):
             W = np.zeros_like(Z)
-            if alt:
-                k = (Z.shape[1] - 1) - np.argmax(a[:, ::-1], axis=1)
-            else:
-                k = np.argmax(a, axis=1)
+            k = np.argmax(a, axis=1)
             rows = np.arange(Z.shape[0])
             W[rows, k] = nrm * phase[rows, k]
             return W
         if self.p == 1.0:
-            W = nrm[:, None] * phase
-            if alt:
-                fill = np.broadcast_to(nrm[:, None].astype(np.complex128), W.shape)
-                W = np.where(a == 0.0, fill, W)
-            return W
+            return nrm[:, None] * phase
         return nrm[:, None] ** (2.0 - self.p) * a ** (self.p - 1.0) * phase
 
     # -- pairing --------------------------------------------------------

@@ -182,14 +182,6 @@ class TestCertifyGenerator:
             assert slack_probe(G, seed) >= -1e-9
             assert certify_generator(G, QUICK).verdict == "certified"
 
-    def test_alt_support_agrees(self):
-        for p in (1.0, math.inf):
-            space = NormedSpace(2, p)
-            G = sample_generator(space, seed=5, degree=3)
-            base = certify_generator(G, QUICK, alt_support=False)
-            alt = certify_generator(G, QUICK, alt_support=True)
-            assert base.verdict == alt.verdict == "certified"
-
     def test_exhausted_budget_is_inconclusive(self, l2_2d):
         small = CertifyBudget(sphere=8, refine_points=2, refine_iters=2, max_evals=30)
         verdict = certify_generator(minus_identity(l2_2d), small)
@@ -242,11 +234,12 @@ class TestCertifyGenerator:
 
     @pytest.mark.parametrize("tolerance, expected", [(1e-9, "refuted"), (1e-6, "certified")])
     def test_tolerance_decides_a_small_violation(self, tolerance, expected):
-        # g(zeta) = 1e-7 zeta has slack -1e-7 |zeta|^2, least at the outer
-        # shell: below -1e-9 but above -1e-6
-        verdict = certify_disc_generator(lambda z: 1e-7 * z, tolerance=tolerance)
+        # g(zeta) = 1e-7 zeta has slack -1e-7 |zeta|^2, whose least value on
+        # the closed disc, -1e-7, is read off the coefficients exactly:
+        # below -1e-9 but above -1e-6
+        verdict = certify_disc_generator(DiscFunction.polynomial([0.0, 1e-7]), tolerance)
         assert verdict.verdict == expected
-        assert -1e-7 < verdict.worst_slack < -9.9e-8
+        assert verdict.worst_slack == -1e-7
 
     @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-9])
     def test_tolerance_must_be_positive(self, l2_2d, tolerance):
@@ -256,29 +249,55 @@ class TestCertifyGenerator:
             certify_generator(identity_map(l2_2d), tolerance=tolerance)
 
 
+def disc_slack(g, zeta) -> float:
+    """Re<g(0), zeta*>(1 - |zeta|^2) - Re<g(zeta), zeta*>, zeta* = conj(zeta)."""
+    return float((g(0.0) * np.conj(zeta)).real * (1.0 - abs(zeta) ** 2)
+                 - (g(zeta) * np.conj(zeta)).real)
+
+
 class TestCertifyDiscGenerator:
     def test_polynomial_disc(self):
         g = DiscFunction.polynomial([1.0, 0.0, -1.0])
-        assert certify_disc_generator(g, QUICK).verdict == "certified"
-
-    def test_blackbox_disc(self):
-        g = DiscFunction.blackbox(lambda z: -z)
-        assert certify_disc_generator(g, QUICK).verdict == "certified"
+        verdict = certify_disc_generator(g)
+        assert verdict.verdict == "certified"
+        assert abs(verdict.worst_slack) <= 1e-15
+        assert verdict.samples == 1
 
     def test_refuted_disc(self):
         g = DiscFunction.polynomial([0.0, 1.0])
-        assert certify_disc_generator(g, QUICK).verdict == "refuted"
+        verdict = certify_disc_generator(g)
+        assert verdict.verdict == "refuted"
+        assert verdict.worst_slack == -1.0
+        assert disc_slack(g, verdict.witness[0]) < -1e-9
 
-    def test_center_is_evaluated_once(self):
-        center_reads = []
+    def test_non_polynomial_disc_is_rejected(self):
+        # the verdict reads exact coefficients: a Herglotz-backed generator
+        # form and a plain callable carry none and must be truncated first
+        q = DiscFunction.herglotz(beta=0.0, weights=[1.0], angles=[0.0])
+        with pytest.raises(ValueError, match="truncate it first"):
+            certify_disc_generator(disc_generator_from(0.3, q))
+        with pytest.raises(ValueError, match="truncate it first"):
+            certify_disc_generator(lambda z: -z)
 
-        def g(zeta):
-            if zeta.shape == (1,) and zeta[0] == 0.0:
-                center_reads.append(zeta)
-            return -zeta
-
-        assert certify_disc_generator(g, QUICK).verdict == "certified"
-        assert len(center_reads) == 1
+    @pytest.mark.parametrize("k, delta, alpha", [
+        (2, 1e-3, 0.0), (7, 1e-6, 1.3), (15, 1e-3, 2.9), (31, 1e-6, 5.1), (31, 1e-3, 4.0)])
+    def test_boundary_only_violation_is_refuted(self, k, delta, alpha):
+        # g(zeta) = -(1 - delta) zeta + e^(i alpha) zeta^(k + 1) has
+        # Re q = 1 - delta - Re e^(i alpha) zeta^k: least -delta on |zeta| = 1,
+        # >= 0 where |zeta|^k <= 1 - delta. The violation hugs the boundary,
+        # where shells that stop at 0.99 and a climb clipped at 0.9995 used
+        # to certify it
+        c = np.zeros(k + 2, dtype=np.complex128)
+        c[1], c[k + 1] = -(1.0 - delta), complex(math.cos(alpha), math.sin(alpha))
+        g = DiscFunction.polynomial(c)
+        verdict = certify_disc_generator(g)
+        assert verdict.verdict == "refuted"
+        assert verdict.worst_slack == pytest.approx(-delta, abs=1e-9)
+        zeta = verdict.witness[0]
+        assert abs(zeta) < 1.0
+        assert disc_slack(g, zeta) < -verdict.tolerance
+        report = restriction_agreement(lift_to_ball(NormedSpace(1, 2.0), [g]))
+        assert report["disc_verdicts"] == ["refuted"] * report["directions"]
 
 
 class TestPseudoDissipative:
@@ -475,8 +494,7 @@ class TestCaratheodory:
 class TestRestrictionAgreement:
     def test_certified_generator_agrees(self, l2_2d):
         G = sample_generator(l2_2d, seed=0, degree=3)
-        report = restriction_agreement(G, v_count=6, verdict=certify_generator(G, QUICK),
-                                       disc_budget=QUICK)
+        report = restriction_agreement(G, v_count=6, verdict=certify_generator(G, QUICK))
         assert report["agree"]
         assert report["ball_verdict"] == "certified"
         assert all(v == "certified" for v in report["disc_verdicts"])
@@ -485,8 +503,7 @@ class TestRestrictionAgreement:
         G = sample_generator(l2_2d, seed=0, degree=3)
         kappa = (max(0.0, slack_probe(G)) + 1.0) / 0.25
         bad = shift_to_generator(G, 0.0, -kappa)
-        report = restriction_agreement(bad, v_count=6, verdict=certify_generator(bad, QUICK),
-                                       disc_budget=QUICK)
+        report = restriction_agreement(bad, v_count=6, verdict=certify_generator(bad, QUICK))
         assert report["ball_verdict"] == "refuted"
         assert report["agree"]
         assert any(v == "refuted" for v in report["disc_verdicts"])
@@ -494,8 +511,7 @@ class TestRestrictionAgreement:
     def test_inconclusive_ball_verdict_agrees(self, l2_2d):
         small = CertifyBudget(sphere=8, refine_points=2, refine_iters=2, max_evals=30)
         G = minus_identity(l2_2d)
-        report = restriction_agreement(G, v_count=2, verdict=certify_generator(G, small),
-                                       disc_budget=small)
+        report = restriction_agreement(G, v_count=2, verdict=certify_generator(G, small))
         assert report["ball_verdict"] == "inconclusive"
         assert report["agree"]
 
@@ -503,17 +519,10 @@ class TestRestrictionAgreement:
         # a refuted verdict handed in is not re-derived: the contraction's
         # certified slices then disagree with it
         refuted = GeneratorVerdict("refuted", 1e-9, -1.0, None, 0)
-        report = restriction_agreement(minus_identity(l2_2d), v_count=2, verdict=refuted,
-                                       disc_budget=QUICK)
+        report = restriction_agreement(minus_identity(l2_2d), v_count=2, verdict=refuted)
         assert report["ball_verdict"] == "refuted"
         assert report["disc_verdicts"] == ["certified", "certified"]
         assert not report["agree"]
-
-
-def _bits(v: GeneratorVerdict) -> tuple:
-    """Every field of a verdict, floats and witness by their bits."""
-    witness = None if v.witness is None else v.witness.tobytes()
-    return v.verdict, v.tolerance.hex(), v.worst_slack.hex(), witness, v.samples
 
 
 def _nine_slots():
@@ -522,24 +531,30 @@ def _nine_slots():
 
 
 class TestBatchedSlices:
-    """restriction_agreement certifies its slices in one batch, each as if alone."""
+    """restriction_agreement decides its slices in one batch, each as if alone."""
 
-    def _batch_and_alone(self, monkeypatch, G, verdict, budget=None):
+    def _batch_and_alone(self, monkeypatch, G, verdict):
         batches = []
-        real = certify._certify_discs
+        real = certify._disc_verdicts
 
-        def record(fns, *args):
-            out = real(fns, *args)
-            batches.append((fns, out))
+        def record(C, tolerance):
+            out = real(C, tolerance)
+            batches.append(out)
             return out
 
-        monkeypatch.setattr(certify, "_certify_discs", record)
-        report = restriction_agreement(G, verdict=verdict, disc_budget=budget)
+        monkeypatch.setattr(certify, "_disc_verdicts", record)
+        report = restriction_agreement(G, verdict=verdict)
         monkeypatch.undo()
-        (slices, batch), = batches
+        (batch,) = batches
         assert report["disc_verdicts"] == [v.verdict for v in batch]
-        alone = [certify_disc_generator(g, budget, verdict.tolerance) for g in slices]
-        assert [_bits(v) for v in batch] == [_bits(v) for v in alone]
+        directions = list(G.space.sphere_sample(12, 0))
+        if verdict.verdict == "refuted":
+            directions.append(verdict.witness / G.space.norm(verdict.witness))
+        for v, d in zip(batch, directions, strict=True):
+            alone = certify_disc_generator(G.restrict(d), verdict.tolerance)
+            assert v.verdict == alone.verdict
+            assert v.worst_slack == pytest.approx(alone.worst_slack, rel=1e-12, abs=1e-12)
+            assert (v.witness is None) == (alone.witness is None)
         return batch
 
     @pytest.mark.parametrize("slot", range(9))
@@ -547,7 +562,7 @@ class TestBatchedSlices:
         G = _nine_slots()[slot]
         batch = self._batch_and_alone(monkeypatch, G, certify_generator(G))
         assert len(batch) == 12
-        assert all(v.verdict == "certified" for v in batch)
+        assert all(v.verdict == "certified" and v.samples == 1 for v in batch)
 
     @pytest.mark.parametrize("slot", range(9))
     def test_refuted_slices_match_alone(self, monkeypatch, slot):
@@ -557,32 +572,21 @@ class TestBatchedSlices:
         assert len(batch) == 13
         assert any(v.verdict == "refuted" and v.witness is not None for v in batch)
 
-    @pytest.mark.parametrize("slot", [0, 4, 8])
-    def test_black_box_slices_match_alone(self, monkeypatch, slot):
-        G = _nine_slots()[slot]
-        bad = shift_to_generator(G, 0.0, -(max(0.0, slack_probe(G)) + 1.0) / 0.25)
-        for M in (G, bad):
-            box = CallableMap(M.space, M.eval_batch)
-            batch = self._batch_and_alone(monkeypatch, box, certify_generator(M), QUICK)
-            assert batch
-
-    def test_capped_slices_are_each_inconclusive(self, monkeypatch):
-        # 304 grid points leave 3 of the 10 iterations of 4 * 8 rows per slice
-        capped = CertifyBudget(sphere=16, refine_points=4, refine_iters=10, max_evals=400)
+    def test_callable_map_is_rejected(self):
+        # slices are read off exact line coefficients, which a black box lacks
         G = _nine_slots()[4]
-        batch = self._batch_and_alone(monkeypatch, G, certify_generator(G), capped)
-        assert [v.verdict for v in batch] == ["inconclusive"] * 12
-        assert all(v.samples == 304 + 3 * 4 * 8 for v in batch)
+        box = CallableMap(G.space, G.eval_batch)
+        with pytest.raises(ValueError, match="PolyMap"):
+            restriction_agreement(box, verdict=certify_generator(G))
 
-    def test_one_climb_for_all_slices(self, count_calls):
+    def test_one_phase_max_for_all_slices(self, count_calls):
         G = _nine_slots()[5]
         verdict = certify_generator(G, QUICK)
-        climbs = count_calls(certify, "_climb")
-        report = restriction_agreement(G, v_count=6, verdict=verdict, disc_budget=QUICK)
+        calls = count_calls(certify, "_phase_max")
+        report = restriction_agreement(G, v_count=6, verdict=verdict)
         assert report["directions"] == 6
-        assert len(climbs) == 1
-        seeds = climbs[0][0][2]
-        assert seeds.shape == (6 * QUICK.refine_points, 1)
+        (args, kwargs), = calls
+        assert args[0].shape == (6, G.degree + 1) and kwargs == {"every": True}
 
 
 class TestUnitaryInvariance:

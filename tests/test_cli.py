@@ -15,7 +15,7 @@ from hologen import bounds, certify, cli
 from hologen.certify import NotCertifiedError, PseudoDissipativityCertificate
 from hologen.cli import run
 from hologen.numrange import OracleMismatchError
-from hologen.polymaps import PolyMap, map_to_dict
+from hologen.polymaps import map_to_dict
 from hologen.spaces import NormedSpace
 
 from conftest import identity_map, minus_identity
@@ -45,21 +45,26 @@ def identity_path(tmp_path):
 
 @pytest.fixture
 def certifications(monkeypatch):
-    """(on a ball map, tolerance) of every certify_generator call, in order.
+    """("ball", tolerance) of every certify_generator call and ("slices",
+    tolerance) of every exact slice batch of restriction_agreement, in order.
 
-    Every module-level name of the certifier is wrapped. Slice checks wrap
-    their disc functions as CallableMaps, so ball maps are the PolyMaps.
+    Every module-level name of the certifier is wrapped.
     """
     calls = []
-    real = certify.certify_generator
+    real_ball, real_slices = certify.certify_generator, certify._disc_verdicts
 
-    def counting(G, budget=None, tolerance=1e-9, alt_support=False):
-        calls.append((isinstance(G, PolyMap), tolerance))
-        return real(G, budget, tolerance, alt_support)
+    def ball(G, budget=None, tolerance=1e-9):
+        calls.append(("ball", tolerance))
+        return real_ball(G, budget, tolerance)
 
+    def slices(C, tolerance):
+        calls.append(("slices", tolerance))
+        return real_slices(C, tolerance)
+
+    monkeypatch.setattr(certify, "_disc_verdicts", slices)
     for module in (certify, bounds, cli):
         if hasattr(module, "certify_generator"):
-            monkeypatch.setattr(module, "certify_generator", counting)
+            monkeypatch.setattr(module, "certify_generator", ball)
     return calls
 
 
@@ -217,7 +222,7 @@ class TestBound:
     def test_generator_certified_once(self, capsys, minus_id_path, certifications):
         rc, _, _ = invoke(capsys, "bound", minus_id_path, "--no-timestamp", "--cert-tol", "1e-7")
         assert rc == 0
-        assert certifications == [(True, 1e-7)]
+        assert certifications == [("ball", 1e-7)]
 
     @pytest.mark.parametrize("error", [OracleMismatchError, NotCertifiedError])
     def test_check_errors_exit_one(self, capsys, monkeypatch, minus_id_path, error):
@@ -354,7 +359,8 @@ class TestVerifySuite:
         rc, _, _ = invoke(capsys, "verify-suite", "--seeds", "1", "--cert-tol", "1e-7",
                           "--no-timestamp")
         assert rc == 0
-        assert [tol for ball, tol in certifications if ball] == [1e-7, 1e-7]
+        assert [tol for kind, tol in certifications if kind == "ball"] == [1e-7, 1e-7]
+        assert [kind for kind, _ in certifications].count("slices") == 2
         assert {tol for _, tol in certifications} == {1e-7}
 
     def test_linear_part_searched_once(self, capsys, count_calls):

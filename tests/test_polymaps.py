@@ -288,25 +288,18 @@ class TestCallableMap:
         with pytest.raises(ValueError):
             bad.eval_batch(np.zeros((2, 2)))
 
-    def test_shifted_and_restrict(self, l2_2d):
+    def test_shifted(self, l2_2d):
         F = CallableMap(l2_2d, lambda Z: Z ** 2)
         G = F.shifted(math.pi, 0.5)
         z = np.array([0.2, 0.1])
         np.testing.assert_allclose(
             G(z), complex(math.cos(math.pi), math.sin(math.pi)) * z ** 2 - 0.5 * z,
             atol=1e-15)
-        v = np.array([1.0, 0.0])
-        g = F.restrict(v)
-        assert g.kind == "blackbox"
-        assert g(0.3) == pytest.approx(0.09, rel=1e-12)
-        np.testing.assert_allclose(g(np.array([[0.3, -0.5j]])), [[0.09, -0.25]], rtol=1e-12)
 
-    def test_nan_point_and_direction_rejected(self, l2_2d):
+    def test_nan_point_rejected(self, l2_2d):
         F = CallableMap(l2_2d, lambda Z: Z ** 2)
         with pytest.raises(ValueError, match="open unit ball"):
             F(np.array([math.nan, 0.0]))
-        with pytest.raises(ValueError, match="unit vector"):
-            F.restrict(np.array([math.nan, 0.0]))
 
 
 class TestDiscFunction:
@@ -359,14 +352,6 @@ class TestDiscFunction:
         assert g.polynomial_degree() == 2
         zeta = 0.4 - 0.3j
         assert g(zeta) == pytest.approx(g0 - np.conj(g0) * zeta ** 2 - zeta * q(zeta))
-
-    def test_blackbox_has_no_exact_coefficients(self):
-        f = DiscFunction.blackbox(lambda z: z ** 2)
-        with pytest.raises(ValueError):
-            f.coefficient(2)
-        assert f.polynomial_degree() is None
-        quad = taylor_coefficients(f, order=3, radius=0.5)
-        np.testing.assert_allclose(quad, [0, 0, 1, 0], atol=1e-13)
 
 
 class TestTaylorCoefficients:

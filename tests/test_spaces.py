@@ -113,30 +113,22 @@ class TestSupportFunctional:
         pair = space.support_functional(np.array([0.3, -0.7]))
         np.testing.assert_allclose(pair.vstar, np.array([0.0, -0.7]), atol=1e-15)
 
-    def test_alt_selection_is_also_valid(self):
-        # Ties for p = inf and zero coordinates for p = 1 admit a second
-        # selection; both must satisfy the defining identities.
+    def test_selection_at_ties_and_zero_coordinates_is_valid(self):
+        # Ties for p = inf and zero coordinates for p = 1 admit more than one
+        # functional; the canonical one must satisfy the defining identities.
         inf_space = NormedSpace(2, math.inf)
         v = np.array([1.0, 1.0])
-        first = inf_space.support_functional(v, alt=False)
-        second = inf_space.support_functional(v, alt=True)
-        assert first.vstar[0] == 1.0 and first.vstar[1] == 0.0
-        assert second.vstar[0] == 0.0 and second.vstar[1] == 1.0
-        for pair in (first, second):
-            val = NormedSpace.pairing(v, pair.vstar)
-            assert val == pytest.approx(1.0, rel=1e-15)
-            assert inf_space.dual_norm(pair.vstar) == pytest.approx(1.0, rel=1e-15)
+        pair = inf_space.support_functional(v)
+        assert pair.vstar[0] == 1.0 and pair.vstar[1] == 0.0
+        assert NormedSpace.pairing(v, pair.vstar) == pytest.approx(1.0, rel=1e-15)
+        assert inf_space.dual_norm(pair.vstar) == pytest.approx(1.0, rel=1e-15)
 
         one_space = NormedSpace(2, 1.0)
         w = np.array([2.0, 0.0])
-        base = one_space.support_functional(w, alt=False)
-        alt = one_space.support_functional(w, alt=True)
-        assert base.vstar[1] == 0.0
-        assert alt.vstar[1] == 2.0
-        for pair in (base, alt):
-            val = NormedSpace.pairing(w, pair.vstar)
-            assert val == pytest.approx(4.0, rel=1e-15)
-            assert one_space.dual_norm(pair.vstar) == pytest.approx(2.0, rel=1e-15)
+        pair = one_space.support_functional(w)
+        assert pair.vstar[1] == 0.0
+        assert NormedSpace.pairing(w, pair.vstar) == pytest.approx(4.0, rel=1e-15)
+        assert one_space.dual_norm(pair.vstar) == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_vector_rejected(self):
         space = NormedSpace(2, 2.0)
