@@ -572,12 +572,19 @@ class TestBatchedSlices:
         assert len(batch) == 13
         assert any(v.verdict == "refuted" and v.witness is not None for v in batch)
 
-    def test_callable_map_is_rejected(self):
-        # slices are read off exact line coefficients, which a black box lacks
-        G = _nine_slots()[4]
-        box = CallableMap(G.space, G.eval_batch)
-        with pytest.raises(ValueError, match="PolyMap"):
-            restriction_agreement(box, verdict=certify_generator(G))
+    @pytest.mark.parametrize("slot", [0, 4, 8])
+    def test_black_box_slices_match_alone(self, slot):
+        # slices are read off exact line coefficients, which a black box
+        # lacks: the batch refuses it, as each slice alone refuses a callable
+        G = _nine_slots()[slot]
+        bad = shift_to_generator(G, 0.0, -(max(0.0, slack_probe(G)) + 1.0) / 0.25)
+        d = next(iter(G.space.sphere_sample(1, 0)))
+        for M in (G, bad):
+            box = CallableMap(M.space, M.eval_batch)
+            with pytest.raises(ValueError, match="PolyMap"):
+                restriction_agreement(box, verdict=certify_generator(M))
+            with pytest.raises(ValueError, match="truncate it first"):
+                certify_disc_generator(lambda z, box=box: box(z * d))
 
     def test_one_phase_max_for_all_slices(self, count_calls):
         G = _nine_slots()[5]
