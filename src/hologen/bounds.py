@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (_DEFAULT_RADII, PseudoDissipativityCertificate,
-                      _check_tolerance, _require_certified)
+from .certify import PseudoDissipativityCertificate, _check_tolerance, _require_certified
 from .numrange import (DEFAULT_BUDGET, OracleMismatchError, SearchBudget,
                        _sphere_search, harris_constant, numerical_radius,
                        numerical_range_inf, polynomial_numerical_radius)
@@ -24,6 +23,8 @@ from .spaces import _shell_grid
 
 LN2 = math.log(2.0)
 E = math.e
+
+_DEFAULT_RADII = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
 
 # slope of the affine majorant of the degree constants, tangent at 2
 _LINE_SLOPE = 4.0 * (1.0 - LN2)
@@ -168,7 +169,8 @@ def generator_certificate(G, verdict=None) -> PseudoDissipativityCertificate:
     """Canonical certificate (theta 0, shift 0, budget ||G(0)||) of a certified
     generator, read off its verdict: z* has dual norm ||z||, so Re<G(z), z*>
     <= Re<G(0), z*>(1 - ||z||^2) <= ||G(0)|| (1 - ||z||^2). Its samples and
-    worst_slack (a lower bound on this slack at those samples) are the verdict's.
+    worst_slack are the verdict's: the lines read and their least Re q_v, so
+    the slack at every point z of those lines is at least ||z||^2 worst_slack.
 
     Raises:
         NotCertifiedError: unless verdict (None: certify G now) is "certified".

@@ -1,20 +1,19 @@
 """Certifiers and refuters for the two dissipation inequalities on the ball.
 
-certify_generator probes Re<G(z), z*> <= Re<G(0), z*>(1 - ||z||^2) on shell
-grids and descends from the worst grid rows whose slack it holds; samples
-counts each evaluated row once. A disc function, and each slice of
-restriction_agreement, is decided exactly from its coefficients instead:
-by Berkson-Porta its slack is |zeta|^2 Re q(zeta) with Re q harmonic, so
-the least Re q on the unit circle, one `_phase_max` row, decides it.
-certify_pseudo_dissipative fits a rotation angle and shift (theta, a) along
-complex lines of a PolyMap with the same phase kernel, with b = ||F(0)||, so
-Re e^(i theta)<F(z), z*> <= a ||z||^2 + b (1 - ||z||^2) holds on every line
-it reads. The shift between the two forms and the coefficient checks live
-here too.
+By Berkson-Porta the generator slack at zeta v, v a unit vector, is
+|zeta|^2 Re q_v(zeta) with Re q_v harmonic, so the least Re q_v on the unit
+circle, one `_phase_max` row of the line's coefficients, decides the line
+through v. certify_generator searches directions for the least such line;
+a disc function and each slice of restriction_agreement are one line,
+decided exactly. certify_pseudo_dissipative fits (theta, a) along the lines
+of a PolyMap, with b = ||F(0)||, so that Re e^(i theta)<F(z), z*> <=
+a ||z||^2 + b (1 - ||z||^2) holds on every line it reads. The shift between
+the two forms and the coefficient checks live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,16 +22,12 @@ import numpy as np
 from .numrange import _PROPOSALS, _climb, _golden_max
 from .polymaps import (PolyMap, _least_real_part, _pairs, _polynomial_coefficients,
                        taylor_coefficients)
-from .spaces import _shell_grid
 
 
 class NotCertifiedError(RuntimeError):
     """An operation requiring a certified input received something else."""
 
 
-_DEFAULT_RADII = tuple(round(0.1 + 0.05 * i, 2) for i in range(18)) + (0.99,)
-
-_REFINE_SALT = 505
 _REFINE_STEPS = (0.05, 1.4, 0.2, 0.5)  # sigma0, grow, cap, shrink
 
 
@@ -40,17 +35,12 @@ _REFINE_STEPS = (0.05, 1.4, 0.2, 0.5)  # sigma0, grow, cap, shrink
 class CertifyBudget:
     """Sampling and refinement effort for the certifiers.
 
-    sphere: sphere directions, per shell of the generator certifier (the
-    shells are 0.1 .. 0.95 step 0.05 plus 0.99) and one line each for the
-    pseudo-dissipativity fit, refine_points: worst points (best lines)
-    refined, refine_iters: climb iterations, each trying numrange's
-    `_PROPOSALS` candidates per point,
-    seed: key of the direction and refinement streams, max_evals: cap on
-    the rows each certifier evaluates (slack rows of `certify_generator`;
-    lines of `certify_pseudo_dissipative`, whose sphere directions are its
-    grid); reaching it makes a clean run "inconclusive", and samples exceed
-    it only when the grid alone does. Disc and slice verdicts are exact and
-    take no budget.
+    sphere: sphere directions, one complex line each, refine_points: best
+    lines climbed, refine_iters: climb iterations, each trying numrange's
+    `_PROPOSALS` candidates per line, seed: key of the direction and climb
+    streams, max_evals: cap on the lines read; reaching it makes a clean run
+    "inconclusive", and samples exceed it only when the grid alone does.
+    A dim-1 ball, a disc and a slice are one line, decided exactly.
     ValueError unless sphere and refine_points are >= 1, refine_iters >= 0
     and max_evals is None or >= 0.
     """
@@ -73,6 +63,8 @@ class CertifyBudget:
 class GeneratorVerdict:
     """Outcome of certify_generator, certify_disc_generator or one slice.
 
+    worst_slack is the least Re q_v on |zeta| = 1 over the samples lines
+    read, so the slack at zeta v is at least |zeta|^2 worst_slack on each.
     witness is present exactly when the verdict is "refuted" and then
     violates the inequality by more than the tolerance on re-evaluation.
     """
@@ -120,55 +112,6 @@ def _check_tolerance(tolerance) -> None:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
 
-def _capped_iters(budget, evals, width) -> tuple[int, bool]:
-    """Climb iterations of `width` rows that fit under max_evals after
-    `evals` rows, and whether the cap cut the climb (or the grid) short."""
-    cap = budget.max_evals
-    iters = budget.refine_iters if cap is None else min(
-        budget.refine_iters, max(0, (cap - evals) // width))
-    return iters, iters < budget.refine_iters or cap is not None and evals >= cap
-
-
-def certify_generator(G, budget: CertifyBudget | None = None,
-                      tolerance: float = 1e-9) -> GeneratorVerdict:
-    """Certify or refute the generator inequality for a ball map.
-
-    Shell-times-sphere sampling, then one descent from the worst grid rows:
-    numrange's climb on the negated slack with a tighter step schedule and
-    norms clipped to [1e-8, 0.9995]. The least slack seen is the best
-    descended row's unless the grid minimum is lower, and its point is the
-    witness. Refutes when that slack falls below -tolerance and certifies
-    otherwise, except that an evaluation cap cutting refinement short
-    without such a violation gives "inconclusive".
-
-    Args:
-        G: PolyMap or CallableMap.
-        budget: sampling effort; None for the default.
-        tolerance: refutation threshold on the slack; ValueError unless > 0.
-    """
-    _check_tolerance(tolerance)
-    budget = budget or CertifyBudget()
-    space = G.space
-    Z = _shell_grid(np.asarray(_DEFAULT_RADII), space.sphere_sample(budget.sphere, budget.seed))
-    slack = generator_slack(G, Z)
-    take = min(budget.refine_points, len(Z))
-    iters, exhausted = _capped_iters(budget, len(Z), take * _PROPOSALS)
-    noise = np.random.default_rng([budget.seed, _REFINE_SALT]).standard_normal(
-        (iters, take, _PROPOSALS, 2 * space.dim))
-    order = np.argsort(slack)[:take]
-    points, neg = _climb(space, lambda rows, g: -generator_slack(G, rows), Z[order],
-                         -slack[order], noise, np.zeros(take, dtype=int), _REFINE_STEPS,
-                         (1e-8, 0.9995))
-    values = -neg
-    i, k = int(np.argmin(values)), int(np.argmin(slack))
-    worst = float(min(slack[k], values[i]))
-    witness = points[i] if values[i] <= slack[k] else Z[k]
-    return GeneratorVerdict("refuted" if worst < -tolerance else
-                            "inconclusive" if exhausted else "certified",
-                            tolerance, worst, witness if worst < -tolerance else None,
-                            len(Z) + noise[..., 0].size)
-
-
 def _require_certified(G, verdict=None):
     """The verdict (None: certify G now) if "certified"; else raise NotCertifiedError."""
     if verdict is None:
@@ -181,26 +124,28 @@ def _require_certified(G, verdict=None):
 _WITNESS_RADII = 1.0 - 0.5 ** np.arange(1, 54)  # 1 - 2^-k up to the last double below 1
 
 
-def _disc_verdicts(C, tolerance) -> list[GeneratorVerdict]:
-    """One exact verdict per row of disc coefficients c_0..c_d.
-
-    By Berkson-Porta the slack of g = sum_k c_k zeta^k at zeta is
-    |zeta|^2 Re q(zeta) with Re q harmonic, so its least value on the closed
-    disc is min over |zeta| = 1 of Re q = -max over phi of
-    Re sum_k c_k e^(i (k - 1) phi), one `_phase_max` row (c_0 enters as
-    Re conj(c_0) zeta). A refuted row's witness is r e^(i phi*) at the first
-    r = 1 - 2^-k whose slack re-evaluates below -tolerance; a boundary value
-    below it that no such r reproduces, by rounding at the threshold, reads
-    "inconclusive". samples counts the one line read.
+def _circle_minima(C, tolerance):
+    """Per row of disc coefficients c_0..c_d: the least Re q on |zeta| = 1,
+    whether a point r e^(i phi*), r = 1 - 2^-k, re-evaluates below
+    -tolerance, and the first such point. By Berkson-Porta the slack of
+    g = sum_k c_k zeta^k is |zeta|^2 Re q(zeta) with Re q harmonic, so the
+    least Re q, -max over phi of Re sum_k c_k e^(i (k - 1) phi) (one
+    `_phase_max` row; c_0 enters as Re conj(c_0) zeta), decides the disc.
     """
     _check_tolerance(tolerance)
     top, phi = _phase_max(C, every=True)
-    worst = -top
     zeta = np.exp(1j * phi)[:, None] * _WITNESS_RADII
     g = np.polynomial.polynomial.polyval(zeta, C.T[..., None], tensor=False)
     hit = np.real(np.conj(zeta) * (C[:, :1] * (1.0 - np.abs(zeta) ** 2) - g)) < -tolerance
-    refuted = (worst < -tolerance) & hit.any(axis=1)
     first = zeta[np.arange(len(C)), np.argmax(hit, axis=1)]
+    return -top, (-top < -tolerance) & hit.any(axis=1), first
+
+
+def _disc_verdicts(C, tolerance) -> list[GeneratorVerdict]:
+    """One exact verdict per row of disc coefficients (_circle_minima): a
+    refuted row's witness is its first violating point, and a violation no
+    point reproduces, by rounding at the threshold, is "inconclusive"."""
+    worst, refuted, first = _circle_minima(C, tolerance)
     return [GeneratorVerdict("refuted" if r else "inconclusive" if w < -tolerance else "certified",
                              tolerance, float(w), np.array([z]) if r else None, 1)
             for w, r, z in zip(worst, refuted, first)]
@@ -219,16 +164,18 @@ def certify_disc_generator(g, tolerance: float = 1e-9) -> GeneratorVerdict:
     return _disc_verdicts(_polynomial_coefficients(g)[None, :], tolerance)[0]
 
 
-# -- pseudo-dissipativity ----------------------------------------------------
+# -- complex lines ------------------------------------------------------------
 
 _PHASES = 24  # grid phases on each line's boundary circle
 _PHI = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
 _NEWTON = 4  # Newton steps that finish a grid phase
 _THETAS = 720
 _FACE_SNAP = 0.02  # l1 coordinates below this share of a row's largest read 0
+_FACE_STEP = 1e-7  # a witness's step off an l1 face, relative to its radius
 _LINE_SALT = 7919
 
 
+@functools.lru_cache
 def _phase_grid(terms: int) -> np.ndarray:
     """(terms, _PHASES) array of e^(i (k - 1) phi) at the grid phases."""
     return np.exp(1j * np.outer(np.arange(terms) - 1, _PHI))
@@ -265,39 +212,143 @@ def _phase_max(C, every=False) -> tuple[np.ndarray, np.ndarray]:
     return best[rows, i], at[rows, i]
 
 
-def _lines(F, V):
-    """The lines through the rows of V: (Taylor vectors, functionals, free).
+def _snap(space, V, unit=False):
+    """(V, free): the rows of V renormalized (with unit=True only at p = 1).
 
     At p = 1 a coordinate below _FACE_SNAP of its row's largest is set to 0
     first. There the l1 support functional may take any unimodular entry,
     and lines through nearby directions approach each choice, so `free`
     marks those entries, which `support_batch` leaves at 0.
     """
-    mag = np.abs(V)
-    free = (F.space.p == 1.0) & (mag < _FACE_SNAP * mag.max(axis=1, keepdims=True))
-    V = np.where(free, 0.0, V)
-    V = V / F.space.norm_batch(V)[:, None]
+    free = np.zeros(V.shape, dtype=bool)
+    if space.p == 1.0:
+        mag = np.abs(V)
+        free = mag < _FACE_SNAP * mag.max(axis=1, keepdims=True)
+        V = np.where(free, 0.0, V)
+    elif unit:
+        return V, free
+    return V / space.norm_batch(V)[:, None], free
+
+
+def _lines(F, V, unit=False):
+    """The lines through the rows of V: (Taylor vectors, functionals, free)."""
+    V, free = _snap(F.space, V, unit)
     return F.line_vectors(V), F.space.support_batch(V), free
 
 
 def _free_terms(X, free) -> np.ndarray:
     """(B, _PHASES, dim) terms e^(-i phi) F_m(e^(i phi) v) of the free entries
     at the grid phases, 0 elsewhere."""
-    return np.einsum("bkn,km->bmn", X * free[:, None], _phase_grid(X.shape[1]))
+    Xf = np.ascontiguousarray((X * free[:, None]).transpose(2, 0, 1))
+    return (Xf @ _phase_grid(X.shape[1])).transpose(1, 2, 0)
+
+
+def _line_rows(X, W, free):
+    """Each line's largest -Re q_v at the grid phases, and its coefficient
+    row; a free entry takes the phase that adds its term's modulus at the
+    best grid phase."""
+    C = np.einsum("bkn,bn->bk", X, W)
+    P = (C @ _phase_grid(C.shape[1])).real
+    if free.any():
+        f = np.flatnonzero(free.any(axis=1))
+        terms = _free_terms(X[f], free[f])
+        P[f] += np.abs(terms).sum(axis=2)
+        q = terms[np.arange(f.size), np.argmax(P[f], axis=1)]
+        C[f] += np.einsum("bkn,bn->bk", X[f], np.conj(q) / np.where(q != 0.0, np.abs(q), 1.0))
+    return P.max(axis=1), C
+
+
+def _climb_lines(F, V, values, C, read, budget):
+    """Climb the best refine_points lines through the rows of V on the
+    values read(Z) gives, as it gave values and rows C for V. Each start
+    keeps its best line, so no line is read twice. Returns the kept lines'
+    directions and rows, the lines the climb read and whether max_evals cut
+    it (or the grid) short."""
+    take, cap = min(budget.refine_points, len(V)), budget.max_evals
+    iters = budget.refine_iters if cap is None else min(
+        budget.refine_iters, max(0, (cap - len(V)) // (take * _PROPOSALS)))
+    noise = np.random.default_rng([budget.seed, _LINE_SALT]).standard_normal(
+        (iters, take, _PROPOSALS, 2 * F.space.dim))
+    order = np.argsort(-values, kind="stable")[:take]
+    kept, kept_C, rows = values[order], C[order], np.arange(take)
+
+    def objective(Z, groups):
+        vals, CZ = read(Z)
+        block = vals.reshape(take, -1)
+        j = np.argmax(block, axis=1)
+        up = block[rows, j] > kept
+        kept[up] = block[rows, j][up]
+        kept_C[up] = CZ.reshape(take, block.shape[1], -1)[rows, j][up]
+        return vals
+
+    points, _ = _climb(F.space, objective, V[order], values[order], noise,
+                       np.zeros(take, dtype=int), _REFINE_STEPS)
+    return (points, kept_C, noise[..., 0].size,
+            iters < budget.refine_iters or cap is not None and len(V) >= cap)
+
+
+def _ball_verdict(G, V, C, tolerance, samples, exhausted=False) -> GeneratorVerdict:
+    """The verdict of the least of the rows C of the lines through V. A
+    violation's witness is its point zeta v (_circle_minima), at p = 1 plus
+    |zeta| _FACE_STEP G_m/|G_m| at zeta v on each free entry m, which the
+    line's functional stands for. It must lie in the ball and re-evaluate
+    below -tolerance, or the verdict, as after a clean climb that max_evals
+    cut short, is "inconclusive"."""
+    worst, refuted, first = _circle_minima(C, tolerance)
+    i, witness = int(np.argmin(worst)), None
+    if refuted[i]:
+        v, free = _snap(G.space, V[i:i + 1], unit=True)
+        Z = first[i] * v
+        if free.any():
+            g = G.eval_batch(Z)
+            Z = Z + free * abs(first[i]) * _FACE_STEP * g / np.where(g != 0.0, np.abs(g), 1.0)
+        if G.space.norm_batch(Z)[0] < 1.0 and generator_slack(G, Z)[0] < -tolerance:
+            witness = Z[0]
+    return GeneratorVerdict("refuted" if witness is not None else
+                            "inconclusive" if worst[i] < -tolerance or exhausted else "certified",
+                            tolerance, float(worst[i]), witness, samples)
+
+
+def certify_generator(G, budget: CertifyBudget | None = None,
+                      tolerance: float = 1e-9) -> GeneratorVerdict:
+    """Certify or refute the generator inequality for a polynomial ball map.
+
+    Scores the lines through budget.sphere directions (dim 1: its one line)
+    by their largest -Re q_v at the grid phases. Unless the best grid line
+    already refutes with a witness, the best refine_points lines climb over
+    directions on that score, and the kept line with the least Re q_v on
+    |zeta| = 1, after Newton steps from every grid phase, decides (see
+    _ball_verdict). worst_slack is that least value; samples counts the
+    lines read.
+
+    Raises:
+        ValueError: G is not a PolyMap, whose lines are read exactly, or
+            tolerance is not positive.
+    """
+    _check_tolerance(tolerance)
+    if not isinstance(G, PolyMap):
+        raise ValueError("certify_generator reads the line coefficients of a "
+                         f"PolyMap; got {type(G).__name__}")
+    budget = budget or CertifyBudget()
+    V = (np.ones((1, 1), dtype=np.complex128) if G.space.dim == 1
+         else G.space.sphere_sample(budget.sphere, budget.seed))
+
+    values, C = _line_rows(*_lines(G, V, unit=True))
+    i = int(np.argmax(values))
+    verdict = _ball_verdict(G, V[i:i + 1], C[i:i + 1], tolerance, len(V))
+    if G.space.dim == 1 or verdict.witness is not None:
+        return verdict
+    points, kept_C, climbed, exhausted = _climb_lines(
+        G, V, values, C, lambda Z: _line_rows(*_lines(G, Z, unit=True)), budget)
+    return _ball_verdict(G, points, kept_C, tolerance, len(V) + climbed, exhausted)
+
+
+# -- pseudo-dissipativity ----------------------------------------------------
 
 
 def _line_values(X, W, free, rot):
-    """Each line's max of -Re q on |zeta| = 1 for the rotated map, and the
-    rotated line coefficients it is read from. A free entry takes the phase
-    that adds its term's modulus at the best grid phase."""
-    X = rot * X
-    C = np.einsum("bkn,bn->bk", X, W)
-    if free.any():
-        terms = _free_terms(X, free)
-        g = np.argmax((C @ _phase_grid(C.shape[1])).real + np.abs(terms).sum(axis=2), axis=1)
-        q = terms[np.arange(len(C)), g]
-        mag = np.abs(q)
-        C = C + np.einsum("bkn,bn->bk", X, np.conj(q) / np.where(mag > 0.0, mag, 1.0))
+    """_line_rows of the rotated map, each line maximized over its phase."""
+    C = _line_rows(rot * X, W, free)[1]
     return _phase_max(C)[0], C
 
 
@@ -305,15 +356,13 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
                                ) -> PseudoDissipativityCertificate:
     """Fit (theta, a, b) along complex lines through the origin.
 
-    By Berkson-Porta the slack of e^(i theta) F - a id at zeta v, v a unit
-    vector, is |zeta|^2 Re q_v(zeta) with Re q_v harmonic, so it holds on the
-    closed ball when Re q_v = a - Re e^(i theta) <F(zeta v), (zeta v)*> >= 0
-    on |zeta| = 1. The fit reads budget.sphere lines, picks theta where the
+    The slack of e^(i theta) F - a id holds on the line through a unit v
+    when Re q_v = a - Re e^(i theta) <F(zeta v), (zeta v)*> >= 0 on
+    |zeta| = 1. The fit reads budget.sphere lines, picks theta where the
     largest rotated pairing is least (720 angles, golden-section polish),
     climbs the best refine_points lines at theta and sets a to the largest
-    -Re q found, each line maximized over its phase; b = ||F(0)|| then holds
-    exactly. Only directions are sampled. A climb that max_evals cuts short
-    gives "inconclusive"; samples counts the lines read.
+    -Re q found; b = ||F(0)|| then holds exactly. A climb that max_evals
+    cuts short gives "inconclusive"; samples counts the lines read.
 
     Raises:
         ValueError: F is not a PolyMap, whose lines the fit reads exactly.
@@ -341,28 +390,11 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     theta = float(x1 if f1 >= f2 else x2)
     rot = complex(math.cos(theta), math.sin(theta))
 
-    # climb the best lines at theta; each start keeps its best line for the
-    # final every-phase maximization
+    # climb the best lines at theta on their Newton-finished values
     values, C = _line_values(*lines, rot)
-    take = min(budget.refine_points, evals)
-    order = np.argsort(-values, kind="stable")[:take]
-    iters, exhausted = _capped_iters(budget, evals, take * _PROPOSALS)
-    noise = np.random.default_rng([budget.seed, _LINE_SALT]).standard_normal(
-        (iters, take, _PROPOSALS, 2 * space.dim))
-    kept, kept_C, rows = values[order], C[order], np.arange(take)
-
-    def objective(Z, groups):
-        vals, CZ = _line_values(*_lines(F, Z), rot)
-        block = vals.reshape(take, -1)
-        j = np.argmax(block, axis=1)
-        up = block[rows, j] > kept
-        kept[up] = block[rows, j][up]
-        kept_C[up] = CZ.reshape(take, block.shape[1], -1)[rows, j][up]
-        return vals
-
-    _climb(space, objective, V[order], values[order], noise, np.zeros(take, dtype=int),
-           _REFINE_STEPS)
-    evals += noise[..., 0].size
+    _, kept_C, climbed, exhausted = _climb_lines(
+        F, V, values, C, lambda Z: _line_values(*_lines(F, Z), rot), budget)
+    evals += climbed
     a = float(np.max(_phase_max(kept_C, every=True)[0]))
     b = float(space.norm(np.asarray(F.constant)))
     return PseudoDissipativityCertificate(

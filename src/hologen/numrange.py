@@ -67,7 +67,7 @@ class RangeEstimate:
     oracle: float | None = None
 
 
-def _climb(space, objective, V, f, noise, groups, steps=_SPHERE_STEPS, clip=None):
+def _climb(space, objective, V, f, noise, groups, steps=_SPHERE_STEPS):
     """Accept-only Gaussian climb of every row of V at once; returns (V, f).
 
     Row s of V (value f[s], group groups[s]) proposes V[s] + sigma_s (x + i y)
@@ -76,8 +76,7 @@ def _climb(space, objective, V, f, noise, groups, steps=_SPHERE_STEPS, clip=None
     per iteration covers all S * proposals rows, g giving each row's group.
     steps is (sigma0, grow, cap, shrink): an accepted move multiplies sigma
     by grow up to cap, a rejected one by shrink down to 1e-9. Proposals are
-    normalized onto the unit sphere, or with clip = (lo, hi) have their norms
-    clipped to [lo, hi].
+    normalized onto the unit sphere.
     """
     S, n = V.shape
     P = noise.shape[2]
@@ -92,14 +91,11 @@ def _climb(space, objective, V, f, noise, groups, steps=_SPHERE_STEPS, clip=None
         props = V[:, None, :] + sigma[:, None, None] * (raw[..., :n] + 1j * raw[..., n:])
         flat = props.reshape(-1, n)
         nrm = space.norm_batch(flat)
-        if clip is None:
-            degenerate = nrm < 1e-12
-            if degenerate.any():
-                flat[degenerate] = V[owner[degenerate]]
-                nrm[degenerate] = 1.0
-            flat = flat / nrm[:, None]
-        else:
-            flat = flat * (np.clip(nrm, *clip) / np.maximum(nrm, 1e-300))[:, None]
+        degenerate = nrm < 1e-12
+        if degenerate.any():
+            flat[degenerate] = V[owner[degenerate]]
+            nrm[degenerate] = 1.0
+        flat = flat / nrm[:, None]
         vals = np.asarray(objective(flat, row_groups), dtype=np.float64).reshape(S, P)
         j = np.argmax(vals, axis=1)
         better = vals[rows, j] > f

@@ -105,7 +105,7 @@ class TestCertifyBudget:
 
 
 def evaluated_rows(calls) -> int:
-    """Rows passed to the wrapped PolyMap.eval_batch, from count_calls."""
+    """Rows passed to a wrapped PolyMap method, from count_calls."""
     return sum(args[1].shape[0] for args, _ in calls)
 
 
@@ -114,8 +114,10 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("budget", [QUICK, CertifyBudget(max_evals=3000)])
     def test_generator_samples_are_the_rows_evaluated(self, count_calls, l2_2d, budget):
+        # every line the certifier reads goes through PolyMap.line_vectors:
+        # the direction grid and the climb
         G = sample_generator(l2_2d, seed=2, degree=3)
-        calls = count_calls(PolyMap, "eval_batch")
+        calls = count_calls(PolyMap, "line_vectors")
         assert certify_generator(G, budget).samples == evaluated_rows(calls)
 
     def test_pseudo_dissipative_samples_are_the_rows_evaluated(self, count_calls):
@@ -162,12 +164,14 @@ class TestCertifyGenerator:
         assert verdict.samples > 0
 
     def test_expansion_drift_refuted_with_witness(self, l2_2d):
+        # every line of the identity has q_v = -<v, v*> = -1, read off its
+        # coefficients up to the rounding of the sampled unit directions
         verdict = certify_generator(identity_map(l2_2d))
         assert verdict.verdict == "refuted"
+        assert verdict.worst_slack == pytest.approx(-1.0, rel=0.0, abs=1e-15)
         assert verdict.witness is not None
         again = float(generator_slack(identity_map(l2_2d), verdict.witness[None, :])[0])
-        assert again < -1e-9
-        assert again == pytest.approx(verdict.worst_slack, rel=1e-9, abs=1e-12)
+        assert again < -verdict.tolerance
 
     def test_lifted_example_certified(self, l2_2d):
         g1 = DiscFunction.polynomial([1.0, 0.0, -1.0])
@@ -188,7 +192,8 @@ class TestCertifyGenerator:
         assert verdict.verdict == "inconclusive"
 
     def test_cap_between_grid_and_full_refinement(self, l2_2d):
-        # 152 grid points, then 3 of the 40 iterations of 2 * 8 rows fit
+        # 8 grid lines, then 2 starts of 8 proposals: 12 of the 40 climb
+        # iterations fit under the cap, reading 8 + 12 * 16 = 200 lines
         capped = CertifyBudget(sphere=8, refine_points=2, refine_iters=40, max_evals=200)
         verdict = certify_generator(minus_identity(l2_2d), capped)
         assert verdict.verdict == "inconclusive"
@@ -196,20 +201,81 @@ class TestCertifyGenerator:
 
     @pytest.mark.parametrize("cap", [2432, 2440, 2463])
     def test_samples_stay_within_a_cap_above_the_grid(self, cap):
-        # 19 shells of 128 directions are 2432 grid rows; the 32 refined
-        # points used to be evaluated again, giving 2464 samples at any of
-        # these caps
+        # 128 grid lines, then 32 starts of 8 proposals: 9 of the 40 climb
+        # iterations fit under each of these caps, reading 128 + 9 * 256 =
+        # 2432 lines; the kept lines are decided without being read again
         G = sample_generator(NormedSpace(2, 2.0), 1, 3)
         verdict = certify_generator(G, CertifyBudget(max_evals=cap))
         assert verdict.verdict == "inconclusive"
         assert verdict.samples == 2432
 
-    def test_one_slack_call_per_stage(self, count_calls, l2_2d):
-        # the grid, then one call per climb iteration; the refined points
-        # start from their grid slack and are not evaluated again
-        calls = count_calls(certify, "generator_slack")
+    def test_one_line_read_per_stage(self, count_calls, l2_2d):
+        # the grid, then one read per climb iteration; the kept lines are
+        # decided from the rows already read
+        calls = count_calls(PolyMap, "line_vectors")
         certify_generator(sample_generator(l2_2d, seed=2, degree=3), QUICK)
         assert len(calls) == 1 + QUICK.refine_iters
+
+    def test_grid_refutation_stops_before_the_climb(self, count_calls, l2_2d):
+        # a refutation witnessed on the best grid line cannot be undone by
+        # the climb, which only finds lower Re q
+        calls = count_calls(PolyMap, "line_vectors")
+        verdict = certify_generator(identity_map(l2_2d))
+        assert verdict.verdict == "refuted"
+        assert len(calls) == 1
+        assert verdict.samples == CertifyBudget().sphere
+
+    def test_callable_map_is_rejected(self, l2_2d):
+        # the certifier reads exact line coefficients, which a black box lacks
+        with pytest.raises(ValueError, match="PolyMap"):
+            certify_generator(CallableMap(l2_2d, lambda Z: -Z))
+
+    @pytest.mark.parametrize("k, delta, alpha", [
+        (2, 1e-3, 0.0), (7, 1e-6, 1.3), (15, 1e-3, 2.9), (31, 1e-6, 5.1), (31, 1e-3, 4.0)])
+    def test_dim_1_boundary_only_violation_is_refuted(self, k, delta, alpha):
+        # the lift of g(zeta) = -(1 - delta) zeta + e^(i alpha) zeta^(k + 1)
+        # to the 1-dimensional ball has one line, so its verdict is the
+        # disc's: slack -delta next to |z| = 1, where shells that stop at
+        # 0.99 and a descent clipped at 0.9995 used to certify it
+        c = np.zeros(k + 2, dtype=np.complex128)
+        c[1], c[k + 1] = -(1.0 - delta), complex(math.cos(alpha), math.sin(alpha))
+        G = lift_to_ball(NormedSpace(1, 2.0), [DiscFunction.polynomial(c)])
+        verdict = certify_generator(G)
+        assert verdict.verdict == "refuted"
+        assert verdict.worst_slack == pytest.approx(-delta, abs=1e-9)
+        assert verdict.samples == 1
+        assert G.space.norm(verdict.witness) < 1.0
+        assert generator_slack(G, verdict.witness[None, :])[0] < -verdict.tolerance
+        assert restriction_agreement(G, verdict=verdict)["agree"]
+
+    @pytest.mark.parametrize("seed", [2, 11, 20])
+    def test_violation_next_to_the_l1_axes_is_refuted(self, monkeypatch, seed):
+        # a fit that reads only the lines through sampled directions, without
+        # face handling, leaves slack down to -0.22 at points
+        # r e^(i phi) e_j + r eps u with phase-aligned u; the certifier's
+        # lines next to the axes pair the free entries the same way
+        F = criterion_3_map(seed)
+        monkeypatch.setattr(certify, "_FACE_SNAP", 0.0)
+        cert = certify_pseudo_dissipative(F)
+        monkeypatch.undo()
+        G = F.shifted(cert.theta, cert.a)
+        verdict = certify_generator(G)
+        assert verdict.verdict == "refuted"
+        assert verdict.worst_slack < -0.1
+        assert G.space.norm(verdict.witness) < 1.0
+        assert generator_slack(G, verdict.witness[None, :])[0] < -verdict.tolerance
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_smaller_shift_is_refuted(self, seed):
+        # the fitted a touches its best line, so a - 1e-3 takes that line's
+        # least Re q_v down to about -1e-3
+        F = criterion_3_map(seed)
+        cert = certify_pseudo_dissipative(F)
+        G = F.shifted(cert.theta, cert.a - 1e-3)
+        verdict = certify_generator(G)
+        assert verdict.verdict == "refuted"
+        assert G.space.norm(verdict.witness) < 1.0
+        assert generator_slack(G, verdict.witness[None, :])[0] < -verdict.tolerance
 
     def test_determinism(self, l2_2d):
         G = sample_generator(l2_2d, seed=8, degree=4)
