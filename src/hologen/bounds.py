@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import PseudoDissipativityCertificate, _check_tolerance, _require_certified
-from .numrange import (DEFAULT_BUDGET, OracleMismatchError, SearchBudget,
-                       _sphere_search, harris_constant, numerical_radius,
-                       numerical_range_inf, polynomial_numerical_radius)
+from .numrange import (OracleMismatchError, SearchBudget, _estimates, _Group,
+                       _radius_group, _range_inf_group, harris_constant)
 from .spaces import _shell_grid
 
 LN2 = math.log(2.0)
@@ -122,20 +121,11 @@ def _deepened(est) -> float:
     return min(est.value, est.oracle) if est.oracle is not None else est.value
 
 
-def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
-                       budget: SearchBudget | None = None) -> GrowthInputs:
-    """Measure the envelope inputs of F under a certified rotation/shift.
-
-    The shifted infimum must match the rotated infimum minus the shift to
-    1e-9, since both searches walk the same landscape up to a constant;
-    a larger gap means the estimates cannot be trusted. Equal matrices
-    (theta = 0, a = 0) are searched once.
-
-    Raises:
-        NotCertifiedError: the certificate is not a certified one.
-        OracleMismatchError: the shift consistency check fails.
-        ValueError: theta or a is not finite, or F has no explicit linear part.
-    """
+def _linear_searches(F, cert: PseudoDissipativityCertificate):
+    """Check F and cert as growth_inputs_from does, and return its range
+    searches as `_estimates` groups with the function that reads the
+    GrowthInputs off their estimates. Equal matrices (theta = 0, a = 0) are
+    searched once, so there are two groups, three or four."""
     _require_certified(F, cert)
     if not (math.isfinite(cert.theta) and math.isfinite(cert.a)):
         raise ValueError(f"certificate theta {cert.theta} and a {cert.a} must be finite")
@@ -146,23 +136,51 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
     phase = complex(math.cos(cert.theta), math.sin(cert.theta))
     R = A if cert.theta == 0.0 else phase * A
     T = R if cert.a == 0.0 else R - cert.a * np.eye(space.dim, dtype=np.complex128)
-    va = _sharpened(numerical_radius(space, A, budget))
-    vt = va if T is A else _sharpened(numerical_radius(space, T, budget))
-    mt = _deepened(numerical_range_inf(space, T, budget))
-    m_rot = mt if R is T else _deepened(numerical_range_inf(space, R, budget))
-    gap = abs((cert.a - m_rot) - (-mt))
-    if gap > 1e-9:
-        raise OracleMismatchError(
-            f"shift inconsistency {gap:.3e}: rotated infimum {m_rot:.12g} "
-            f"and shifted infimum {mt:.12g} disagree under shift {cert.a:.12g}")
-    return GrowthInputs(
-        theta=float(cert.theta),
-        a=float(cert.a),
-        center_norm=space.norm(F.constant),
-        linear_radius=va,
-        shifted_radius=vt,
-        shifted_range_inf=mt,
-    )
+    groups = ([_radius_group(A)] + ([] if T is A else [_radius_group(T)])
+              + [_range_inf_group(T)] + ([] if R is T else [_range_inf_group(R)]))
+
+    def read(estimates) -> GrowthInputs:
+        est = iter(estimates)
+        va = _sharpened(next(est))
+        vt = va if T is A else _sharpened(next(est))
+        mt = _deepened(next(est))
+        m_rot = mt if R is T else _deepened(next(est))
+        gap = abs((cert.a - m_rot) - (-mt))
+        if gap > 1e-9:
+            raise OracleMismatchError(
+                f"shift inconsistency {gap:.3e}: rotated infimum {m_rot:.12g} "
+                f"and shifted infimum {mt:.12g} disagree under shift {cert.a:.12g}")
+        return GrowthInputs(
+            theta=float(cert.theta),
+            a=float(cert.a),
+            center_norm=space.norm(F.constant),
+            linear_radius=va,
+            shifted_radius=vt,
+            shifted_range_inf=mt,
+        )
+
+    return groups, read
+
+
+def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
+                       budget: SearchBudget | None = None) -> GrowthInputs:
+    """Measure the envelope inputs of F under a certified rotation/shift.
+
+    The radii of A and of the shifted part and the infima of the shifted and
+    the rotated part are groups of one sphere search, each on the stream a
+    search of it alone would use. The shifted infimum must match the rotated
+    infimum minus the shift to 1e-9, since both searches walk the same
+    landscape up to a constant; a larger gap means the estimates cannot be
+    trusted. Equal matrices (theta = 0, a = 0) are searched once.
+
+    Raises:
+        NotCertifiedError: the certificate is not a certified one.
+        OracleMismatchError: a p = 2 cross-check or the shift consistency
+            check fails.
+        ValueError: theta or a is not finite, or F has no explicit linear part.
+    """
+    groups, read = _linear_searches(F, cert)
+    return read(_estimates(F.space, groups, budget))
 
 
 def generator_certificate(G, verdict=None) -> PseudoDissipativityCertificate:
@@ -218,16 +236,22 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     grid = _check_radii(radii, grid=True)
     if cert is None:
         cert = generator_certificate(F)
-    inputs = growth_inputs_from(F, cert, budget)
+    linear, read = _linear_searches(F, cert)
     space = F.space
     F0 = np.asarray(F.constant, dtype=np.complex128)
-    # every shell is one group of a single climb, shell i on stream salt 11 + i
-    found = _sphere_search(
-        space, lambda V, g: space.norm_batch(F.eval_batch(grid[g][:, None] * V) - F0[None, :]),
-        budget or DEFAULT_BUDGET, range(11, 11 + grid.size))
+    k = len(linear)
+
+    def shells(V, g):
+        return F.eval_batch(grid[g - k][:, None] * V) - F0[None, :]
+
+    # the range searches and the shells climb together, shell i as group
+    # k + i on stream salt 11 + i
+    found = _estimates(space, linear + [_Group("norm", 11 + i, shells) for i in range(grid.size)],
+                       budget)
+    inputs = read(found[:k])
     lhs = np.empty(grid.size)
     r_eff = np.empty(grid.size)
-    for i, (r, (val, vmax)) in enumerate(zip(grid, found)):
+    for i, (r, (val, vmax)) in enumerate(zip(grid, found[k:])):
         z = r * vmax
         r_eff[i] = space.norm(z)
         lhs[i] = space.norm(F.eval_batch(z[None, :])[0] - F0)
@@ -290,7 +314,8 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     margins; all must clear -1e-8, and the stage margins -1e-9. c, V_T and
     m(T) are read from inputs, the growth inputs of G under its canonical
     certificate as `verify_growth_bound` reports them; None certifies G and
-    measures them with `growth_inputs_from`.
+    measures them as `growth_inputs_from` does, in the one climb that also
+    searches the radius of every homogeneous part.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.
@@ -304,14 +329,19 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     g0 = np.asarray(G.constant, dtype=np.complex128)
     degree = G.degree
 
+    linear, read = [], None
     if inputs is None:
-        inputs = growth_inputs_from(G, generator_certificate(G), budget)
+        linear, read = _linear_searches(G, generator_certificate(G))
     elif (inputs.theta, inputs.a, inputs.center_norm) != (0.0, 0.0, space.norm(g0)):
         raise ValueError("the chain needs G's canonical growth inputs (theta 0, a 0, ||G(0)||)")
+    # the range searches, if any, and every part radius climb together
+    found = _estimates(space, linear + [_radius_group(p) for p in G.higher], budget)
+    if read is not None:
+        inputs = read(found[:len(linear)])
     c0n, vt, mt = inputs.center_norm, inputs.shifted_radius, inputs.shifted_range_inf
     depth = max(0.0, -2.0 * mt)
 
-    vq = {p.degree: polynomial_numerical_radius(space, p, budget).value for p in G.higher}
+    vq = {p.degree: est.value for p, est in zip(G.higher, found[len(linear):])}
 
     V = space.sphere_sample(v_count, seed)
     C = G.line_coefficients(V)

@@ -5,25 +5,34 @@ matrices, the same supremum for homogeneous polynomials, induced operator
 norms, and the degree-dependent constants that turn range radii into sup
 norm bounds. For p = 2 closed-form eigenvalue oracles cross-check them.
 
-Every search samples the sphere, then refines its best samples with one
-engine, `_climb`, which also serves the certifiers: all starts, and in
-verify_growth_bound all shells, advance together, one objective call per
-iteration. Each climbing row tries `_PROPOSALS` candidates per iteration;
-that width is one engine constant, shared by every caller. Each start still
-replays its serial random stream: a search fills its (starts, iters,
-proposals, 2n) noise block in one draw, and numpy's Generator gives the
-numbers that per-iteration (proposals, 2n) draws, start after start,
-would give.
+Every search is a group of `_sphere_search`: a range infimum, a matrix or
+polynomial-part radius, or a sup norm such as a growth shell. The groups
+of one call score the same coarse sphere samples, then refine their best
+samples in one climb of one engine, `_climb`, which also serves the
+certifiers. verify_growth_bound thus climbs its range searches and its
+shells together, verify_intermediate_chain its range searches and every
+part radius, and harris_check the part radius and the sup norm; the public
+searches are one-group calls. Every start of every group advances
+together, one objective call per iteration, in which one support batch
+serves all pairings and one power table all polynomial parts. Each
+climbing row tries `_PROPOSALS` candidates per iteration; that width is
+one engine constant, shared by every caller. Each start still replays its
+serial random stream: a group fills its (starts, iters, proposals, 2n)
+noise block in one draw from the stream keyed by its salt, and numpy's
+Generator gives the numbers that per-iteration (proposals, 2n) draws,
+start after start, would give. So a group gets the bits a search of it
+alone gets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .polymaps import HomogeneousPoly
+from .polymaps import HomogeneousPoly, _power_table
 from .spaces import NormedSpace
 
 
@@ -131,66 +140,141 @@ def _spread_starts(pts, order, count):
     return chosen + [int(i) for i in rest[:count - len(chosen)]]
 
 
-def _sphere_search(space, objective, budget, salts, pick=None):
-    """Maximize objective(V, g) over the unit sphere for each group g.
+class _Group(NamedTuple):
+    """One group of a batched sphere search.
 
-    Group g = 0, 1, ... has its own refinement stream keyed by salts[g].
-    Its starts are its best coarse samples spread over basins, or those
-    pick(pts) returns with the coarse values, the leader first. All starts
-    of all groups climb together. Returns one (value, maximizer) per group.
+    kind "inf" maximizes -Re<f(v), v*>, "radius" |<f(v), v*>| and "norm"
+    ||f(v)|| over the unit sphere. f is a matrix A, evaluated as v A^T, a
+    HomogeneousPoly, or a callable f(V, g) of rows V and their group
+    indices g, so that groups sharing one callable, such as the shells of a
+    growth bound, are evaluated in one call. salt keys the group's
+    refinement stream.
     """
-    pts = space.sphere_sample(budget.samples, budget.seed)
-    starts, values, groups = [], [], []
-    for g in range(len(salts)):
-        if pick is None:
-            vals = np.asarray(objective(pts, np.full(pts.shape[0], g)), dtype=np.float64)
-            idx = _spread_starts(pts, np.argsort(vals)[::-1], min(budget.starts, pts.shape[0]))
+
+    kind: str
+    salt: int
+    f: object
+
+
+def _evaluation(f, V, g, table):
+    if isinstance(f, HomogeneousPoly):
+        return f._eval_table(table)
+    if isinstance(f, np.ndarray):
+        return V @ f.T
+    return f(V, g)
+
+
+def _raw(space, grp, V, g, W, table):
+    """<f(v), v*> on rows V of an "inf" or "radius" group, from their support
+    rows W, or ||f(v)|| on rows of a "norm" group; g holds the rows' group
+    indices and table their `_power_table` rows, which a HomogeneousPoly
+    reads. The pairing multiplies the evaluation as an unnamed temporary:
+    numpy may then multiply in place, and a named evaluation can round
+    differently.
+    """
+    if grp.kind == "norm":
+        return space.norm_batch(np.asarray(_evaluation(grp.f, V, g, table), dtype=np.complex128))
+    return np.sum(_evaluation(grp.f, V, g, table) * W, axis=1)
+
+
+def _score(kind, raw):
+    """The value a group maximizes, from its `_raw` values."""
+    if kind == "inf":
+        return -raw.real
+    if kind == "radius":
+        return np.abs(raw)
+    return raw
+
+
+def _climb_objective(space, groups, edges):
+    """objective(V, g) of a climb in which group k owns rows edges[k]:edges[k+1].
+
+    Consecutive groups of one kind and one f are evaluated in one call. One
+    support batch covers the rows of every pairing group, and one
+    `_power_table` at the top degree those of every HomogeneousPoly.
+    """
+    runs = []
+    for k, grp in enumerate(groups):
+        if runs and groups[runs[-1][0]].f is grp.f and groups[runs[-1][0]].kind == grp.kind:
+            runs[-1][2] = edges[k + 1]
         else:
-            vals, idx = pick(pts)
-        starts.extend(idx)
-        values.append(vals[idx])
-        groups.extend([g] * len(idx))
-    groups = np.asarray(groups)
-    # each group's starts are one block of rows, filled from its own stream
-    noise = np.empty((len(starts), budget.refine_iters, _PROPOSALS, 2 * space.dim))
-    edges = np.searchsorted(groups, np.arange(len(salts) + 1))
-    for salt, lo, hi in zip(salts, edges, edges[1:]):
-        np.random.default_rng([budget.seed, _REFINE_SALT, salt]).standard_normal(out=noise[lo:hi])
-    V, f = _climb(space, objective, pts[starts], np.concatenate(values),
-                  noise.swapaxes(0, 1), groups)
-    out = []
-    for g in range(len(salts)):
-        k = np.flatnonzero(groups == g)
-        best = k[int(np.argmax(f[k]))]
-        out.append((float(f[best]), V[best]))
-    return out
-
-
-def _radius_search(space, evaluator, budget, salt):
-    """Maximize |<evaluator(v), v*>| over the unit sphere via a phase sweep.
-
-    The modulus landscape splits into lobes by pairing direction, and the
-    strongest lobe can shadow the global one in a value-ranked start list.
-    Sweeping argmax Re(e^(-i phi) omega) over a phase grid of the coarse
-    pairings plants one climber per direction for no extra evaluations.
-    """
-    def pairing_fn(V):
-        return np.sum(evaluator(V) * space.support_batch(V), axis=1)
-
-    def pick(pts):
-        omega = np.asarray(pairing_fn(pts), dtype=np.complex128)
-        modulus = np.abs(omega)
-        cand = [int(np.argmax(modulus))]
-        for ph in np.exp(-2j * np.pi * np.arange(16) / 16.0):
-            idx = int(np.argmax((omega * ph).real))
-            if idx not in cand:
-                cand.append(idx)
-        return modulus, cand
+            runs.append([k, edges[k], edges[k + 1]])
+    paired = [(lo, hi) for k, lo, hi in runs if groups[k].kind != "norm"]
+    polys = [(lo, hi) for k, lo, hi in runs if isinstance(groups[k].f, HomogeneousPoly)]
+    wlo, whi = (paired[0][0], paired[-1][1]) if paired else (0, 0)
+    tlo, thi = (polys[0][0], polys[-1][1]) if polys else (0, 0)
+    top = max((grp.f.degree for grp in groups if isinstance(grp.f, HomogeneousPoly)), default=0)
 
     def objective(V, g):
-        return np.abs(np.asarray(pairing_fn(V), dtype=np.complex128))
+        W = space.support_batch(V[wlo:whi]) if paired else None
+        table = _power_table(V[tlo:thi], top) if polys else None
+        out = np.empty(len(V))
+        for k, lo, hi in runs:
+            grp = groups[k]
+            w = W[lo - wlo:hi - wlo] if grp.kind != "norm" else None
+            t = table[lo - tlo:hi - tlo] if isinstance(grp.f, HomogeneousPoly) else None
+            out[lo:hi] = _score(grp.kind, _raw(space, grp, V[lo:hi], g[lo:hi], w, t))
+        return out
 
-    return _sphere_search(space, objective, budget, (salt,), pick)[0]
+    return objective
+
+
+def _phase_sweep(omega, modulus):
+    """The leader by modulus, then argmax Re(e^(-i phi) omega) over 16 phases.
+
+    The modulus landscape splits into lobes by pairing direction, and the
+    strongest lobe can shadow the global one in a value-ranked start list;
+    the sweep plants one climber per direction for no extra evaluations.
+    """
+    cand = [int(np.argmax(modulus))]
+    for ph in np.exp(-2j * np.pi * np.arange(16) / 16.0):
+        idx = int(np.argmax((omega * ph).real))
+        if idx not in cand:
+            cand.append(idx)
+    return cand
+
+
+def _sphere_search(space, groups, budget):
+    """Maximize every group's objective over the unit sphere in one climb.
+
+    groups is a sequence of `_Group`. Each group scores the same coarse
+    sphere samples. A "radius" group starts from `_phase_sweep`, the others
+    from their best samples spread over basins, the leader first. All
+    starts of all groups then climb together, one objective call per
+    iteration, each group on its own noise block from the refinement
+    stream keyed by its salt. So every group gets the bits a search of it
+    alone would. Returns one (value, maximizer) per group.
+    """
+    if not groups:
+        return []
+    pts = space.sphere_sample(budget.samples, budget.seed)
+    W = space.support_batch(pts) if any(grp.kind != "norm" for grp in groups) else None
+    degrees = [grp.f.degree for grp in groups if isinstance(grp.f, HomogeneousPoly)]
+    table = _power_table(pts, max(degrees)) if degrees else None
+    starts, coarse, owner = [], [], []
+    for g, grp in enumerate(groups):
+        raw = _raw(space, grp, pts, np.full(pts.shape[0], g), W, table)
+        vals = _score(grp.kind, raw)
+        if grp.kind == "radius":
+            idx = _phase_sweep(raw, vals)
+        else:
+            idx = _spread_starts(pts, np.argsort(vals)[::-1], min(budget.starts, pts.shape[0]))
+        starts.extend(idx)
+        coarse.append(vals[idx])
+        owner.extend([g] * len(idx))
+    owner = np.asarray(owner)
+    # each group's starts are one block of rows, filled from its own stream
+    noise = np.empty((len(starts), budget.refine_iters, _PROPOSALS, 2 * space.dim))
+    edges = np.searchsorted(owner, np.arange(len(groups) + 1))
+    for grp, lo, hi in zip(groups, edges, edges[1:]):
+        np.random.default_rng([budget.seed, _REFINE_SALT, grp.salt]).standard_normal(out=noise[lo:hi])
+    V, f = _climb(space, _climb_objective(space, groups, edges * _PROPOSALS), pts[starts],
+                  np.concatenate(coarse), noise.swapaxes(0, 1), owner)
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        best = lo + int(np.argmax(f[lo:hi]))
+        out.append((float(f[best]), V[best]))
+    return out
 
 
 def _check_matrix(space: NormedSpace, A) -> np.ndarray:
@@ -201,6 +285,58 @@ def _check_matrix(space: NormedSpace, A) -> np.ndarray:
     return A
 
 
+def _check_part(space: NormedSpace, P: HomogeneousPoly) -> HomogeneousPoly:
+    if P.dim_in != space.dim or P.dim_out != space.dim:
+        raise ValueError("polynomial dimensions must match the space")
+    return P
+
+
+def _range_inf_group(A) -> _Group:
+    """The `numerical_range_inf` search of a checked matrix A."""
+    return _Group("inf", 1, A)
+
+
+def _radius_group(f) -> _Group:
+    """The `numerical_radius` search of a checked matrix, or the
+    `polynomial_numerical_radius` search of a HomogeneousPoly."""
+    return _Group("radius", 3 if isinstance(f, HomogeneousPoly) else 2, f)
+
+
+def _estimates(space, groups, budget=None) -> list:
+    """Run groups as one `_sphere_search`: a RangeEstimate per "inf" and
+    "radius" group, a (value, maximizer) pair per "norm" group.
+
+    At p = 2 each matrix estimate is cross-checked against its oracle, in
+    group order, as numerical_range_inf and numerical_radius describe.
+    """
+    budget = budget or DEFAULT_BUDGET
+    out = []
+    for grp, (value, vmax) in zip(groups, _sphere_search(space, groups, budget)):
+        if grp.kind == "norm":
+            out.append((value, vmax))
+            continue
+        A, oracle = grp.f, None
+        if grp.kind == "inf":
+            value = -value
+            if space.p == 2.0:
+                oracle = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
+                if abs(value - oracle) > 1e-6:
+                    raise OracleMismatchError(
+                        f"range infimum search {value:.12g} disagrees with the "
+                        f"Hermitian-part eigenvalue {oracle:.12g}"
+                    )
+        elif space.p == 2.0 and isinstance(A, np.ndarray):
+            oracle = hilbert_radius_oracle(A)
+            if abs(value - oracle) > 1e-4:
+                raise OracleMismatchError(
+                    f"radius search {value:.12g} disagrees with the rotated "
+                    f"eigenvalue oracle {oracle:.12g}"
+                )
+        out.append(RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
+                                 budget.refine_iters, oracle))
+    return out
+
+
 def numerical_range_inf(space: NormedSpace, A, budget: SearchBudget | None = None) -> RangeEstimate:
     """Infimum of Re<Av, v*> over the unit sphere of the space.
 
@@ -208,25 +344,7 @@ def numerical_range_inf(space: NormedSpace, A, budget: SearchBudget | None = Non
     part (A + A^H)/2; the search is cross-checked against it at 1e-6 and a
     mismatch raises OracleMismatchError.
     """
-    A = _check_matrix(space, A)
-    budget = budget or DEFAULT_BUDGET
-
-    def neg_pairing(V, g):
-        W = space.support_batch(V)
-        return -np.real(np.sum((V @ A.T) * W, axis=1))
-
-    neg_value, vmax = _sphere_search(space, neg_pairing, budget, (1,))[0]
-    value = -neg_value
-    oracle = None
-    if space.p == 2.0:
-        oracle = float(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[0])
-        if abs(value - oracle) > 1e-6:
-            raise OracleMismatchError(
-                f"range infimum search {value:.12g} disagrees with the "
-                f"Hermitian-part eigenvalue {oracle:.12g}"
-            )
-    return RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
-                         budget.refine_iters, oracle)
+    return _estimates(space, [_range_inf_group(_check_matrix(space, A))], budget)[0]
 
 
 def numerical_radius(space: NormedSpace, A, budget: SearchBudget | None = None) -> RangeEstimate:
@@ -235,19 +353,7 @@ def numerical_radius(space: NormedSpace, A, budget: SearchBudget | None = None) 
     For p = 2 the result is cross-checked at 1e-4 against the rotated
     Hermitian-part eigenvalue maximum (see hilbert_radius_oracle).
     """
-    A = _check_matrix(space, A)
-    budget = budget or DEFAULT_BUDGET
-    value, vmax = _radius_search(space, lambda V: V @ A.T, budget, salt=2)
-    oracle = None
-    if space.p == 2.0:
-        oracle = hilbert_radius_oracle(A)
-        if abs(value - oracle) > 1e-4:
-            raise OracleMismatchError(
-                f"radius search {value:.12g} disagrees with the rotated "
-                f"eigenvalue oracle {oracle:.12g}"
-            )
-    return RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
-                         budget.refine_iters, oracle)
+    return _estimates(space, [_radius_group(_check_matrix(space, A))], budget)[0]
 
 
 def polynomial_numerical_radius(space: NormedSpace, P: HomogeneousPoly,
@@ -257,12 +363,7 @@ def polynomial_numerical_radius(space: NormedSpace, P: HomogeneousPoly,
     A lower-bound estimate by construction; the refinement stage tightens
     the coarse sampling but cannot overshoot the true supremum.
     """
-    if P.dim_in != space.dim or P.dim_out != space.dim:
-        raise ValueError("polynomial dimensions must match the space")
-    budget = budget or DEFAULT_BUDGET
-    value, vmax = _radius_search(space, P.eval_batch, budget, salt=3)
-    return RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
-                         budget.refine_iters, None)
+    return _estimates(space, [_radius_group(_check_part(space, P))], budget)[0]
 
 
 def sup_norm_on_sphere(space: NormedSpace, evaluator, budget: SearchBudget | None = None,
@@ -271,12 +372,7 @@ def sup_norm_on_sphere(space: NormedSpace, evaluator, budget: SearchBudget | Non
 
     Returns (value, maximizer). `evaluator` maps a (B, n) batch to (B, n).
     """
-    budget = budget or DEFAULT_BUDGET
-
-    def obj(V, g):
-        return space.norm_batch(np.asarray(evaluator(V), dtype=np.complex128))
-
-    return _sphere_search(space, obj, budget, (salt,))[0]
+    return _estimates(space, [_Group("norm", salt, lambda V, g: evaluator(V))], budget)[0]
 
 
 def operator_norm(space: NormedSpace, M, budget: SearchBudget | None = None) -> float:
@@ -379,18 +475,16 @@ def harris_check(space: NormedSpace, P, budget: SearchBudget | None = None) -> d
     degree constant times its numerical radius.
 
     P is a HomogeneousPoly of any degree, or a matrix, which counts as
-    degree 1 with the constant e. Returns a report dict; `passed` tolerates
+    degree 1 with the constant e. The radius and the sup norm (salt 6) are
+    two groups of one search. Returns a report dict; `passed` tolerates
     violations up to 1e-6.
     """
-    budget = budget or DEFAULT_BUDGET
     if isinstance(P, HomogeneousPoly):
-        degree, evaluator = P.degree, P.eval_batch
-        radius = polynomial_numerical_radius(space, P, budget).value
+        degree, P = P.degree, _check_part(space, P)
     else:
-        M = _check_matrix(space, P)
-        degree, evaluator = 1, lambda V: V @ M.T
-        radius = numerical_radius(space, M, budget).value
-    sup, _ = sup_norm_on_sphere(space, evaluator, budget, salt=6)
+        degree, P = 1, _check_matrix(space, P)
+    est, (sup, _) = _estimates(space, [_radius_group(P), _Group("norm", 6, P)], budget)
+    radius = est.value
     constant = harris_constant(degree)
     bound = constant * radius
     slack = bound - sup

@@ -44,6 +44,14 @@ def count_calls(monkeypatch):
     return patch
 
 
+def matrix_searches(calls):
+    """(radius, infimum) searches of matrices among the groups of the
+    recorded `_estimates(space, groups, budget)` calls."""
+    groups = [grp for args, _ in calls for grp in args[1] if isinstance(grp.f, np.ndarray)]
+    return (sum(grp.kind == "radius" for grp in groups),
+            sum(grp.kind == "inf" for grp in groups))
+
+
 def serial_spread_starts(pts, order, count):
     """Reference start choice: walk `order`, skipping points within 0.05
     squared gap (modulo a global phase) of an earlier pick, then fill any

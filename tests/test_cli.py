@@ -18,7 +18,7 @@ from hologen.numrange import OracleMismatchError
 from hologen.polymaps import map_to_dict
 from hologen.spaces import NormedSpace
 
-from conftest import identity_map, minus_identity
+from conftest import identity_map, matrix_searches, minus_identity
 
 
 def invoke(capsys, *argv):
@@ -365,10 +365,9 @@ class TestVerifySuite:
 
     def test_linear_part_searched_once(self, capsys, count_calls):
         # the chain reads the linear radius and infimum off the growth inputs
-        radius = count_calls(bounds, "numerical_radius")
-        inf = count_calls(bounds, "numerical_range_inf")
+        searches = count_calls(bounds, "_estimates")
         assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
-        assert (len(radius), len(inf)) == (1, 1)
+        assert matrix_searches(searches) == (1, 1)
 
     def test_parallel_jobs_agree(self, capsys):
         _, serial, _ = invoke(capsys, "verify-suite", "--seeds", "2",

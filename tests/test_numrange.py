@@ -309,3 +309,31 @@ class TestSerialReplay:
         est = numerical_radius(space, A, REPLAY)
         assert est.value == f
         np.testing.assert_array_equal(est.maximizer, v)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4))
+@pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
+def test_batched_groups_match_searches_alone(dim, p):
+    # one climb of five groups at the default budget gives, group by group,
+    # the value and maximizer of each public search run alone
+    space = NormedSpace(dim, p)
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = sample_generator(space, seed=dim, degree=4)
+    P2, P4 = G.part_of_degree(2), G.part_of_degree(4)
+
+    def shell(V, g):
+        return G.eval_batch(0.8 * V)
+
+    groups = [numrange._range_inf_group(A), numrange._radius_group(A),
+              numrange._radius_group(P2), numrange._radius_group(P4),
+              numrange._Group("norm", 9, shell)]
+    found = numrange._sphere_search(space, groups, numrange.DEFAULT_BUDGET)
+    alone = [numerical_range_inf(space, A), numerical_radius(space, A),
+             polynomial_numerical_radius(space, P2), polynomial_numerical_radius(space, P4)]
+    assert [-found[0][0]] + [value for value, _ in found[1:4]] == [est.value for est in alone]
+    for (_, vmax), est in zip(found, alone):
+        np.testing.assert_array_equal(vmax, est.maximizer)
+    value, vmax = sup_norm_on_sphere(space, lambda V: shell(V, None), salt=9)
+    assert found[4][0] == value
+    np.testing.assert_array_equal(found[4][1], vmax)
