@@ -309,13 +309,14 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
 
     with k_j the degree constants. The per-direction coefficient bounds
     (|c_2(v)| <= ||G(0)|| - 2 Re c_1(v) and |c_j(v)| <= -2 Re c_1(v), with
-    c_j(v) = <Q_j v, v*> and c_1(v) = <Tv, v*> read from
-    `PolyMap.line_coefficients`) and the aggregated forms are reported as
-    margins; all must clear -1e-8, and the stage margins -1e-9. c, V_T and
-    m(T) are read from inputs, the growth inputs of G under its canonical
-    certificate as `verify_growth_bound` reports them; None certifies G and
-    measures them as `growth_inputs_from` does, in the one climb that also
-    searches the radius of every homogeneous part.
+    c_j(v) = <Q_j v, v*> and c_1(v) = <Tv, v*> paired off the one
+    `PolyMap.line_vectors` batch that gives ||Tv|| and ||Q_j(v)||) and the
+    aggregated forms are reported as margins; all must clear -1e-8, and the
+    stage margins -1e-9. c, V_T and m(T) are read from inputs, the growth
+    inputs of G under its canonical certificate as `verify_growth_bound`
+    reports them; None certifies G and measures them as `growth_inputs_from`
+    does, in the one climb that also searches the radius of every
+    homogeneous part.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.
@@ -325,7 +326,6 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
         raise ValueError("the chain needs an explicit polynomial map")
     space = G.space
     grid = _check_radii(radii, grid=True)
-    T = np.asarray(G.linear, dtype=np.complex128)
     g0 = np.asarray(G.constant, dtype=np.complex128)
     degree = G.degree
 
@@ -344,10 +344,11 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     vq = {p.degree: est.value for p, est in zip(G.higher, found[len(linear):])}
 
     V = space.sphere_sample(v_count, seed)
-    C = G.line_coefficients(V)
+    X = G.line_vectors(V)
+    C = G._line_pairings(X, space.support_batch(V))
     tv_pair = C[:, 1].real
-    tv_norm = space.norm_batch(V @ T.T)
-    q_norms = {p.degree: space.norm_batch(p.eval_batch(V)) for p in G.higher}
+    tv_norm = space.norm_batch(X[:, 1])
+    q_norms = {p.degree: space.norm_batch(X[:, p.degree]) for p in G.higher}
 
     R = grid[:, None]
     Z = _shell_grid(grid, V)

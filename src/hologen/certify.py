@@ -112,6 +112,12 @@ def _check_tolerance(tolerance) -> None:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
 
 
+def _require_polymap(F, caller: str) -> None:
+    if not isinstance(F, PolyMap):
+        raise ValueError(f"{caller} reads the line coefficients of a PolyMap; "
+                         f"got {type(F).__name__}")
+
+
 def _require_certified(G, verdict=None):
     """The verdict (None: certify G now) if "certified"; else raise NotCertifiedError."""
     if verdict is None:
@@ -326,9 +332,7 @@ def certify_generator(G, budget: CertifyBudget | None = None,
             tolerance is not positive.
     """
     _check_tolerance(tolerance)
-    if not isinstance(G, PolyMap):
-        raise ValueError("certify_generator reads the line coefficients of a "
-                         f"PolyMap; got {type(G).__name__}")
+    _require_polymap(G, "certify_generator")
     budget = budget or CertifyBudget()
     V = (np.ones((1, 1), dtype=np.complex128) if G.space.dim == 1
          else G.space.sphere_sample(budget.sphere, budget.seed))
@@ -367,9 +371,7 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     Raises:
         ValueError: F is not a PolyMap, whose lines the fit reads exactly.
     """
-    if not isinstance(F, PolyMap):
-        raise ValueError("certify_pseudo_dissipative reads the line coefficients of a "
-                         f"PolyMap; got {type(F).__name__}")
+    _require_polymap(F, "certify_pseudo_dissipative")
     budget = budget or CertifyBudget(sphere=192)
     space = F.space
     V = space.sphere_sample(budget.sphere, budget.seed)
@@ -495,9 +497,7 @@ def restriction_agreement(G, v_count: int = 12, seed: int = 0,
     Raises:
         ValueError: G is not a PolyMap, whose slices are read exactly.
     """
-    if not isinstance(G, PolyMap):
-        raise ValueError("restriction_agreement reads the line coefficients of a "
-                         f"PolyMap; got {type(G).__name__}")
+    _require_polymap(G, "restriction_agreement")
     ball = verdict if verdict is not None else certify_generator(G)
     directions = G.space.sphere_sample(v_count, seed)
     if ball.verdict == "refuted" and ball.witness is not None:

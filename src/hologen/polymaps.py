@@ -178,8 +178,10 @@ class PolyMap:
         of zeta -> <F(zeta v), v*> for the rows v of V, unit rows unchecked:
         the `line_vectors` paired with the support functionals."""
         V = np.asarray(V, dtype=np.complex128)
-        W = self.space.support_batch(V)
-        X = self.line_vectors(V)
+        return self._line_pairings(self.line_vectors(V), self.space.support_batch(V))
+
+    def _line_pairings(self, X, W) -> np.ndarray:
+        """`line_coefficients` from the `line_vectors` X and support rows W."""
         C = np.zeros(X.shape[:2], dtype=np.complex128)
         C[:, 0] = W @ self.constant
         for k in (1, *(part.degree for part in self.higher)):

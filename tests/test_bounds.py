@@ -17,7 +17,8 @@ from hologen.certify import (GeneratorVerdict, NotCertifiedError,
                              certify_pseudo_dissipative, inverse_shift)
 from hologen.numrange import (OracleMismatchError, SearchBudget, _spread_starts,
                               harris_constant, sup_norm_on_sphere)
-from hologen.polymaps import CallableMap, PolyMap, sample_generator, unitary_conjugate
+from hologen.polymaps import (CallableMap, HomogeneousPoly, PolyMap, sample_generator,
+                              unitary_conjugate)
 from hologen.spaces import NormedSpace
 
 from conftest import (identity_map, matrix_searches, minus_identity,
@@ -487,6 +488,19 @@ class TestIntermediateChain:
         assert given.coefficient_margins == fresh.coefficient_margins
         assert np.array_equal(given.concavity_margins, fresh.concavity_margins)
         assert given.passed == fresh.passed
+
+    @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, math.inf)])
+    def test_one_line_batch_serves_the_norms_and_coefficients(self, count_calls, dim, p):
+        # the chain reads ||Tv||, every ||Q_j(v)|| and every c_j(v) off one
+        # line batch, so no part is evaluated on its own power table
+        G = sample_generator(NormedSpace(dim, p), seed=dim, degree=5)
+        budget = SearchBudget(samples=512, refine_iters=40, starts=2)
+        inputs = verify_growth_bound(G, radii=[0.5], budget=budget).inputs
+        parts = count_calls(HomogeneousPoly, "eval_batch")
+        lines = count_calls(PolyMap, "line_vectors")
+        verify_intermediate_chain(G, budget=budget, v_count=16, inputs=inputs)
+        assert parts == []
+        assert len(lines) == 1
 
     @pytest.mark.parametrize("field, value", [("theta", 0.5), ("a", -0.25),
                                               ("center_norm", 1.0)])
