@@ -109,8 +109,7 @@ def _integrate_rows(G, starts, horizons, rtol: float, max_steps: int = 200000) -
     """Solve dz/dt = G(z) from each start over its own [0, horizon] and return
     each row's Trajectory or the error that stopped it, in row order. Each
     pass evaluates every stage of the live rows as one batch; a finished or
-    stopped row leaves it. No row's arithmetic reads another row, though a
-    batched drift evaluation may round unlike a one-row one (BLAS paths)."""
+    stopped row leaves it. No row's arithmetic reads another row."""
     space: NormedSpace = G.space
     rows = []
     for z0, t_end in zip(starts, horizons):

@@ -10,6 +10,7 @@ generator form built from such a part.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +29,27 @@ def _power_table(Z: np.ndarray, degree: int) -> np.ndarray:
     """(B, (degree + 1) * dim) table whose column k * dim + i is Z[:, i] ** k."""
     powers = Z[:, None, :] ** np.arange(degree + 1)[:, None]
     return powers.reshape(len(Z), (degree + 1) * Z.shape[1])
+
+
+def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(parts, B, dim_out) values, from a `_power_table`, of stacked parts: their
+    nonunit-factor columns (factors, parts, terms) and coeffs (parts, terms,
+    dim_out). Each factor is one contiguous block, multiplied in as binary `*`."""
+    factors = table[:, columns.ravel()].T.reshape(*columns.shape, len(table))
+    mono = factors[0]
+    for i in range(1, len(columns)):
+        mono *= factors[i]
+    return np.matmul(mono.transpose(0, 2, 1), coeffs)
+
+
+def _gemm_rows(kernel):
+    """Run a one-row call as that row in a two-row batch: numpy's matmul takes
+    gemv for one row and gemm from two, and the two round apart."""
+    @functools.wraps(kernel)
+    def wrapped(self, Z):
+        Z = np.asarray(Z, dtype=np.complex128)
+        return kernel(self, np.concatenate((Z, Z)))[:1] if len(Z) == 1 else kernel(self, Z)
+    return wrapped
 
 
 @dataclass(frozen=True)
@@ -60,9 +82,12 @@ class HomogeneousPoly:
             raise ValueError(f"every multi-index must sum to degree {self.degree}")
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "coeffs", coeffs)
-        # (dim_in, terms) `_power_table` columns of the factors z_i^a_i
-        n = self.dim_in
-        object.__setattr__(self, "_columns", powers.T * n + np.arange(n)[:, None])
+        # (factors, terms) `_power_table` columns of each monomial's nonunit
+        # factors z_i^a_i in coordinate order, padded with the exact 1 of z_0^0
+        nonunit = np.count_nonzero(powers, axis=1).max(initial=1)
+        coord = np.argsort(powers == 0, axis=1, kind="stable")[:, :nonunit]
+        exps = np.take_along_axis(powers, coord, axis=1)
+        object.__setattr__(self, "_columns", np.where(exps > 0, exps * self.dim_in + coord, 0).T.copy())
 
     @property
     def dim_in(self) -> int:
@@ -72,24 +97,18 @@ class HomogeneousPoly:
     def dim_out(self) -> int:
         return self.coeffs.shape[1]
 
+    @_gemm_rows
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         """Evaluate on rows of Z, shape (B, dim_in) -> (B, dim_out).
 
-        Powers are bit-identical to `z ** k`; a monomial multiplies its factors
-        left to right with binary `*`, independent of batch size, and rounds unlike
-        `np.prod` once two factors are nonunit. The final `@` depends on the batch
-        size: gemv for one row, gemm for more."""
-        return self._eval_table(_power_table(np.asarray(Z, dtype=np.complex128), self.degree))
+        Powers are bit-identical to `z ** k`. A monomial multiplies its nonunit
+        factors left to right with binary `*`, unlike `np.prod` once two are
+        nonunit. The matmul is gemm, so a row rounds the same alone and in a batch."""
+        return self._eval_table(_power_table(Z, self.degree))
 
     def _eval_table(self, table: np.ndarray) -> np.ndarray:
         """Evaluate from a `_power_table` of degree >= self.degree."""
-        # (B, dim_in, terms); the reshape copies the gather to C order, without
-        # which the products' rounding would depend on the batch size
-        factors = table[:, self._columns.ravel()].reshape(len(table), *self._columns.shape)
-        mono = factors[:, 0]
-        for i in range(1, self.dim_in):
-            mono *= factors[:, i]  # in place: rounds as binary `*`
-        return mono @ self.coeffs
+        return _eval_parts(table, self._columns[:, None], self.coeffs[None])[0]
 
     def __call__(self, z) -> np.ndarray:
         return self.eval_batch(np.asarray(z, dtype=np.complex128)[None, :])[0]
@@ -130,19 +149,27 @@ class PolyMap:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "linear", A)
         object.__setattr__(self, "higher", parts)
+        # runs of consecutive parts of one (factors, terms) shape, stacked for `_eval_parts`
+        runs = [list(run) for _, run in itertools.groupby(parts, lambda q: q._columns.shape)]
+        object.__setattr__(self, "_groups", [(np.stack([q._columns for q in run], axis=1),
+                                              np.stack([q.coeffs for q in run])) for run in runs])
 
     @property
     def degree(self) -> int:
         return self.higher[-1].degree if self.higher else 1
 
-    def eval_batch(self, Z: np.ndarray) -> np.ndarray:
-        """Unchecked batch evaluation on rows of Z; one power table serves all parts."""
-        Z = np.asarray(Z, dtype=np.complex128)
-        out = self.constant[None, :] + Z @ self.linear.T
+    def _part_values(self, Z: np.ndarray):
+        """Yield the homogeneous parts' values on rows Z in degree order, group by group."""
         table = _power_table(Z, self.degree) if self.higher else None
-        for part in self.higher:
-            out = out + part._eval_table(table)
-        return out
+        for columns, coeffs in self._groups:
+            yield from _eval_parts(table, columns, coeffs)
+
+    @_gemm_rows
+    def eval_batch(self, Z: np.ndarray) -> np.ndarray:
+        """Unchecked batch evaluation on rows of Z: constant plus linear part,
+        then the homogeneous parts added in degree order. Every matmul is gemm,
+        so a row rounds the same alone and in a batch of any size."""
+        return sum(self._part_values(Z), self.constant[None, :] + Z @ self.linear.T)
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at one point of the open unit ball."""
@@ -160,17 +187,16 @@ class PolyMap:
                 return part
         return None
 
+    @_gemm_rows
     def line_vectors(self, V) -> np.ndarray:
         """(B, degree + 1, dim) array of the Taylor vectors F_k(v) of
-        zeta -> F(zeta v) for the rows v of V. Each part is evaluated once
-        per batch; degrees the map lacks read 0."""
-        V = np.asarray(V, dtype=np.complex128)
+        zeta -> F(zeta v) for the rows v of V, rounded as `eval_batch` rounds
+        its terms; degrees the map lacks read 0."""
         X = np.zeros((V.shape[0], self.degree + 1, self.space.dim), dtype=np.complex128)
         X[:, 0] = self.constant
         X[:, 1] = V @ self.linear.T
-        table = _power_table(V, self.degree) if self.higher else None
-        for part in self.higher:
-            X[:, part.degree] = part._eval_table(table)
+        for part, values in zip(self.higher, self._part_values(V)):
+            X[:, part.degree] = values
         return X
 
     def line_coefficients(self, V) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Polynomial ball maps, disc functions, coefficient extraction, sampling."""
 
+import functools
 import math
 
 import numpy as np
@@ -74,6 +75,13 @@ def reference_part(part, Z):
     return np.prod(Z[:, None, :] ** part.powers[None, :, :], axis=2) @ part.coeffs
 
 
+def binary_product_part(part, Z):
+    """The monomials as binary `*` of every factor z_i ** a_i in coordinate
+    order, unit factors included, then the coefficient matmul."""
+    factors = [Z[:, None, i] ** part.powers[None, :, i] for i in range(Z.shape[1])]
+    return functools.reduce(np.multiply, factors) @ part.coeffs
+
+
 def dense_copy(dim, seed, degree):
     rng = np.random.default_rng([seed, dim, 31])
     U, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -92,9 +100,11 @@ class TestPowerTableKernel:
             for count in (0, 1, 2, 8, 608, 2432):
                 Z = (ball_points(space, count, seed=count + degree, rmax=0.99) if count
                      else np.zeros((0, dim), dtype=np.complex128))
-                expected = F.constant[None, :] + Z @ F.linear.T
+                # a one-row call is evaluated as that row inside a two-row batch
+                R = np.concatenate((Z, Z)) if count == 1 else Z
+                expected = (F.constant[None, :] + R @ F.linear.T)[:count]
                 for part in F.higher:
-                    ref = reference_part(part, Z)
+                    ref = reference_part(part, R)[:count]
                     assert part.eval_batch(Z).tobytes() == ref.tobytes()
                     expected = expected + ref
                 assert F.eval_batch(Z).tobytes() == expected.tobytes()
@@ -108,6 +118,8 @@ class TestPowerTableKernel:
             for part in F.higher:
                 ref = reference_part(part, Z)
                 assert np.max(np.abs(part.eval_batch(Z) - ref)) <= 1e-14 * np.max(np.abs(ref))
+                # dropping the unit factors keeps the left-to-right product's bits
+                assert part.eval_batch(Z).tobytes() == binary_product_part(part, Z).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_monomials_do_not_depend_on_batch_size(self, dim):
@@ -123,6 +135,29 @@ class TestPowerTableKernel:
             eights = np.concatenate([mono.eval_batch(Z[b:b + 8]) for b in range(0, 64, 8)])
             np.testing.assert_array_equal(eights, alone)
             np.testing.assert_array_equal(mono.eval_batch(Z), alone)
+
+    @pytest.mark.parametrize("dim,p,dense", [*((d, p, False) for d, p in SLOT_PAIRS),
+                                             (2, 2.0, True), (4, 2.0, True)])
+    def test_rows_round_alike_alone_and_in_a_batch(self, dim, p, dense):
+        space = NormedSpace(dim, p)
+        F = dense_copy(dim, seed=3, degree=7) if dense else sample_generator(space, seed=3, degree=7)
+        V = space.sphere_sample(2432, seed=4)
+        Z = ball_points(space, 2432, seed=4, rmax=0.99)
+        whole = (F.eval_batch(Z), F.line_vectors(V))
+        for size in (1, 2, 3, 8, 64, 608):
+            pieces = range(0, 2432, size)
+            cut = (np.concatenate([F.eval_batch(Z[b:b + size]) for b in pieces]),
+                   np.concatenate([F.line_vectors(V[b:b + size]) for b in pieces]))
+            for a, b in zip(cut, whole):
+                assert a.tobytes() == b.tobytes()
+
+    def test_parts_keep_only_their_nonunit_factors(self):
+        for dim in (1, 2, 4):
+            for part in sample_generator(NormedSpace(dim, 2.0), seed=2, degree=7).higher:
+                assert part._columns.shape == (1, part.powers.shape[0])
+            if dim > 1:
+                for part in dense_copy(dim, seed=2, degree=7).higher:
+                    assert part._columns.shape == (min(dim, part.degree), part.powers.shape[0])
 
     def test_empty_part_inside_a_map_is_zero(self, l2_2d):
         empty = HomogeneousPoly(3, np.zeros((0, 2), dtype=np.int64),
