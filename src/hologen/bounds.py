@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import PseudoDissipativityCertificate, _check_tolerance, _require_certified
+from .certify import (PseudoDissipativityCertificate, _check_tolerance, _require_certified,
+                      _require_polymap)
 from .numrange import (OracleMismatchError, SearchBudget, _estimates, _Group,
                        _radius_group, _range_inf_group, harris_constant)
 from .spaces import _shell_grid
@@ -129,8 +130,7 @@ def _linear_searches(F, cert: PseudoDissipativityCertificate):
     _require_certified(F, cert)
     if not (math.isfinite(cert.theta) and math.isfinite(cert.a)):
         raise ValueError(f"certificate theta {cert.theta} and a {cert.a} must be finite")
-    if not hasattr(F, "linear"):
-        raise ValueError("growth inputs need a map with an explicit linear part")
+    _require_polymap(F, "the growth bound")
     space = F.space
     A = np.asarray(F.linear, dtype=np.complex128)
     phase = complex(math.cos(cert.theta), math.sin(cert.theta))
@@ -177,7 +177,7 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
         NotCertifiedError: the certificate is not a certified one.
         OracleMismatchError: a p = 2 cross-check or the shift consistency
             check fails.
-        ValueError: theta or a is not finite, or F has no explicit linear part.
+        ValueError: theta or a is not finite, or F is not a PolyMap.
     """
     groups, read = _linear_searches(F, cert)
     return read(_estimates(F.space, groups, budget))
@@ -226,7 +226,7 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     exactly on an envelope reports slack 0.
 
     Args:
-        F: map with an explicit linear part.
+        F: a PolyMap.
         cert: certified rotation/shift certificate, or None.
         radii: nonempty 1-D grid of shell radii, default 0.1 .. 0.95 step 0.05, 0.99.
         budget: search effort for the suprema and range estimates.
@@ -322,8 +322,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
         NotCertifiedError: inputs is None and G does not certify.
         ValueError: G is not a PolyMap, or inputs are not canonical.
     """
-    if not hasattr(G, "higher"):
-        raise ValueError("the chain needs an explicit polynomial map")
+    _require_polymap(G, "verify_intermediate_chain")
     space = G.space
     grid = _check_radii(radii, grid=True)
     g0 = np.asarray(G.constant, dtype=np.complex128)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numrange import _PROPOSALS, _climb, _golden_max
+from .numrange import _PROPOSALS, _check_floors, _climb, _golden_max
 from .polymaps import (PolyMap, _least_real_part, _pairs, _polynomial_coefficients,
                        taylor_coefficients)
 
@@ -52,9 +52,7 @@ class CertifyBudget:
     max_evals: int | None = None
 
     def __post_init__(self):
-        for name, least in (("sphere", 1), ("refine_points", 1), ("refine_iters", 0)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        _check_floors(self, (("sphere", 1), ("refine_points", 1), ("refine_iters", 0)))
         if self.max_evals is not None and not self.max_evals >= 0:
             raise ValueError(f"max_evals must be >= 0 or None, got {self.max_evals}")
 
@@ -114,7 +112,7 @@ def _check_tolerance(tolerance) -> None:
 
 def _require_polymap(F, caller: str) -> None:
     if not isinstance(F, PolyMap):
-        raise ValueError(f"{caller} reads the line coefficients of a PolyMap; "
+        raise ValueError(f"{caller} reads the coefficients of a PolyMap; "
                          f"got {type(F).__name__}")
 
 

@@ -194,7 +194,7 @@ def integrate(G, z0, t_end: float, rtol: float = 1e-9,
     Per-step error is held below rtol * (1 + ||z||) in the space norm.
 
     Args:
-        G: PolyMap or CallableMap drift.
+        G: drift with `space` and `eval_batch`, such as a PolyMap.
         z0: start point with ||z0|| < 1; a non-finite entry is rejected.
         t_end: finite nonnegative horizon; 0 returns the trivial trajectory.
         rtol: relative step tolerance.

@@ -47,12 +47,23 @@ class SearchBudget:
     samples: coarse sphere samples, starts: refined local searches,
     refine_iters: iterations per start, seed: key of the sample and
     refinement streams. Every iteration tries `_PROPOSALS` candidates.
+    ValueError unless samples and starts are >= 1 and refine_iters >= 0.
     """
 
     samples: int = 4096
     refine_iters: int = 200
     starts: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        _check_floors(self, (("samples", 1), ("starts", 1), ("refine_iters", 0)))
+
+
+def _check_floors(budget, floors) -> None:
+    """Raise ValueError naming the first field of budget below its least value."""
+    for name, least in floors:
+        if not getattr(budget, name) >= least:
+            raise ValueError(f"{name} must be >= {least}, got {getattr(budget, name)}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -441,14 +452,6 @@ def _golden_max(h, lo, hi, iters):
             x1 = hi - gold * (hi - lo)
             f1 = h(x1)
     return x1, f1, x2, f2
-
-
-def hilbert_range_inf_oracle(A) -> RangeEstimate:
-    """Exact p = 2 range infimum with its eigenvector witness."""
-    A = np.asarray(A, dtype=np.complex128)
-    H = (A + A.conj().T) / 2.0
-    w, V = np.linalg.eigh(H)
-    return RangeEstimate(float(w[0]), V[:, 0], "hilbert-oracle", 0, 0, float(w[0]))
 
 
 def harris_constant(m: int) -> float:

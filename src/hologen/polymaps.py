@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -238,46 +237,6 @@ class PolyMap:
             linear=phase * self.linear - a * eye,
             higher=parts,
         )
-
-
-@dataclass(frozen=True)
-class CallableMap:
-    """Opaque holomorphic ball map exposing the PolyMap evaluation surface.
-
-    Args:
-        space: ambient space.
-        fn: batch evaluator mapping a (B, dim) array to a (B, dim) array.
-    """
-
-    space: NormedSpace
-    fn: Callable
-
-    @functools.cached_property
-    def constant(self) -> np.ndarray:
-        """F(0), evaluated on first read and kept read-only."""
-        c = self.eval_batch(np.zeros((1, self.space.dim), dtype=np.complex128))[0]
-        c.flags.writeable = False
-        return c
-
-    def eval_batch(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=np.complex128)
-        out = np.asarray(self.fn(Z), dtype=np.complex128)
-        if out.shape != Z.shape:
-            raise ValueError("black-box evaluator must return one row per input row")
-        return out
-
-    def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        if not self.space.norm(z) < 1.0:
-            raise ValueError("point lies outside the open unit ball")
-        return self.eval_batch(z[None, :])[0]
-
-    __call__ = evaluate
-
-    def shifted(self, theta: float, a: float) -> "CallableMap":
-        phase = complex(math.cos(theta), math.sin(theta))
-        base = self.fn
-        return CallableMap(self.space, lambda Z, _b=base, _p=phase, _a=a: _p * np.asarray(_b(Z)) - _a * np.asarray(Z))
 
 
 @dataclass(frozen=True)

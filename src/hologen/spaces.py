@@ -23,19 +23,6 @@ _SPHERE_SALT = 101
 
 
 @dataclass(frozen=True)
-class SupportPair:
-    """A point v, its support functional vstar, and norm(v).
-
-    Satisfies Re<v, vstar> = norm(v)**2 and dual_norm(vstar) = norm(v), the
-    normalization that makes <z, z*> = ||z||^2 at every point.
-    """
-
-    v: np.ndarray
-    vstar: np.ndarray
-    norm_value: float
-
-
-@dataclass(frozen=True)
 class NormedSpace:
     """(C^n, ||.||_p) with 1 <= n <= 16 and p in {1, 2, inf} union [1.1, 10].
 
@@ -91,31 +78,13 @@ class NormedSpace:
 
     # -- duality map ----------------------------------------------------
 
-    def support_functional(self, v) -> SupportPair:
-        """Support pair at v != 0.
-
-        Canonical selection rules:
-          1 < p < inf: vstar_j = ||v||^(2-p) * |v_j|^(p-2) * conj(v_j),
-                       with 0 where v_j = 0.
-          p = 1:       vstar_j = ||v||_1 * conj(v_j)/|v_j| where v_j != 0,
-                       else 0.
-          p = inf:     a single entry ||v||_inf * conj(v_k)/|v_k| at the
-                       smallest index k attaining max |v_j|, zero elsewhere.
-
-        Args:
-            v: nonzero vector.
-
-        Raises:
-            ValueError: on the zero vector.
-        """
-        v = self._check_vector(v)
-        W = self.support_batch(v[None, :])
-        return SupportPair(
-            v=v, vstar=W[0], norm_value=float(self._norm_rows(v[None, :])[0])
-        )
-
     def support_batch(self, Z) -> np.ndarray:
-        """Row-wise support functionals of a (B, dim) array of nonzero rows."""
+        """Row-wise support functionals v* of a (B, dim) array of nonzero rows.
+
+        The canonical selection: v*_j = ||v||^(2-p) |v_j|^(p-2) conj(v_j) for
+        p < inf, 0 where v_j = 0; at p = inf the one entry ||v|| conj(v_k)/|v_k|
+        at the smallest k attaining max |v_j|. ValueError on a zero row.
+        """
         Z = self._check_batch(Z)
         nrm = self._norm_rows(Z)
         if np.any(nrm == 0.0):
@@ -137,11 +106,6 @@ class NormedSpace:
         return nrm[:, None] ** (2.0 - self.p) * a ** (self.p - 1.0) * phase
 
     # -- pairing --------------------------------------------------------
-
-    @staticmethod
-    def pairing(u, w) -> complex:
-        """Bilinear pairing <u, w> = sum_j u_j * w_j."""
-        return complex(np.sum(np.asarray(u) * np.asarray(w)))
 
     @staticmethod
     def pairing_batch(U, W) -> np.ndarray:

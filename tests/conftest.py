@@ -14,6 +14,17 @@ def make_linear_map(space: NormedSpace, matrix) -> PolyMap:
                    linear=A, higher=())
 
 
+class BlackBox:
+    """A map known only through its batch evaluator fn: a drift for the
+    integrator, or a non-PolyMap for the checks that reject one."""
+
+    def __init__(self, space: NormedSpace, fn):
+        self.space, self.fn = space, fn
+
+    def eval_batch(self, Z) -> np.ndarray:
+        return np.asarray(self.fn(np.asarray(Z, dtype=np.complex128)), dtype=np.complex128)
+
+
 def minus_identity(space: NormedSpace) -> PolyMap:
     return make_linear_map(space, -np.eye(space.dim))
 

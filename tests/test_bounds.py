@@ -17,11 +17,10 @@ from hologen.certify import (GeneratorVerdict, NotCertifiedError,
                              certify_pseudo_dissipative, inverse_shift)
 from hologen.numrange import (OracleMismatchError, SearchBudget, _spread_starts,
                               harris_constant, sup_norm_on_sphere)
-from hologen.polymaps import (CallableMap, HomogeneousPoly, PolyMap, sample_generator,
-                              unitary_conjugate)
+from hologen.polymaps import HomogeneousPoly, PolyMap, sample_generator, unitary_conjugate
 from hologen.spaces import NormedSpace
 
-from conftest import (identity_map, matrix_searches, minus_identity,
+from conftest import (BlackBox, identity_map, matrix_searches, minus_identity,
                       serial_spread_starts)
 
 E = math.e
@@ -208,8 +207,8 @@ class TestGrowthInputsFrom:
             growth_inputs_from(G, bad)
 
     def test_rejects_blackbox_map(self, l2_2d):
-        F = CallableMap(l2_2d, lambda Z: -Z)
-        with pytest.raises(ValueError, match="linear part"):
+        F = BlackBox(l2_2d, lambda Z: -Z)
+        with pytest.raises(ValueError, match="PolyMap"):
             growth_inputs_from(F, manual_certificate(0.0, 0.0))
 
     def test_shifted_part_of_certified_map_is_dissipative(self):
@@ -515,8 +514,8 @@ class TestIntermediateChain:
             verify_intermediate_chain(identity_map(l2_2d))
 
     def test_blackbox_map_raises(self, l2_2d):
-        F = CallableMap(l2_2d, lambda Z: -Z)
-        with pytest.raises(ValueError, match="polynomial"):
+        F = BlackBox(l2_2d, lambda Z: -Z)
+        with pytest.raises(ValueError, match="PolyMap"):
             verify_intermediate_chain(F)
 
     def test_nan_radius_rejected(self, l2_2d):

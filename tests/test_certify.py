@@ -25,7 +25,6 @@ from hologen.certify import (
 )
 from hologen.numrange import _climb
 from hologen.polymaps import (
-    CallableMap,
     DiscFunction,
     HomogeneousPoly,
     PolyMap,
@@ -36,7 +35,7 @@ from hologen.polymaps import (
 )
 from hologen.spaces import NormedSpace
 
-from conftest import identity_map, make_linear_map, minus_identity
+from conftest import BlackBox, identity_map, make_linear_map, minus_identity
 
 QUICK = CertifyBudget(sphere=64, refine_points=8, refine_iters=20)
 
@@ -228,7 +227,7 @@ class TestCertifyGenerator:
     def test_callable_map_is_rejected(self, l2_2d):
         # the certifier reads exact line coefficients, which a black box lacks
         with pytest.raises(ValueError, match="PolyMap"):
-            certify_generator(CallableMap(l2_2d, lambda Z: -Z))
+            certify_generator(BlackBox(l2_2d, lambda Z: -Z))
 
     @pytest.mark.parametrize("k, delta, alpha", [
         (2, 1e-3, 0.0), (7, 1e-6, 1.3), (15, 1e-3, 2.9), (31, 1e-6, 5.1), (31, 1e-3, 4.0)])
@@ -383,7 +382,7 @@ class TestPseudoDissipative:
     def test_callable_map_is_rejected(self, l2_2d):
         # the fit reads exact line coefficients, which a black box lacks
         with pytest.raises(ValueError, match="PolyMap"):
-            certify_pseudo_dissipative(CallableMap(l2_2d, lambda Z: -Z))
+            certify_pseudo_dissipative(BlackBox(l2_2d, lambda Z: -Z))
 
     @pytest.mark.parametrize("p,c", [(2.0, 1e4), (1.0, 1e6)])
     def test_steep_polynomial_is_certified(self, p, c):
@@ -646,11 +645,11 @@ class TestBatchedSlices:
         bad = shift_to_generator(G, 0.0, -(max(0.0, slack_probe(G)) + 1.0) / 0.25)
         d = next(iter(G.space.sphere_sample(1, 0)))
         for M in (G, bad):
-            box = CallableMap(M.space, M.eval_batch)
+            box = BlackBox(M.space, M.eval_batch)
             with pytest.raises(ValueError, match="PolyMap"):
                 restriction_agreement(box, verdict=certify_generator(M))
             with pytest.raises(ValueError, match="truncate it first"):
-                certify_disc_generator(lambda z, box=box: box(z * d))
+                certify_disc_generator(lambda z, box=box: box.eval_batch(z * d[None, :])[0])
 
     def test_one_phase_max_for_all_slices(self, count_calls):
         G = _nine_slots()[5]

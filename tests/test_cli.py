@@ -11,10 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from hologen import bounds, certify, cli
+from hologen import bounds, certify, cli, numrange
 from hologen.certify import NotCertifiedError, PseudoDissipativityCertificate
 from hologen.cli import run
-from hologen.numrange import OracleMismatchError
+from hologen.numrange import OracleMismatchError, harris_check
 from hologen.polymaps import map_to_dict
 from hologen.spaces import NormedSpace
 
@@ -368,6 +368,32 @@ class TestVerifySuite:
         searches = count_calls(bounds, "_estimates")
         assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
         assert matrix_searches(searches) == (1, 1)
+
+    def test_two_sphere_searches_per_seed(self, capsys, count_calls):
+        # one climb for the growth bound and one for the chain; the harris
+        # check reads the chain's margin instead of searching again
+        searches = count_calls(numrange, "_sphere_search")
+        assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
+        assert len(searches) == 2
+
+    def test_harris_margin_matches_the_searched_check(self, capsys, monkeypatch):
+        # the battery's maps peak on the +-e_k that lead every sphere sample,
+        # so the chain's sampled sup norm is the searched one
+        chains = []
+        real = cli.verify_intermediate_chain
+
+        def chain(G, **kwargs):
+            chains.append((G, kwargs["budget"], real(G, **kwargs)))
+            return chains[-1][2]
+
+        monkeypatch.setattr(cli, "verify_intermediate_chain", chain)
+        assert invoke(capsys, "verify-suite", "--seeds", "9", "--no-timestamp")[0] == 0
+        assert len(chains) == 9
+        for G, budget, report in chains:
+            target = G.part_of_degree(2) or G.higher[0]
+            margin = report.coefficient_margins[f"degree_{target.degree}_harris"]
+            slack = harris_check(G.space, target, budget)["slack"]
+            assert margin == pytest.approx(slack, abs=1e-12)
 
     def test_parallel_jobs_agree(self, capsys):
         _, serial, _ = invoke(capsys, "verify-suite", "--seeds", "2",

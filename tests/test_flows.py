@@ -10,11 +10,10 @@ import pytest
 from hologen.flows import (_START_SALT, BallEscapeError, FlowStopError, StepUnderflowError,
                            Trajectory, _integrate_rows, check_semigroup, flow_endpoint,
                            integrate, invariance_sweep, trajectory_to_csv)
-from hologen.polymaps import (CallableMap, HomogeneousPoly, PolyMap, _pairs,
-                              sample_generator)
+from hologen.polymaps import HomogeneousPoly, PolyMap, _pairs, sample_generator
 from hologen.spaces import NormedSpace
 
-from conftest import identity_map, minus_identity
+from conftest import BlackBox, identity_map, minus_identity
 
 
 class TestIntegrate:
@@ -88,7 +87,7 @@ class TestIntegrate:
         # opposing megascale pulls across a line trap the controller in
         # rejects until the step collapses
         space = NormedSpace(1, 2.0)
-        G = CallableMap(space, lambda Z: np.where(Z.real < 0.1, 1.0, -1.0) * 1e8)
+        G = BlackBox(space, lambda Z: np.where(Z.real < 0.1, 1.0, -1.0) * 1e8)
         with pytest.raises(StepUnderflowError) as info:
             integrate(G, np.array([0.0j]), 1.0)
         assert isinstance(info.value, FlowStopError)
@@ -147,7 +146,7 @@ class TestNonFiniteDrift:
 
     @staticmethod
     def drift(space, bad):
-        return CallableMap(space, lambda Z: np.where(np.abs(Z) > 0.3, bad, -Z))
+        return BlackBox(space, lambda Z: np.where(np.abs(Z) > 0.3, bad, -Z))
 
     def test_nan_drift_underflows_after_21_rejects(self, l2_2d):
         with pytest.raises(StepUnderflowError) as info:
@@ -202,7 +201,7 @@ class TestBatchedRows:
         # right half plane: z' = z escapes; left half plane: z' = -z decays
         # until a stage lands inside |z| < 0.3, where the drift is NaN
         line = NormedSpace(1, 2.0)
-        G = CallableMap(line, lambda Z: np.where(
+        G = BlackBox(line, lambda Z: np.where(
             Z.real > 0.0, Z, np.where(np.abs(Z) < 0.3, np.nan, -Z)))
         serial = [serial_outcome(G, z0, 4.0) for z0 in sweep_starts(line, 6)]
         kinds = [type(out).__name__ for out in serial]

@@ -13,7 +13,6 @@ from hologen.numrange import (
     harris_check,
     harris_constant,
     hilbert_radius_oracle,
-    hilbert_range_inf_oracle,
     numerical_radius,
     numerical_range_inf,
     operator_norm,
@@ -55,8 +54,8 @@ class TestRangeInf:
         A = np.array([[1.0, 2.0j], [0.5, -1.0]])
         est = numerical_range_inf(L2, A, FAST)
         v = est.maximizer
-        w = L2.support_functional(v).vstar
-        again = float(np.real(NormedSpace.pairing(A @ v, w)))
+        W = L2.support_batch(v[None, :])
+        again = float(np.real(NormedSpace.pairing_batch((A @ v)[None, :], W)[0]))
         assert again == pytest.approx(est.value, abs=1e-12)
 
     def test_shift_equivariance_exact(self):
@@ -192,9 +191,8 @@ class TestHilbertOracles:
             assert hilbert_radius_oracle(A) >= grid - 1e-12
 
     def test_range_inf_oracle_witness(self):
-        est = hilbert_range_inf_oracle(np.diag([1.0, -2.0]))
-        assert est.value == -2.0
-        np.testing.assert_allclose(np.abs(est.maximizer), [0.0, 1.0], atol=1e-12)
+        # the least eigenvalue of the Hermitian part, the search's p = 2 oracle
+        assert numerical_range_inf(L2, np.diag([1.0, -2.0]), FAST).oracle == -2.0
 
 
 class TestHarris:
@@ -226,6 +224,14 @@ class TestHarris:
         assert report["radius"] == pytest.approx(2.0 / (3.0 * math.sqrt(3.0)), abs=1e-4)
         assert report["slack"] >= -1e-6
         assert report["passed"]
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 0), ("starts", 0), ("refine_iters", -1), ("samples", math.nan)])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            SearchBudget(**{field: value})
 
 
 class TestSearchBehavior:

@@ -8,7 +8,6 @@ import pytest
 
 from hologen import polymaps
 from hologen.polymaps import (
-    CallableMap,
     DiscFunction,
     HomogeneousPoly,
     PolyMap,
@@ -234,9 +233,9 @@ class TestPolyMap:
         F = sample_generator(l2_2d, seed=5, degree=4)
         v = l2_2d.sphere_sample(8, seed=1)[6]
         g = F.restrict(v)
-        w = l2_2d.support_functional(v).vstar
+        W = l2_2d.support_batch(v[None, :])
         for zeta in (0.3, -0.5j, 0.2 + 0.6j):
-            direct = NormedSpace.pairing(F.eval_batch(zeta * v[None, :])[0], w)
+            direct = NormedSpace.pairing_batch(F.eval_batch(zeta * v[None, :]), W)[0]
             assert g(zeta) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -269,7 +268,7 @@ class TestPolyMap:
         np.testing.assert_array_equal(C[:, 3], 0.0)
         zetas = np.array([0.3, -0.5j, 0.2 + 0.6j, 0.9])
         for v, row in zip(V, C):
-            w = space.support_functional(v).vstar
+            w = space.support_batch(v[None, :])[0]
             direct = space.pairing_batch(F.eval_batch(zetas[:, None] * v[None, :]), w[None, :])
             recovered = np.polynomial.polynomial.polyval(zetas, row)
             np.testing.assert_allclose(recovered, direct, rtol=1e-12, atol=1e-12)
@@ -306,35 +305,6 @@ class TestPolyMap:
         phase = complex(math.cos(theta), math.sin(theta))
         np.testing.assert_allclose(
             G.eval_batch(Z), phase * F.eval_batch(Z) - a * Z, rtol=1e-13, atol=1e-13)
-
-
-class TestCallableMap:
-    def test_wraps_batch_evaluator(self, l2_2d):
-        F = CallableMap(l2_2d, lambda Z: Z * 2.0)
-        np.testing.assert_array_equal(F(np.array([0.1, 0.2])), np.array([0.2, 0.4]))
-        np.testing.assert_allclose(F.constant, np.zeros(2))
-        with pytest.raises(ValueError, match="read-only"):
-            F.constant[0] = 1.0
-        with pytest.raises(ValueError):
-            F(np.array([1.0, 0.0]))
-
-    def test_output_shape_enforced(self, l2_2d):
-        bad = CallableMap(l2_2d, lambda Z: Z[:, :1])
-        with pytest.raises(ValueError):
-            bad.eval_batch(np.zeros((2, 2)))
-
-    def test_shifted(self, l2_2d):
-        F = CallableMap(l2_2d, lambda Z: Z ** 2)
-        G = F.shifted(math.pi, 0.5)
-        z = np.array([0.2, 0.1])
-        np.testing.assert_allclose(
-            G(z), complex(math.cos(math.pi), math.sin(math.pi)) * z ** 2 - 0.5 * z,
-            atol=1e-15)
-
-    def test_nan_point_rejected(self, l2_2d):
-        F = CallableMap(l2_2d, lambda Z: Z ** 2)
-        with pytest.raises(ValueError, match="open unit ball"):
-            F(np.array([math.nan, 0.0]))
 
 
 class TestDiscFunction:

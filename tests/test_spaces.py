@@ -87,53 +87,52 @@ class TestSupportFunctional:
         for p in ALL_P:
             space = NormedSpace(4, p)
             Z = seeded_vectors(space, 30, seed=11)
-            for v in Z:
-                pair = space.support_functional(v)
-                val = NormedSpace.pairing(pair.v, pair.vstar)
+            W = space.support_batch(Z)
+            vals = NormedSpace.pairing_batch(Z, W)
+            for v, w, val in zip(Z, W, vals):
                 nrm = space.norm(v)
-                assert pair.norm_value == pytest.approx(nrm, rel=1e-12)
                 assert val.real == pytest.approx(nrm * nrm, rel=1e-12)
                 assert abs(val.imag) <= 1e-12 * nrm * nrm
-                assert space.dual_norm(pair.vstar) == pytest.approx(nrm, rel=1e-12)
+                assert space.dual_norm(w) == pytest.approx(nrm, rel=1e-12)
 
     def test_frozen_p1_example(self):
         space = NormedSpace(2, 1.0)
-        pair = space.support_functional(np.array([0.5, 0.5j]))
-        assert pair.norm_value == 1.0
-        np.testing.assert_allclose(pair.vstar, np.array([1.0, -1.0j]), atol=1e-15)
+        v = np.array([0.5, 0.5j])
+        assert space.norm(v) == 1.0
+        np.testing.assert_allclose(space.support_batch(v[None, :])[0], np.array([1.0, -1.0j]),
+                                   atol=1e-15)
 
     def test_p2_is_entrywise_conjugate(self):
         space = NormedSpace(3, 2.0)
         v = np.array([1.0 + 2.0j, -0.5, 0.25j])
-        pair = space.support_functional(v)
-        np.testing.assert_array_equal(pair.vstar, np.conj(v))
+        np.testing.assert_array_equal(space.support_batch(v[None, :])[0], np.conj(v))
 
     def test_pinf_concentrates_on_max_entry(self):
         space = NormedSpace(2, math.inf)
-        pair = space.support_functional(np.array([0.3, -0.7]))
-        np.testing.assert_allclose(pair.vstar, np.array([0.0, -0.7]), atol=1e-15)
+        w = space.support_batch(np.array([[0.3, -0.7]]))[0]
+        np.testing.assert_allclose(w, np.array([0.0, -0.7]), atol=1e-15)
 
     def test_selection_at_ties_and_zero_coordinates_is_valid(self):
         # Ties for p = inf and zero coordinates for p = 1 admit more than one
         # functional; the canonical one must satisfy the defining identities.
         inf_space = NormedSpace(2, math.inf)
-        v = np.array([1.0, 1.0])
-        pair = inf_space.support_functional(v)
-        assert pair.vstar[0] == 1.0 and pair.vstar[1] == 0.0
-        assert NormedSpace.pairing(v, pair.vstar) == pytest.approx(1.0, rel=1e-15)
-        assert inf_space.dual_norm(pair.vstar) == pytest.approx(1.0, rel=1e-15)
+        v = np.array([[1.0, 1.0]])
+        w = inf_space.support_batch(v)
+        assert w[0, 0] == 1.0 and w[0, 1] == 0.0
+        assert NormedSpace.pairing_batch(v, w)[0] == pytest.approx(1.0, rel=1e-15)
+        assert inf_space.dual_norm(w[0]) == pytest.approx(1.0, rel=1e-15)
 
         one_space = NormedSpace(2, 1.0)
-        w = np.array([2.0, 0.0])
-        pair = one_space.support_functional(w)
-        assert pair.vstar[1] == 0.0
-        assert NormedSpace.pairing(w, pair.vstar) == pytest.approx(4.0, rel=1e-15)
-        assert one_space.dual_norm(pair.vstar) == pytest.approx(2.0, rel=1e-15)
+        v = np.array([[2.0, 0.0]])
+        w = one_space.support_batch(v)
+        assert w[0, 1] == 0.0
+        assert NormedSpace.pairing_batch(v, w)[0] == pytest.approx(4.0, rel=1e-15)
+        assert one_space.dual_norm(w[0]) == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_vector_rejected(self):
         space = NormedSpace(2, 2.0)
         with pytest.raises(ValueError):
-            space.support_functional(np.zeros(2))
+            space.support_batch(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             space.support_batch(np.zeros((3, 2)))
 
@@ -144,14 +143,14 @@ class TestSupportFunctional:
             W = space.support_batch(Z)
             for i in range(10):
                 np.testing.assert_allclose(
-                    W[i], space.support_functional(Z[i]).vstar, rtol=1e-13, atol=1e-13)
+                    W[i], space.support_batch(Z[i:i + 1])[0], rtol=1e-13, atol=1e-13)
 
 
 class TestPairing:
     def test_bilinear_no_hidden_conjugation(self):
-        u = np.array([1.0 + 1.0j, 2.0])
-        w = np.array([1.0j, -1.0])
-        assert NormedSpace.pairing(u, w) == pytest.approx((1.0 + 1.0j) * 1.0j - 2.0)
+        u = np.array([[1.0 + 1.0j, 2.0]])
+        w = np.array([[1.0j, -1.0]])
+        assert NormedSpace.pairing_batch(u, w)[0] == pytest.approx((1.0 + 1.0j) * 1.0j - 2.0)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -159,7 +158,7 @@ class TestPairing:
         W = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         vals = NormedSpace.pairing_batch(U, W)
         for i in range(6):
-            assert vals[i] == pytest.approx(NormedSpace.pairing(U[i], W[i]))
+            assert vals[i] == pytest.approx(sum(U[i, j] * W[i, j] for j in range(3)))
 
 
 class TestSphereSample:
