@@ -19,7 +19,7 @@ from .certify import (PseudoDissipativityCertificate, _check_tolerance, _require
                       _require_polymap)
 from .numrange import (OracleMismatchError, SearchBudget, _estimates, _Group,
                        _radius_group, _range_inf_group, harris_constant)
-from .spaces import _shell_grid
+from .polymaps import _pair_lines
 
 LN2 = math.log(2.0)
 E = math.e
@@ -221,9 +221,10 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     Without a certificate F is treated as a generator and the canonical
     certificate is built first (raising NotCertifiedError when it is not
     one). The measured quantity is the deviation from the center value, so
-    adding a constant to F shifts both sides identically. Every shell uses
-    the radius actually attained by the maximizing sample, so a map sitting
-    exactly on an envelope reports slack 0.
+    adding a constant to F shifts both sides identically. Each shell reads
+    its supremum off the climb and its radius as the norm of r times the
+    climb's maximizer, so a map sitting exactly on an envelope reports
+    slack 0.
 
     Args:
         F: a PolyMap.
@@ -249,15 +250,9 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     found = _estimates(space, linear + [_Group("norm", 11 + i, shells) for i in range(grid.size)],
                        budget)
     inputs = read(found[:k])
-    lhs = np.empty(grid.size)
-    r_eff = np.empty(grid.size)
-    for i, (r, (val, vmax)) in enumerate(zip(grid, found[k:])):
-        z = r * vmax
-        r_eff[i] = space.norm(z)
-        lhs[i] = space.norm(F.eval_batch(z[None, :])[0] - F0)
-        if lhs[i] < val - 1e-12:
-            lhs[i] = val
-            r_eff[i] = r
+    values, maximizers = zip(*found[k:])
+    lhs = np.array(values)
+    r_eff = space.norm_batch(grid[:, None] * np.array(maximizers))
     sharp = rhs_sharp(inputs, r_eff)
     coarse = rhs_coarse(inputs, r_eff)
     slack = np.minimum(sharp, coarse) - lhs
@@ -300,7 +295,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     homogeneous parts Q_j, center norm c = ||G(0)||, radius bounds
     V_T >= |<Tv, v*>| and V_j >= |<Q_j(v), v*>|, depth d = -2 m(T):
 
-      S0  max_v ||G(r v) - G(0)||            raw shell supremum
+      S0  max_v ||sum_(k>=1) r^k G_k(v)||   raw shell supremum of G - G(0)
       S1  max_v [r ||Tv|| + sum_j r^j ||Q_j(v)||]   triangle split
       S2a e r V_T + sum_j k_j V_j r^j        degreewise aggregation
       S2b e r V_T + 4 (c + d) r^2 + sum_(j>=3) k_j d r^j   coefficient bounds
@@ -310,13 +305,13 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     with k_j the degree constants. The per-direction coefficient bounds
     (|c_2(v)| <= ||G(0)|| - 2 Re c_1(v) and |c_j(v)| <= -2 Re c_1(v), with
     c_j(v) = <Q_j v, v*> and c_1(v) = <Tv, v*> paired off the one
-    `PolyMap.line_vectors` batch that gives ||Tv|| and ||Q_j(v)||) and the
-    aggregated forms are reported as margins; all must clear -1e-8, and the
-    stage margins -1e-9. c, V_T and m(T) are read from inputs, the growth
-    inputs of G under its canonical certificate as `verify_growth_bound`
-    reports them; None certifies G and measures them as `growth_inputs_from`
-    does, in the one climb that also searches the radius of every
-    homogeneous part.
+    `PolyMap.line_vectors` batch of Taylor vectors G_k(v), which also gives
+    S0, ||Tv|| and ||Q_j(v)||) and the aggregated forms are reported as
+    margins; all must clear -1e-8, and the stage margins -1e-9. c, V_T and
+    m(T) are read from inputs, the growth inputs of G under its canonical
+    certificate as `verify_growth_bound` reports them; None certifies G and
+    measures them as `growth_inputs_from` does, in the one climb that also
+    searches the radius of every homogeneous part.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.
@@ -325,13 +320,12 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     _require_polymap(G, "verify_intermediate_chain")
     space = G.space
     grid = _check_radii(radii, grid=True)
-    g0 = np.asarray(G.constant, dtype=np.complex128)
     degree = G.degree
 
     linear, read = [], None
     if inputs is None:
         linear, read = _linear_searches(G, generator_certificate(G))
-    elif (inputs.theta, inputs.a, inputs.center_norm) != (0.0, 0.0, space.norm(g0)):
+    elif (inputs.theta, inputs.a, inputs.center_norm) != (0.0, 0.0, space.norm(G.constant)):
         raise ValueError("the chain needs G's canonical growth inputs (theta 0, a 0, ||G(0)||)")
     # the range searches, if any, and every part radius climb together
     found = _estimates(space, linear + [_radius_group(p) for p in G.higher], budget)
@@ -344,15 +338,13 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
 
     V = space.sphere_sample(v_count, seed)
     X = G.line_vectors(V)
-    C = G._line_pairings(X, space.support_batch(V))
+    C = _pair_lines(X, space.support_batch(V))
     tv_pair = C[:, 1].real
     tv_norm = space.norm_batch(X[:, 1])
     q_norms = {p.degree: space.norm_batch(X[:, p.degree]) for p in G.higher}
 
     R = grid[:, None]
-    Z = _shell_grid(grid, V)
-    s0 = np.max(
-        space._norm_rows(G.eval_batch(Z) - g0[None, :]).reshape(grid.size, v_count), axis=1)
+    s0 = np.max(space._norm_rows((R ** np.arange(1, degree + 1)) @ X[:, 1:]), axis=0)
     s1_per_v = grid[:, None] * tv_norm[None, :]
     for j, qn in q_norms.items():
         s1_per_v = s1_per_v + (R ** j) * qn[None, :]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numrange import _PROPOSALS, _check_floors, _climb, _golden_max
-from .polymaps import (PolyMap, _least_real_part, _pairs, _polynomial_coefficients,
-                       taylor_coefficients)
+from .polymaps import (PolyMap, _least_real_part, _pair_lines, _pairs,
+                       _polynomial_coefficients, taylor_coefficients)
 
 
 class NotCertifiedError(RuntimeError):
@@ -251,14 +251,14 @@ def _line_rows(X, W, free):
     """Each line's largest -Re q_v at the grid phases, and its coefficient
     row; a free entry takes the phase that adds its term's modulus at the
     best grid phase."""
-    C = np.einsum("bkn,bn->bk", X, W)
+    C = _pair_lines(X, W)
     P = (C @ _phase_grid(C.shape[1])).real
     if free.any():
         f = np.flatnonzero(free.any(axis=1))
         terms = _free_terms(X[f], free[f])
         P[f] += np.abs(terms).sum(axis=2)
         q = terms[np.arange(f.size), np.argmax(P[f], axis=1)]
-        C[f] += np.einsum("bkn,bn->bk", X[f], np.conj(q) / np.where(q != 0.0, np.abs(q), 1.0))
+        C[f] += _pair_lines(X[f], np.conj(q) / np.where(q != 0.0, np.abs(q), 1.0))
     return P.max(axis=1), C
 
 
@@ -377,7 +377,7 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     evals = V.shape[0]
 
     # theta: least support function h(t) = max Re e^(i t) x + |free terms| of the cloud
-    x = (np.einsum("bkn,bn->bk", X, W) @ _phase_grid(X.shape[1])).ravel()
+    x = (_pair_lines(X, W) @ _phase_grid(X.shape[1])).ravel()
     re, im, radius = x.real.copy(), x.imag.copy(), np.abs(_free_terms(X, free)).sum(axis=2).ravel()
     thetas, h = 2.0 * np.pi * np.arange(_THETAS) / _THETAS, np.empty(_THETAS)
     for i in range(0, _THETAS, 90):  # blocks of 90 angles keep the scan's memory small

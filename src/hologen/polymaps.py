@@ -41,6 +41,12 @@ def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray) -> n
     return np.matmul(mono.transpose(0, 2, 1), coeffs)
 
 
+def _pair_lines(X, W) -> np.ndarray:
+    """(B, K) pairings <X[b, k], W[b]> of Taylor vectors X (B, K, dim) with
+    functionals W (B, dim): the one pairing of every line coefficient."""
+    return np.einsum("bkn,bn->bk", X, W)
+
+
 def _gemm_rows(kernel):
     """Run a one-row call as that row in a two-row batch: numpy's matmul takes
     gemv for one row and gemm from two, and the two round apart."""
@@ -201,17 +207,9 @@ class PolyMap:
     def line_coefficients(self, V) -> np.ndarray:
         """(B, degree + 1) array of the Taylor coefficients c_k(v) = <F_k(v), v*>
         of zeta -> <F(zeta v), v*> for the rows v of V, unit rows unchecked:
-        the `line_vectors` paired with the support functionals."""
+        the `line_vectors` paired with the support functionals by `_pair_lines`."""
         V = np.asarray(V, dtype=np.complex128)
-        return self._line_pairings(self.line_vectors(V), self.space.support_batch(V))
-
-    def _line_pairings(self, X, W) -> np.ndarray:
-        """`line_coefficients` from the `line_vectors` X and support rows W."""
-        C = np.zeros(X.shape[:2], dtype=np.complex128)
-        C[:, 0] = W @ self.constant
-        for k in (1, *(part.degree for part in self.higher)):
-            C[:, k] = self.space.pairing_batch(X[:, k], W)
-        return C
+        return _pair_lines(self.line_vectors(V), self.space.support_batch(V))
 
     def restrict(self, v) -> "DiscFunction":
         """Exact polynomial zeta -> <F(zeta v), v*>, one `line_coefficients` row.

@@ -171,11 +171,6 @@ def _p_norm(a, p: float):
     return (a ** p).sum(axis=-1) ** (1.0 / p)
 
 
-def _shell_grid(shells, V) -> np.ndarray:
-    """Rows r * v for each shell radius r (outer) and direction v (inner)."""
-    return (np.asarray(shells)[:, None, None] * V[None, :, :]).reshape(-1, V.shape[1])
-
-
 def space_to_dict(space: NormedSpace) -> dict:
     """Serializable descriptor {"dim": n, "p": number | "inf"}."""
     if math.isinf(space.p):

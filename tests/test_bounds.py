@@ -380,9 +380,22 @@ class TestBatchedShells:
                 space, lambda V, _r=r: G.eval_batch(_r * V) - F0[None, :],
                 budget, salt=11 + i)
             z = r * vmax
-            lhs = space.norm(G.eval_batch(z[None, :])[0] - F0)
-            assert rep.lhs[i] == (val if lhs < val - 1e-12 else lhs)
-            assert rep.radii[i] == (r if lhs < val - 1e-12 else space.norm(z))
+            # a row rounds the same alone and in the climb's batch
+            assert space.norm(G.eval_batch(z[None, :])[0] - F0) == val
+            assert rep.lhs[i] == val
+            assert rep.radii[i] == space.norm(z)
+
+    @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, math.inf)])
+    def test_shells_are_not_evaluated_again(self, count_calls, dim, p):
+        # lhs and radii are read off the climb, so no one-row evaluation of
+        # a maximizer follows it
+        G = sample_generator(NormedSpace(dim, p), seed=dim, degree=4)
+        cert = generator_certificate(G)
+        evals = count_calls(PolyMap, "eval_batch")
+        verify_growth_bound(G, cert, radii=[0.3, 0.6, 0.9],
+                            budget=SearchBudget(samples=256, refine_iters=20, starts=2))
+        assert evals
+        assert all(len(args[1]) > 1 for args, _ in evals)
 
     @pytest.mark.parametrize("dim", (1, 2, 4))
     def test_vectorized_start_choice_matches_serial_loop(self, dim):
@@ -490,15 +503,17 @@ class TestIntermediateChain:
 
     @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, math.inf)])
     def test_one_line_batch_serves_the_norms_and_coefficients(self, count_calls, dim, p):
-        # the chain reads ||Tv||, every ||Q_j(v)|| and every c_j(v) off one
-        # line batch, so no part is evaluated on its own power table
+        # the chain reads S0, ||Tv||, every ||Q_j(v)|| and every c_j(v) off
+        # one line batch, so neither G nor a part is evaluated on its own
         G = sample_generator(NormedSpace(dim, p), seed=dim, degree=5)
         budget = SearchBudget(samples=512, refine_iters=40, starts=2)
         inputs = verify_growth_bound(G, radii=[0.5], budget=budget).inputs
         parts = count_calls(HomogeneousPoly, "eval_batch")
+        maps = count_calls(PolyMap, "eval_batch")
         lines = count_calls(PolyMap, "line_vectors")
         verify_intermediate_chain(G, budget=budget, v_count=16, inputs=inputs)
         assert parts == []
+        assert maps == []
         assert len(lines) == 1
 
     @pytest.mark.parametrize("field, value", [("theta", 0.5), ("a", -0.25),

@@ -260,6 +260,7 @@ class TestFlow:
         payload = json.loads(out)
         assert payload["outcome"] == "invariance-violation"
         assert payload["escape_time"] == pytest.approx(math.log(2.0), abs=0.1)
+        assert payload["csv"] == str(csv_path)
         rows = list(csv.reader(io.StringIO(csv_path.read_text())))
         assert rows[0] == ["t", "re(z_1)", "im(z_1)", "re(z_2)", "im(z_2)", "norm"]
         assert [float(x) for x in rows[1]] == [0.0, 0.5, 0.0, 0.0, 0.0, 0.5]
@@ -278,6 +279,7 @@ class TestFlow:
         payload = json.loads(out)
         assert payload["outcome"] == "singular-drift"
         assert payload["failure_time"] == 0.0
+        assert payload["csv"] == str(csv_path)
         assert csv_path.read_text() == "t,re(z_1),im(z_1),norm\n0,0.5,0,0.5\n"
 
     def test_argument_validation(self, capsys, minus_id_path, identity_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hologen import polymaps
+from hologen import certify, polymaps
 from hologen.polymaps import (
     DiscFunction,
     HomogeneousPoly,
@@ -24,6 +24,22 @@ from hologen.polymaps import (
 from hologen.spaces import NormedSpace
 
 from conftest import make_linear_map
+
+
+def dense_map(space, rng):
+    """A dense map with three-term parts of degrees 2 and 4 only."""
+    n = space.dim
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    parts = []
+    for j in (2, 4):
+        powers = np.zeros((3, n), dtype=np.int64)
+        for t in range(3):
+            np.add.at(powers[t], rng.integers(0, n, j), 1)
+        parts.append(HomogeneousPoly(j, powers, cplx(3, n)))
+    return PolyMap(space, cplx(n), cplx(n, n), tuple(parts))
 
 
 def ball_points(space, count, seed, rmax=0.9):
@@ -245,18 +261,7 @@ class TestPolyMap:
         # read 0; the ±e_k rows, a row with zero coordinates and a row of
         # tied moduli are where the p = 1 and p = inf selections matter
         space = NormedSpace(n, p)
-        rng = np.random.default_rng([n, int(10 * min(p, 9.0))])
-
-        def cplx(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        parts = []
-        for j in (2, 4):
-            powers = np.zeros((3, n), dtype=np.int64)
-            for t in range(3):
-                np.add.at(powers[t], rng.integers(0, n, j), 1)
-            parts.append(HomogeneousPoly(j, powers, cplx(3, n)))
-        F = PolyMap(space, cplx(n), cplx(n, n), tuple(parts))
+        F = dense_map(space, np.random.default_rng([n, int(10 * min(p, 9.0))]))
         special = np.zeros((2, n), dtype=np.complex128)
         special[0, 0] = 1.0
         special[0, n - 1] += 1.0j
@@ -273,6 +278,22 @@ class TestPolyMap:
             recovered = np.polynomial.polynomial.polyval(zetas, row)
             np.testing.assert_allclose(recovered, direct, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(F.restrict(v).coefficients, row, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_line_coefficients_are_the_certifiers_rows(self, p, n):
+        # one pairing serves both: the rows certify reads off its lines are
+        # line_coefficients bit for bit, where no l1 entry is free
+        space = NormedSpace(n, p)
+        F = dense_map(space, np.random.default_rng([n, 29]))
+        V = space.sphere_sample(40, seed=n)
+        mag = np.abs(V)
+        V = V[np.all(mag >= certify._FACE_SNAP * mag.max(axis=1, keepdims=True), axis=1)]
+        X, W, free = certify._lines(F, V, unit=True)
+        assert not free.any()
+        # at p = 1 the certifier renormalizes its rows first
+        U = certify._snap(space, V, unit=True)[0]
+        np.testing.assert_array_equal(F.line_coefficients(U), certify._line_rows(X, W, free)[1])
 
     def test_line_coefficients_of_degree_one_map(self):
         space = NormedSpace(2, 1.0)
