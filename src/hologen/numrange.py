@@ -178,7 +178,7 @@ def _evaluation(f, V, g, table):
 def _raw(space, grp, V, g, W, table):
     """<f(v), v*> on rows V of an "inf" or "radius" group, from their support
     rows W, or ||f(v)|| on rows of a "norm" group; g holds the rows' group
-    indices and table their `_power_table` rows, which a HomogeneousPoly
+    indices and table their `_power_table` columns, which a HomogeneousPoly
     reads. The pairing multiplies the evaluation as an unnamed temporary:
     numpy may then multiply in place, and a named evaluation can round
     differently.
@@ -223,7 +223,7 @@ def _climb_objective(space, groups, edges):
         for k, lo, hi in runs:
             grp = groups[k]
             w = W[lo - wlo:hi - wlo] if grp.kind != "norm" else None
-            t = table[lo - tlo:hi - tlo] if isinstance(grp.f, HomogeneousPoly) else None
+            t = table[:, lo - tlo:hi - tlo] if isinstance(grp.f, HomogeneousPoly) else None
             out[lo:hi] = _score(grp.kind, _raw(space, grp, V[lo:hi], g[lo:hi], w, t))
         return out
 

@@ -23,22 +23,42 @@ MAX_DEGREE = 32
 _HERGLOTZ_SALT = 202
 _CENTER_SALT = 203
 
+_BLOCK = 1 << 16  # the most gathered factor entries (1 MiB) and gemm M*K*N of a block
+
 
 def _power_table(Z: np.ndarray, degree: int) -> np.ndarray:
-    """(B, (degree + 1) * dim) table whose column k * dim + i is Z[:, i] ** k."""
-    powers = Z[:, None, :] ** np.arange(degree + 1)[:, None]
-    return powers.reshape(len(Z), (degree + 1) * Z.shape[1])
+    """((degree + 1) * dim, B) coordinate-major table: row k * dim + i is Z[:, i] ** k."""
+    powers = np.ascontiguousarray(Z.T)[None] ** np.arange(degree + 1)[:, None, None]
+    return powers.reshape((degree + 1) * Z.shape[1], len(Z))
+
+
+def _row_blocks(rows: int, columns: np.ndarray, coeffs: np.ndarray) -> list:
+    """(lo, hi) row blocks of `_eval_parts`: the whole batch if it fits, else step
+    rows each, the last starting at most 2 rows before the end. step keeps gathered
+    factors and gemm M*K*N within _BLOCK, where OpenBLAS runs zgemm on one thread
+    (threaded, it rounds apart), and is at least 2: numpy takes gemv for one row."""
+    factors, parts, terms = columns.shape
+    step = max(2, _BLOCK // max(1, terms * max(factors * parts, coeffs.shape[-1])))
+    return [(0, rows)] if rows <= step else [
+        (min(lo, rows - 2), min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(parts, B, dim_out) values, from a `_power_table`, of stacked parts: their
-    nonunit-factor columns (factors, parts, terms) and coeffs (parts, terms,
-    dim_out). Each factor is one contiguous block, multiplied in as binary `*`."""
-    factors = table[:, columns.ravel()].T.reshape(*columns.shape, len(table))
-    mono = factors[0]
-    for i in range(1, len(columns)):
-        mono *= factors[i]
-    return np.matmul(mono.transpose(0, 2, 1), coeffs)
+    nonunit-factor rows (factors, parts, terms) and coeffs (parts, terms, dim_out).
+    Factors are gathered table rows, multiplied in as binary `*` in `_row_blocks`,
+    so a row rounds the same alone, in any batch and on any number of BLAS threads."""
+    blocks = _row_blocks(table.shape[1], columns, coeffs)
+    out = None if len(blocks) == 1 else np.empty(
+        (columns.shape[1], table.shape[1], coeffs.shape[-1]), dtype=np.complex128)
+    for lo, hi in blocks:
+        mono = table[columns[0], lo:hi]
+        for i in range(1, len(columns)):
+            mono *= table[columns[i], lo:hi]
+        if out is None:
+            return np.matmul(mono.transpose(0, 2, 1), coeffs)
+        np.matmul(mono.transpose(0, 2, 1), coeffs, out=out[:, lo:hi])
+    return out
 
 
 def _pair_lines(X, W) -> np.ndarray:
@@ -87,7 +107,7 @@ class HomogeneousPoly:
             raise ValueError(f"every multi-index must sum to degree {self.degree}")
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "coeffs", coeffs)
-        # (factors, terms) `_power_table` columns of each monomial's nonunit
+        # (factors, terms) `_power_table` rows of each monomial's nonunit
         # factors z_i^a_i in coordinate order, padded with the exact 1 of z_0^0
         nonunit = np.count_nonzero(powers, axis=1).max(initial=1)
         coord = np.argsort(powers == 0, axis=1, kind="stable")[:, :nonunit]
@@ -108,7 +128,8 @@ class HomogeneousPoly:
 
         Powers are bit-identical to `z ** k`. A monomial multiplies its nonunit
         factors left to right with binary `*`, unlike `np.prod` once two are
-        nonunit. The matmul is gemm, so a row rounds the same alone and in a batch."""
+        nonunit. The matmul is gemm on one BLAS thread, in `_row_blocks`, so a
+        row rounds the same alone, in a batch of any size and on any core count."""
         return self._eval_table(_power_table(Z, self.degree))
 
     def _eval_table(self, table: np.ndarray) -> np.ndarray:
@@ -172,8 +193,9 @@ class PolyMap:
     @_gemm_rows
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         """Unchecked batch evaluation on rows of Z: constant plus linear part,
-        then the homogeneous parts added in degree order. Every matmul is gemm,
-        so a row rounds the same alone and in a batch of any size."""
+        then the homogeneous parts added in degree order. Every matmul is gemm
+        on one BLAS thread, so a row rounds the same alone, in a batch of any
+        size and on any core count."""
         return sum(self._part_values(Z), self.constant[None, :] + Z @ self.linear.T)
 
     def evaluate(self, z) -> np.ndarray:

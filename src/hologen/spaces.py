@@ -105,13 +105,6 @@ class NormedSpace:
             return nrm[:, None] * phase
         return nrm[:, None] ** (2.0 - self.p) * a ** (self.p - 1.0) * phase
 
-    # -- pairing --------------------------------------------------------
-
-    @staticmethod
-    def pairing_batch(U, W) -> np.ndarray:
-        """Row-wise bilinear pairings of two (B, dim) arrays."""
-        return np.sum(U * W, axis=1)
-
     # -- sampling -------------------------------------------------------
 
     def sphere_sample(self, count: int, seed: int) -> np.ndarray:

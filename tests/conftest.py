@@ -25,6 +25,11 @@ class BlackBox:
         return np.asarray(self.fn(np.asarray(Z, dtype=np.complex128)), dtype=np.complex128)
 
 
+def pairing(U, W) -> np.ndarray:
+    """Row-wise bilinear pairings <u, w> = sum_i u_i w_i of two (B, dim) arrays."""
+    return np.sum(U * W, axis=1)
+
+
 def minus_identity(space: NormedSpace) -> PolyMap:
     return make_linear_map(space, -np.eye(space.dim))
 

@@ -22,7 +22,7 @@ from hologen.numrange import (
 from hologen.polymaps import HomogeneousPoly, sample_generator
 from hologen.spaces import NormedSpace
 
-from conftest import serial_spread_starts
+from conftest import pairing, serial_spread_starts
 
 L2 = NormedSpace(2, 2.0)
 FAST = SearchBudget(samples=512, refine_iters=60, starts=2)
@@ -55,7 +55,7 @@ class TestRangeInf:
         est = numerical_range_inf(L2, A, FAST)
         v = est.maximizer
         W = L2.support_batch(v[None, :])
-        again = float(np.real(NormedSpace.pairing_batch((A @ v)[None, :], W)[0]))
+        again = float(np.real(pairing((A @ v)[None, :], W)[0]))
         assert again == pytest.approx(est.value, abs=1e-12)
 
     def test_shift_equivariance_exact(self):

@@ -2,6 +2,10 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from hologen.polymaps import (
 )
 from hologen.spaces import NormedSpace
 
-from conftest import make_linear_map
+from conftest import make_linear_map, pairing
 
 
 def dense_map(space, rng):
@@ -92,9 +96,11 @@ def reference_part(part, Z):
 
 def binary_product_part(part, Z):
     """The monomials as binary `*` of every factor z_i ** a_i in coordinate
-    order, unit factors included, then the coefficient matmul."""
+    order, unit factors included, then the coefficient matmul in 8-row
+    pieces, each small enough that OpenBLAS runs it on one thread."""
     factors = [Z[:, None, i] ** part.powers[None, :, i] for i in range(Z.shape[1])]
-    return functools.reduce(np.multiply, factors) @ part.coeffs
+    mono = functools.reduce(np.multiply, factors)
+    return np.concatenate([mono[b:b + 8] @ part.coeffs for b in range(0, len(Z), 8)])
 
 
 def dense_copy(dim, seed, degree):
@@ -165,6 +171,68 @@ class TestPowerTableKernel:
                    np.concatenate([F.line_vectors(V[b:b + size]) for b in pieces]))
             for a, b in zip(cut, whole):
                 assert a.tobytes() == b.tobytes()
+
+    def test_dense_part_rounds_alike_in_pieces(self):
+        # 165 terms: one 4,096-row gemm would run on several BLAS threads
+        part = dense_copy(4, seed=8, degree=8).higher[-1]
+        Z = ball_points(NormedSpace(4, 2.0), 4096, seed=8, rmax=0.99)
+        whole = part.eval_batch(Z)
+        for size in (2, 64):
+            cut = np.concatenate([part.eval_batch(Z[b:b + size]) for b in range(0, 4096, size)])
+            assert cut.tobytes() == whole.tobytes()
+        # 100 rows are blocks 0:99 and 98:100, which overlap in one row
+        assert part.eval_batch(Z[:100]).tobytes() == whole[:100].tobytes()
+
+    def test_dense_part_rounds_alike_on_one_blas_thread(self, tmp_path):
+        part = dense_copy(4, seed=8, degree=8).higher[-1]
+        Z = ball_points(NormedSpace(4, 2.0), 4096, seed=8, rmax=0.99)
+        np.savez(tmp_path / "part.npz", powers=part.powers, coeffs=part.coeffs, Z=Z)
+        script = ("import sys, numpy as np; from hologen.polymaps import HomogeneousPoly; "
+                  "d = np.load(sys.argv[1]); "
+                  "np.save(sys.argv[2], HomogeneousPoly(8, d['powers'], d['coeffs']).eval_batch(d['Z']))")
+        src = os.path.dirname(os.path.dirname(polymaps.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "part.npz"),
+                        str(tmp_path / "one.npy")], env=env, check=True)
+        assert np.load(tmp_path / "one.npy").tobytes() == part.eval_batch(Z).tobytes()
+
+    def test_dense_map_memory_does_not_grow_with_batch_times_terms(self):
+        F = dense_copy(4, seed=5, degree=7)
+        Z = ball_points(NormedSpace(4, 2.0), 4096, seed=5, rmax=0.99)
+        F.eval_batch(Z[:8])
+        tracemalloc.start()
+        try:
+            F.eval_batch(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_row_blocks_stay_single_threaded_gemm(self, dense):
+        shapes = []
+        for dim in (1, 2, 4):
+            for degree in range(2, 9):
+                F = (dense_copy(dim, seed=degree, degree=degree) if dense and dim > 1
+                     else sample_generator(NormedSpace(dim, 2.0), seed=degree, degree=degree))
+                shapes += F._groups
+        # a dense dim-4 degree-32 part admits only 2-row blocks
+        shapes.append((np.zeros((4, 1, 6545), dtype=np.int64),
+                       np.zeros((1, 6545, 4), dtype=np.complex128)))
+        for columns, coeffs in shapes:
+            factors, parts, terms = columns.shape
+            for rows in (2, 3, 4, 5, 99, 100, 101, 608, 4095, 4096, 4097):
+                blocks = polymaps._row_blocks(rows, columns, coeffs)
+                assert blocks[0][0] == 0 and blocks[-1][1] == rows
+                for (lo, hi), (nlo, _) in zip(blocks, blocks[1:] + [(rows, None)]):
+                    assert lo < nlo <= hi
+                if len(blocks) == 1:
+                    continue
+                for lo, hi in blocks:
+                    assert hi - lo >= 2
+                    assert (hi - lo) * terms * coeffs.shape[-1] <= 65536
+                    assert (hi - lo) * factors * parts * terms <= 65536
 
     def test_parts_keep_only_their_nonunit_factors(self):
         for dim in (1, 2, 4):
@@ -251,7 +319,7 @@ class TestPolyMap:
         g = F.restrict(v)
         W = l2_2d.support_batch(v[None, :])
         for zeta in (0.3, -0.5j, 0.2 + 0.6j):
-            direct = NormedSpace.pairing_batch(F.eval_batch(zeta * v[None, :]), W)[0]
+            direct = pairing(F.eval_batch(zeta * v[None, :]), W)[0]
             assert g(zeta) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -274,7 +342,7 @@ class TestPolyMap:
         zetas = np.array([0.3, -0.5j, 0.2 + 0.6j, 0.9])
         for v, row in zip(V, C):
             w = space.support_batch(v[None, :])[0]
-            direct = space.pairing_batch(F.eval_batch(zetas[:, None] * v[None, :]), w[None, :])
+            direct = pairing(F.eval_batch(zetas[:, None] * v[None, :]), w[None, :])
             recovered = np.polynomial.polynomial.polyval(zetas, row)
             np.testing.assert_allclose(recovered, direct, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(F.restrict(v).coefficients, row, rtol=1e-13, atol=1e-14)

@@ -7,6 +7,8 @@ import pytest
 
 from hologen.spaces import NormedSpace, space_from_dict, space_to_dict
 
+from conftest import pairing
+
 ALL_P = (1.0, 1.5, 2.0, 3.0, math.inf)
 
 
@@ -88,7 +90,7 @@ class TestSupportFunctional:
             space = NormedSpace(4, p)
             Z = seeded_vectors(space, 30, seed=11)
             W = space.support_batch(Z)
-            vals = NormedSpace.pairing_batch(Z, W)
+            vals = pairing(Z, W)
             for v, w, val in zip(Z, W, vals):
                 nrm = space.norm(v)
                 assert val.real == pytest.approx(nrm * nrm, rel=1e-12)
@@ -119,14 +121,14 @@ class TestSupportFunctional:
         v = np.array([[1.0, 1.0]])
         w = inf_space.support_batch(v)
         assert w[0, 0] == 1.0 and w[0, 1] == 0.0
-        assert NormedSpace.pairing_batch(v, w)[0] == pytest.approx(1.0, rel=1e-15)
+        assert pairing(v, w)[0] == pytest.approx(1.0, rel=1e-15)
         assert inf_space.dual_norm(w[0]) == pytest.approx(1.0, rel=1e-15)
 
         one_space = NormedSpace(2, 1.0)
         v = np.array([[2.0, 0.0]])
         w = one_space.support_batch(v)
         assert w[0, 1] == 0.0
-        assert NormedSpace.pairing_batch(v, w)[0] == pytest.approx(4.0, rel=1e-15)
+        assert pairing(v, w)[0] == pytest.approx(4.0, rel=1e-15)
         assert one_space.dual_norm(w[0]) == pytest.approx(2.0, rel=1e-15)
 
     def test_zero_vector_rejected(self):
@@ -144,21 +146,6 @@ class TestSupportFunctional:
             for i in range(10):
                 np.testing.assert_allclose(
                     W[i], space.support_batch(Z[i:i + 1])[0], rtol=1e-13, atol=1e-13)
-
-
-class TestPairing:
-    def test_bilinear_no_hidden_conjugation(self):
-        u = np.array([[1.0 + 1.0j, 2.0]])
-        w = np.array([[1.0j, -1.0]])
-        assert NormedSpace.pairing_batch(u, w)[0] == pytest.approx((1.0 + 1.0j) * 1.0j - 2.0)
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        U = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        W = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        vals = NormedSpace.pairing_batch(U, W)
-        for i in range(6):
-            assert vals[i] == pytest.approx(sum(U[i, j] * W[i, j] for j in range(3)))
 
 
 class TestSphereSample:
