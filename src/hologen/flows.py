@@ -4,9 +4,11 @@ sweeps and the semigroup consistency check.
 The integrator is the embedded Runge-Kutta 4(5) pair of Dormand and Prince
 with FSAL reuse and a PI step controller. One kernel integrates a (B, n)
 state whose rows keep their own horizon, step control and nodes; `integrate`
-is its one-row case, and the sweep and semigroup check run as rows. Leaving
-the open unit ball is an error by design: a certified generator never does
-it, so an escape diagnoses a bad input or a tolerance too loose to trust.
+is its one-row case, and the sweep and semigroup check run as rows. A row may
+name a relay, a row that starts from its endpoint and joins the batch at the
+next pass, so the semigroup check runs all three of its legs in one batch.
+Leaving the open unit ball is an error by design: a certified generator never
+does it, so an escape diagnoses a bad input or a tolerance too loose to trust.
 """
 
 from __future__ import annotations
@@ -105,27 +107,56 @@ class _Row:
             self.accepted, self.rejected, self.min_dt if self.accepted else 0.0, self.max_dt))
 
 
-def _integrate_rows(G, starts, horizons, rtol: float, max_steps: int = 200000) -> list:
+def _start(space: NormedSpace, z0, t_end: float) -> _Row:
+    """A row at z0 with horizon t_end, checked as `integrate` checks them."""
+    y = np.asarray(z0, dtype=np.complex128)
+    if not space.norm(y) < 1.0:
+        raise ValueError("start point must lie in the open unit ball")
+    _check_horizon(t_end)
+    return _Row(t_end, [(0.0, y.copy(), space.norm(y))])
+
+
+def _check_horizon(t_end: float) -> None:
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+
+
+def _integrate_rows(G, starts, horizons, rtol: float, max_steps: int = 200000,
+                    relays=()) -> list:
     """Solve dz/dt = G(z) from each start over its own [0, horizon] and return
     each row's Trajectory or the error that stopped it, in row order. Each
     pass evaluates every stage of the live rows as one batch; a finished or
-    stopped row leaves it. No row's arithmetic reads another row."""
+    stopped row leaves it. No row's arithmetic reads another row.
+
+    `relays` may give row r a follow-on horizon (None for none). When row r
+    reaches its own horizon without a stop, a relay row starts from its last
+    node over that horizon, as `integrate` would start it alone, and joins the
+    batch at the next pass. The relays' outcomes follow the rows', in row
+    order; a relay stays None when its row stopped."""
     space: NormedSpace = G.space
-    rows = []
-    for z0, t_end in zip(starts, horizons):
-        y = np.asarray(z0, dtype=np.complex128)
-        if not space.norm(y) < 1.0:
-            raise ValueError("start point must lie in the open unit ball")
-        if not 0.0 <= t_end < math.inf:
-            raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
-        rows.append(_Row(t_end, [(0.0, y.copy(), space.norm(y))]))
-    out = [row.freeze() for row in rows]  # zero horizons keep the one-node trajectory
+    rows = [_start(space, z0, t_end) for z0, t_end in zip(starts, horizons)]
+    follow = {}  # row -> (index, horizon) of its relay row
+    for r, t_end in enumerate(relays):
+        if t_end is not None:
+            _check_horizon(t_end)
+            follow[r] = (len(rows) + len(follow), t_end)
+    rows += [None] * len(follow)
+    out = [None] * len(rows)
+    joining = list(range(len(starts)))  # rows that enter the batch before the next pass
+
+    def done(r) -> None:
+        """Record row r as finished and start its relay, if it names one."""
+        out[r] = rows[r].freeze()
+        if r in follow:
+            k, t_end = follow[r]
+            rows[k] = _start(space, rows[r].nodes[-1][1], t_end)
+            joining.append(k)
 
     def ready(r) -> bool:
         """Whether row r takes another step; if not, record how it ended."""
         row = rows[r]
         if not row.t < row.t_end - 1e-15 * max(1.0, row.t_end):
-            out[r] = row.freeze()
+            done(r)
         elif row.accepted + row.rejected >= max_steps:
             out[r] = RuntimeError(f"integration exceeded {max_steps} steps")
         else:
@@ -135,19 +166,26 @@ def _integrate_rows(G, starts, horizons, rtol: float, max_steps: int = 200000) -
             out[r] = StepUnderflowError(row.t, row.nodes[-1][1], row.freeze())
         return False
 
-    live = [r for r, row in enumerate(rows) if row.t_end != 0.0]
-    if not live:
-        return out
-    Y = np.array([rows[r].nodes[0][1] for r in live])
-    K1 = np.array(G.eval_batch(Y), dtype=np.complex128)  # a copy: rows are written below
-    for r, nk in zip(live, space.norm_batch(K1).tolist()):
-        rows[r].h = min(rows[r].t_end, 1e-2 / (1.0 + nk))
-    keep = [ready(r) for r in live]
+    live = []
+    Y = K1 = np.empty((0, space.dim), dtype=np.complex128)
     while True:
-        if not all(keep):
-            live, Y, K1 = [r for r, k in zip(live, keep) if k], Y[keep], K1[keep]
-            if not live:
-                return out
+        while joining:  # first drifts of the joining rows as one batch
+            new, joining[:] = joining[:], []
+            for r in new:
+                if rows[r].t_end == 0.0:
+                    done(r)  # the one-node trajectory
+            new = [r for r in new if rows[r].t_end != 0.0]
+            if not new:
+                continue
+            Y0 = np.array([rows[r].nodes[0][1] for r in new])
+            K0 = G.eval_batch(Y0)
+            for r, nk in zip(new, space.norm_batch(K0).tolist()):
+                rows[r].h = min(rows[r].t_end, 1e-2 / (1.0 + nk))
+            keep = [ready(r) for r in new]
+            live += [r for r, k in zip(new, keep) if k]
+            Y, K1 = np.concatenate((Y, Y0[keep])), np.concatenate((K1, K0[keep]))
+        if not live:
+            return out
         h = np.array([rows[r].h for r in live])[:, None]
         K = np.empty((len(live), 7, Y.shape[1]), dtype=np.complex128)
         K[:, 0] = K1
@@ -179,6 +217,8 @@ def _integrate_rows(G, starts, horizons, rtol: float, max_steps: int = 200000) -
                 row.rejected += 1
                 row.h = row.h * max(0.2, 0.9 * e ** -0.2)
             keep.append(ready(r))
+        if not all(keep):
+            live, Y, K1 = [r for r, k in zip(live, keep) if k], Y[keep], K1[keep]
 
 
 def _raise_stop(outcome):
@@ -218,16 +258,17 @@ def check_semigroup(G, z0, t: float, s: float, rtol: float = 1e-9) -> dict:
     """Compare flowing t+s at once against flowing t then s more.
 
     The direct leg (t + s) and the first leg (t) run as two rows of one
-    batch, then the relay leg (s); a stop on the direct leg is raised first.
+    batch; when the first leg ends, the relay leg (s) starts from its endpoint
+    and joins that batch. Stops are raised in leg order: direct, first, relay.
     The two endpoints must agree within 10 * rtol in the space norm.
     """
     if not (t >= 0.0 and s >= 0.0):
         raise ValueError("both time arguments must be nonnegative")
     space = G.space
-    direct, mid = (_raise_stop(out).points[-1]
-                   for out in _integrate_rows(G, [z0, z0], [t + s, t], rtol))
-    relay = flow_endpoint(G, mid, s, rtol)
-    diff = space.norm(direct - relay)
+    direct, first, relay = _integrate_rows(G, [z0, z0], [t + s, t], rtol, relays=[None, s])
+    direct = _raise_stop(direct).points[-1]
+    _raise_stop(first)
+    diff = space.norm(direct - _raise_stop(relay).points[-1])
     return {
         "t": float(t),
         "s": float(s),

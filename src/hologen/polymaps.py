@@ -26,19 +26,31 @@ _CENTER_SALT = 203
 _BLOCK = 1 << 16  # the most gathered factor entries (1 MiB) and gemm M*K*N of a block
 
 
+@functools.lru_cache
+def _exponents(degree: int) -> np.ndarray:
+    """(degree + 1, 1, 1) exponents 0..degree of a `_power_table`, built once per degree."""
+    return np.arange(degree + 1)[:, None, None]
+
+
 def _power_table(Z: np.ndarray, degree: int) -> np.ndarray:
     """((degree + 1) * dim, B) coordinate-major table: row k * dim + i is Z[:, i] ** k."""
-    powers = np.ascontiguousarray(Z.T)[None] ** np.arange(degree + 1)[:, None, None]
+    powers = np.ascontiguousarray(Z.T)[None] ** _exponents(degree)
     return powers.reshape((degree + 1) * Z.shape[1], len(Z))
 
 
-def _row_blocks(rows: int, columns: np.ndarray, coeffs: np.ndarray) -> list:
-    """(lo, hi) row blocks of `_eval_parts`: the whole batch if it fits, else step
-    rows each, the last starting at most 2 rows before the end. step keeps gathered
-    factors and gemm M*K*N within _BLOCK, where OpenBLAS runs zgemm on one thread
-    (threaded, it rounds apart), and is at least 2: numpy takes gemv for one row."""
+def _block_rows(columns: np.ndarray, coeffs: np.ndarray) -> int:
+    """Rows of one `_row_blocks` block: gathered factors and gemm M*K*N stay within
+    _BLOCK, where OpenBLAS runs zgemm on one thread (threaded, it rounds apart), and
+    at least 2, since numpy takes gemv for one row."""
     factors, parts, terms = columns.shape
-    step = max(2, _BLOCK // max(1, terms * max(factors * parts, coeffs.shape[-1])))
+    return max(2, _BLOCK // max(1, terms * max(factors * parts, coeffs.shape[-1])))
+
+
+def _row_blocks(rows: int, columns: np.ndarray, coeffs: np.ndarray) -> list:
+    """(lo, hi) row blocks of `_eval_parts`: the whole batch if it fits in
+    `_block_rows`, else that many rows each, the last starting at most 2 rows
+    before the end."""
+    step = _block_rows(columns, coeffs)
     return [(0, rows)] if rows <= step else [
         (min(lo, rows - 2), min(lo + step, rows)) for lo in range(0, rows, step)]
 
@@ -46,12 +58,13 @@ def _row_blocks(rows: int, columns: np.ndarray, coeffs: np.ndarray) -> list:
 def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(parts, B, dim_out) values, from a `_power_table`, of stacked parts: their
     nonunit-factor rows (factors, parts, terms) and coeffs (parts, terms, dim_out).
-    Factors are gathered table rows, multiplied in as binary `*` in `_row_blocks`,
-    so a row rounds the same alone, in any batch and on any number of BLAS threads."""
-    blocks = _row_blocks(table.shape[1], columns, coeffs)
-    out = None if len(blocks) == 1 else np.empty(
-        (columns.shape[1], table.shape[1], coeffs.shape[-1]), dtype=np.complex128)
-    for lo, hi in blocks:
+    Factors are gathered table rows, multiplied in as binary `*` in one block when
+    the batch is within `_block_rows`, else in `_row_blocks`, so a row rounds the
+    same alone, in any batch and on any number of BLAS threads."""
+    rows = table.shape[1]
+    one = rows <= _block_rows(columns, coeffs)
+    out = None if one else np.empty((columns.shape[1], rows, coeffs.shape[-1]), dtype=np.complex128)
+    for lo, hi in ((0, rows),) if one else _row_blocks(rows, columns, coeffs):
         mono = table[columns[0], lo:hi]
         for i in range(1, len(columns)):
             mono *= table[columns[i], lo:hi]
@@ -193,10 +206,14 @@ class PolyMap:
     @_gemm_rows
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         """Unchecked batch evaluation on rows of Z: constant plus linear part,
-        then the homogeneous parts added in degree order. Every matmul is gemm
-        on one BLAS thread, so a row rounds the same alone, in a batch of any
-        size and on any core count."""
-        return sum(self._part_values(Z), self.constant[None, :] + Z @ self.linear.T)
+        then the homogeneous parts added to it in place, in degree order, as a
+        left-to-right sum associates them. Every matmul is gemm on one BLAS
+        thread, so a row rounds the same alone, in a batch of any size and on
+        any core count."""
+        out = self.constant[None, :] + Z @ self.linear.T
+        for values in self._part_values(Z):
+            out += values
+        return out
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at one point of the open unit ball."""

@@ -64,18 +64,6 @@ class NormedSpace:
     def _norm_rows(self, Z):
         return _p_norm(np.abs(Z), self.p)
 
-    def conjugate_exponent(self) -> float:
-        """Exponent q of the dual norm: 1/p + 1/q = 1."""
-        if self.p == 1.0:
-            return math.inf
-        if math.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
-
-    def dual_norm(self, w) -> float:
-        """Norm of a functional, i.e. the conjugate-exponent p-norm."""
-        return float(_p_norm(np.abs(self._check_vector(w)), self.conjugate_exponent()))
-
     # -- duality map ----------------------------------------------------
 
     def support_batch(self, Z) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hologen.polymaps import PolyMap
-from hologen.spaces import NormedSpace
+from hologen.spaces import NormedSpace, _p_norm
 
 
 def make_linear_map(space: NormedSpace, matrix) -> PolyMap:
@@ -28,6 +30,20 @@ class BlackBox:
 def pairing(U, W) -> np.ndarray:
     """Row-wise bilinear pairings <u, w> = sum_i u_i w_i of two (B, dim) arrays."""
     return np.sum(U * W, axis=1)
+
+
+def conjugate_exponent(p: float) -> float:
+    """Exponent q of the dual norm: 1/p + 1/q = 1."""
+    if p == 1.0:
+        return math.inf
+    if math.isinf(p):
+        return 1.0
+    return p / (p - 1.0)
+
+
+def dual_norm(space: NormedSpace, w) -> float:
+    """Norm of a functional w on `space`: the conjugate-exponent norm of its moduli."""
+    return float(_p_norm(np.abs(np.asarray(w, dtype=np.complex128)), conjugate_exponent(space.p)))
 
 
 def minus_identity(space: NormedSpace) -> PolyMap:

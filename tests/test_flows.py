@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from hologen.flows import (_START_SALT, BallEscapeError, FlowStopError, StepUnderflowError,
-                           Trajectory, _integrate_rows, check_semigroup, flow_endpoint,
+from hologen.flows import (_START_SALT, BallEscapeError, FlowStopError, StepStats,
+                           StepUnderflowError, Trajectory, _integrate_rows, check_semigroup, flow_endpoint,
                            integrate, invariance_sweep, trajectory_to_csv)
 from hologen.polymaps import HomogeneousPoly, PolyMap, _pairs, sample_generator
 from hologen.spaces import NormedSpace
@@ -252,6 +252,70 @@ class TestBatchedRows:
                 assert np.array_equal(row.points, alone.points)
 
 
+def steps(traj):
+    return traj.step_stats.accepted + traj.step_stats.rejected
+
+
+class TestRelayRows:
+    """A relay row starts where its row ends and steps as `integrate` alone."""
+
+    def test_zero_first_leg_starts_the_relay_at_the_start(self, l2_2d):
+        G = minus_identity(l2_2d)
+        z0 = np.array([0.4 + 0.1j, -0.2j])
+        first, relay = _integrate_rows(G, [z0], [0.0], 1e-9, relays=[0.5])
+        alone = integrate(G, z0, 0.5)
+        assert np.array_equal(first.points, z0[None, :])
+        assert relay.step_stats == alone.step_stats
+        assert np.array_equal(relay.times, alone.times)
+        assert np.array_equal(relay.points, alone.points)
+
+    def test_zero_relay_horizon_is_one_node(self, l2_2d, count_calls):
+        G = minus_identity(l2_2d)
+        z0 = np.array([0.4 + 0.1j, -0.2j])
+        alone = integrate(G, z0, 0.7)
+        calls = count_calls(PolyMap, "eval_batch")
+        first, relay = _integrate_rows(G, [z0], [0.7], 1e-9, relays=[0.0])
+        assert len(calls) == 1 + 6 * steps(alone)
+        assert np.array_equal(first.points, alone.points)
+        assert relay.times.tolist() == [0.0]
+        assert np.array_equal(relay.points, alone.points[-1:])
+        assert relay.step_stats == StepStats(0, 0, 0.0, 0.0)
+
+    def test_stopped_row_starts_no_relay(self, l2_2d, count_calls):
+        G = identity_map(l2_2d)
+        z0 = np.array([0.5 + 0.0j, 0.0j])
+        alone = serial_outcome(G, z0, 2.0, rtol=1e-9)
+        calls = count_calls(PolyMap, "eval_batch")
+        first, relay = _integrate_rows(G, [z0], [2.0], 1e-9, relays=[0.5])
+        assert isinstance(first, BallEscapeError)
+        assert first.time == alone.time
+        assert relay is None
+        assert len(calls) == 1 + 6 * steps(alone.trajectory)
+
+    def test_direct_leg_escape_is_raised_as_alone(self, l2_2d):
+        # every leg escapes but the first: the relay from e^0.3 z0 escapes
+        # sooner than the direct leg, which must still be the one raised
+        G = identity_map(l2_2d)
+        z0 = np.array([0.5 + 0.0j, 0.0j])
+        legs = _integrate_rows(G, [z0, z0], [1.3, 0.3], 1e-9, relays=[None, 1.0])
+        assert [type(out).__name__ for out in legs] == [
+            "BallEscapeError", "Trajectory", "BallEscapeError"]
+        assert legs[2].time < legs[0].time
+        alone = serial_outcome(G, z0, 1.3, rtol=1e-9)
+        with pytest.raises(BallEscapeError) as info:
+            check_semigroup(G, z0, 0.3, 1.0)
+        assert info.value.time == alone.time
+        assert np.array_equal(info.value.state, alone.state)
+        assert info.value.trajectory.step_stats == alone.trajectory.step_stats
+
+    def test_relay_horizon_is_checked_before_integrating(self, l2_2d, count_calls):
+        calls = count_calls(PolyMap, "eval_batch")
+        with pytest.raises(ValueError, match="finite"):
+            _integrate_rows(minus_identity(l2_2d), [np.array([0.1j, 0.0j])], [1.0], 1e-9,
+                            relays=[math.inf])
+        assert calls == []
+
+
 class TestSemigroup:
     def test_linear_decay(self, l2_2d):
         out = check_semigroup(minus_identity(l2_2d),
@@ -271,6 +335,25 @@ class TestSemigroup:
         G = sample_generator(space, seed=3, degree=3)
         out = check_semigroup(G, np.array([0.3 + 0.2j, 0.1 - 0.4j]), 1.0, 0.75)
         assert out["passed"]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_legs_share_one_batch(self, p, count_calls):
+        # the relay joins the batch once the first leg ends: after one batch
+        # of first drifts and the relay's own, six stages per pass until the
+        # direct leg or the relay ends; each leg steps as `integrate` alone
+        calls = count_calls(PolyMap, "eval_batch")
+        for dim in (1, 2, 4):
+            G = sample_generator(NormedSpace(dim, p), seed=5, degree=3)
+            z0 = 0.6 * G.space.sphere_sample(2 * dim + 1, seed=7)[-1]
+            for t, s in ((1.0, 0.75), (0.0, 0.5), (0.6, 0.0)):
+                direct, first = integrate(G, z0, t + s), integrate(G, z0, t)
+                relay = integrate(G, first.points[-1], s)
+                serial = G.space.norm(direct.points[-1] - flow_endpoint(G, first.points[-1], s))
+                calls.clear()
+                out = check_semigroup(G, z0, t, s)
+                assert len(calls) == 1 + (s > 0) + 6 * max(steps(direct),
+                                                           steps(first) + steps(relay))
+                assert out["difference"] == serial
 
     def test_negative_times_rejected(self, l2_2d):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -109,6 +109,14 @@ def dense_copy(dim, seed, degree):
     return unitary_conjugate(sample_generator(NormedSpace(dim, 2.0), seed, degree), U)
 
 
+def summed_parts(F, Z):
+    """sum(part values in degree order, constant + Z @ linear.T), a one-row
+    call taken as that row of a two-row batch, as `PolyMap.eval_batch` runs it."""
+    W = np.concatenate((Z, Z)) if len(Z) == 1 else Z
+    return sum((part.eval_batch(W) for part in F.higher),
+               F.constant[None, :] + W @ F.linear.T)[:len(Z)]
+
+
 SLOT_PAIRS = [(dim, p) for dim in (1, 2, 4) for p in (1.0, 2.0, math.inf)]
 
 
@@ -129,6 +137,26 @@ class TestPowerTableKernel:
                     assert part.eval_batch(Z).tobytes() == ref.tobytes()
                     expected = expected + ref
                 assert F.eval_batch(Z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("degree", [2, 8, 32])
+    def test_parts_add_in_degree_order(self, degree):
+        # in-place accumulation keeps the association of a `sum` over the parts
+        for dim, p in SLOT_PAIRS:
+            F = sample_generator(NormedSpace(dim, p), seed=degree, degree=degree)
+            assert len(F.higher) == degree - 1
+            for count in (1, 2):
+                Z = ball_points(F.space, count, seed=degree + count, rmax=0.99)
+                assert F.eval_batch(Z).tobytes() == summed_parts(F, Z).tobytes()
+
+    def test_dense_parts_add_alike_at_the_one_block_bound(self):
+        F = dense_copy(4, seed=8, degree=8)
+        columns, coeffs = F._groups[-1]
+        step = polymaps._block_rows(columns, coeffs)
+        assert len(polymaps._row_blocks(step, columns, coeffs)) == 1
+        assert len(polymaps._row_blocks(step + 1, columns, coeffs)) == 2
+        for count in (step, step + 1):
+            Z = ball_points(F.space, count, seed=count, rmax=0.99)
+            assert F.eval_batch(Z).tobytes() == summed_parts(F, Z).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_dense_maps_agree_to_rounding(self, dim):
