@@ -173,7 +173,9 @@ def certify_disc_generator(g, tolerance: float = 1e-9) -> GeneratorVerdict:
 _PHASES = 24  # grid phases on each line's boundary circle
 _PHI = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
 _NEWTON = 4  # Newton steps that finish a grid phase
-_THETAS = 720
+_THETAS = 720  # grid angles of the fit's theta scan
+_COARSE = 24  # the scan reads every _COARSE-th angle over the whole cloud first
+_SCAN_BLOCK = 90  # angles per block of a full read, which keeps the scan's memory small
 _FACE_SNAP = 0.02  # l1 coordinates below this share of a row's largest read 0
 _FACE_STEP = 1e-7  # a witness's step off an l1 face, relative to its radius
 _LINE_SALT = 7919
@@ -348,6 +350,41 @@ def certify_generator(G, budget: CertifyBudget | None = None,
 # -- pseudo-dissipativity ----------------------------------------------------
 
 
+@functools.lru_cache
+def _angles() -> tuple:
+    """(cos, sin) on the fit's _THETAS-angle grid, built on first use."""
+    thetas = 2.0 * np.pi * np.arange(_THETAS) / _THETAS
+    return np.cos(thetas), np.sin(thetas)
+
+
+def _least_angle(re, im, radius) -> tuple[int, int]:
+    """The first grid index where h(t) = max_k (cos t re_k + radius_k -
+    sin t im_k) is least, and the number of angles read over the whole cloud.
+
+    h is read at every _COARSE-th angle first. The points that attain those
+    maxima give lower(t) <= h(t) at every angle, each entry rounded as h's
+    own, and h is read in full only where lower(t) is at most the least
+    coarse value, in blocks of _SCAN_BLOCK angles. Every angle where h is
+    least passes, so the index is the full scan's. A cloud with a
+    non-finite entry is read at every angle.
+    """
+    cos, sin = _angles()
+    rows = np.arange(_THETAS)
+    if all(np.isfinite(x).all() for x in (re, im, radius)):
+        coarse = np.multiply.outer(cos[::_COARSE], re) + radius
+        coarse -= np.multiply.outer(sin[::_COARSE], im)
+        top = np.unique(np.argmax(coarse, axis=1))
+        lower = np.multiply.outer(cos, re[top]) + radius[top]
+        lower -= np.multiply.outer(sin, im[top])
+        rows = rows[lower.max(axis=1) <= coarse.max(axis=1).min()]
+    h = np.empty(len(rows))
+    for i in range(0, len(rows), _SCAN_BLOCK):
+        block = np.multiply.outer(cos[rows[i:i + _SCAN_BLOCK]], re) + radius
+        block -= np.multiply.outer(sin[rows[i:i + _SCAN_BLOCK]], im)
+        h[i:i + _SCAN_BLOCK] = block.max(axis=1)
+    return int(rows[np.argmin(h)]), len(rows)
+
+
 def _line_values(X, W, free, rot):
     """_line_rows of the rotated map, each line maximized over its phase."""
     C = _line_rows(rot * X, W, free)[1]
@@ -360,8 +397,10 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
 
     The slack of e^(i theta) F - a id holds on the line through a unit v
     when Re q_v = a - Re e^(i theta) <F(zeta v), (zeta v)*> >= 0 on
-    |zeta| = 1. The fit reads budget.sphere lines, picks theta where the
-    largest rotated pairing is least (720 angles, golden-section polish),
+    |zeta| = 1. The fit reads budget.sphere lines and picks theta where the
+    largest rotated pairing is least: the first least of 720 grid angles,
+    which a bounded scan (_least_angle) finds while reading the whole cloud
+    at only a few of them, then a golden-section polish. It
     climbs the best refine_points lines at theta and sets a to the largest
     -Re q found; b = ||F(0)|| then holds exactly. A climb that max_evals
     cuts short gives "inconclusive"; samples counts the lines read.
@@ -379,12 +418,7 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     # theta: least support function h(t) = max Re e^(i t) x + |free terms| of the cloud
     x = (_pair_lines(X, W) @ _phase_grid(X.shape[1])).ravel()
     re, im, radius = x.real.copy(), x.imag.copy(), np.abs(_free_terms(X, free)).sum(axis=2).ravel()
-    thetas, h = 2.0 * np.pi * np.arange(_THETAS) / _THETAS, np.empty(_THETAS)
-    for i in range(0, _THETAS, 90):  # blocks of 90 angles keep the scan's memory small
-        block = np.multiply.outer(np.cos(thetas[i:i + 90]), re) + radius
-        block -= np.multiply.outer(np.sin(thetas[i:i + 90]), im)
-        h[i:i + 90] = block.max(axis=1)
-    t0, step = thetas[int(np.argmin(h))], 2.0 * np.pi / _THETAS
+    t0, step = 2.0 * np.pi * _least_angle(re, im, radius)[0] / _THETAS, 2.0 * np.pi / _THETAS
     x1, f1, x2, f2 = _golden_max(lambda t: -np.max(math.cos(t) * re - math.sin(t) * im + radius),
                                  t0 - 2.0 * step, t0 + 2.0 * step, 60)
     theta = float(x1 if f1 >= f2 else x2)

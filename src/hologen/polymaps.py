@@ -55,22 +55,24 @@ def _row_blocks(rows: int, columns: np.ndarray, coeffs: np.ndarray) -> list:
         (min(lo, rows - 2), min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """(parts, B, dim_out) values, from a `_power_table`, of stacked parts: their
-    nonunit-factor rows (factors, parts, terms) and coeffs (parts, terms, dim_out).
-    Factors are gathered table rows, multiplied in as binary `*` in one block when
-    the batch is within `_block_rows`, else in `_row_blocks`, so a row rounds the
-    same alone, in any batch and on any number of BLAS threads."""
+    nonunit-factor rows (factors, parts, terms) and coeffs (parts, terms, dim_out),
+    written into out if given. Factors are gathered table rows, multiplied in as
+    binary `*` in one block when the batch is within `_block_rows`, else in
+    `_row_blocks`, so a row rounds the same alone, in any batch and on any number
+    of BLAS threads."""
     rows = table.shape[1]
+    if out is None:
+        out = np.empty((columns.shape[1], rows, coeffs.shape[-1]), dtype=np.complex128)
     one = rows <= _block_rows(columns, coeffs)
-    out = None if one else np.empty((columns.shape[1], rows, coeffs.shape[-1]), dtype=np.complex128)
     for lo, hi in ((0, rows),) if one else _row_blocks(rows, columns, coeffs):
-        mono = table[columns[0], lo:hi]
+        block = table if one else table[:, lo:hi]
+        mono = block[columns[0]]
         for i in range(1, len(columns)):
-            mono *= table[columns[i], lo:hi]
-        if out is None:
-            return np.matmul(mono.transpose(0, 2, 1), coeffs)
-        np.matmul(mono.transpose(0, 2, 1), coeffs, out=out[:, lo:hi])
+            mono *= block[columns[i]]
+        np.matmul(mono.transpose(0, 2, 1), coeffs, out=out if one else out[:, lo:hi])
     return out
 
 
@@ -114,6 +116,8 @@ class HomogeneousPoly:
             raise ValueError("powers must be a (terms, dim_in) integer array")
         if coeffs.ndim != 2 or coeffs.shape[0] != powers.shape[0]:
             raise ValueError("coeffs must be a (terms, dim_out) array matching powers")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"coeffs of the degree-{self.degree} part must be finite")
         if np.any(powers < 0):
             raise ValueError("multi-indices must be nonnegative")
         if powers.shape[0] and np.any(powers.sum(axis=1) != self.degree):
@@ -175,6 +179,9 @@ class PolyMap:
             raise ValueError(f"constant must have shape ({n},), got {c.shape}")
         if A.shape != (n, n):
             raise ValueError(f"linear must have shape ({n}, {n}), got {A.shape}")
+        for name, value in (("constant", c), ("linear", A)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         parts = tuple(self.higher)
         degrees = [p.degree for p in parts]
         if any(d < 2 for d in degrees):
@@ -197,23 +204,29 @@ class PolyMap:
     def degree(self) -> int:
         return self.higher[-1].degree if self.higher else 1
 
-    def _part_values(self, Z: np.ndarray):
-        """Yield the homogeneous parts' values on rows Z in degree order, group by group."""
+    def _part_values(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(parts, B, dim) values of the homogeneous parts on rows Z in degree
+        order, group by group, written into out if given."""
+        if out is None:
+            out = np.empty((len(self.higher), len(Z), self.space.dim), dtype=np.complex128)
         table = _power_table(Z, self.degree) if self.higher else None
+        k = 0
         for columns, coeffs in self._groups:
-            yield from _eval_parts(table, columns, coeffs)
+            _eval_parts(table, columns, coeffs, out[k:k + columns.shape[1]])
+            k += columns.shape[1]
+        return out
 
     @_gemm_rows
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
-        """Unchecked batch evaluation on rows of Z: constant plus linear part,
-        then the homogeneous parts added to it in place, in degree order, as a
-        left-to-right sum associates them. Every matmul is gemm on one BLAS
-        thread, so a row rounds the same alone, in a batch of any size and on
-        any core count."""
-        out = self.constant[None, :] + Z @ self.linear.T
-        for values in self._part_values(Z):
-            out += values
-        return out
+        """Unchecked batch evaluation on rows of Z: constant plus linear part in
+        slot 0 of one (parts + 1, B, dim) buffer, the homogeneous parts after it
+        in degree order, and one sum along the slots, which adds them left to
+        right. Every matmul is gemm on one BLAS thread, so a row rounds the same
+        alone, in a batch of any size and on any core count."""
+        terms = np.empty((len(self.higher) + 1, len(Z), self.space.dim), dtype=np.complex128)
+        np.add(self.constant, Z @ self.linear.T, out=terms[0])
+        self._part_values(Z, terms[1:])
+        return np.add.reduce(terms, axis=0)
 
     def evaluate(self, z) -> np.ndarray:
         """Evaluate at one point of the open unit ball."""
@@ -239,8 +252,7 @@ class PolyMap:
         X = np.zeros((V.shape[0], self.degree + 1, self.space.dim), dtype=np.complex128)
         X[:, 0] = self.constant
         X[:, 1] = V @ self.linear.T
-        for part, values in zip(self.higher, self._part_values(V)):
-            X[:, part.degree] = values
+        X[:, [part.degree for part in self.higher]] = self._part_values(V).transpose(1, 0, 2)
         return X
 
     def line_coefficients(self, V) -> np.ndarray:

@@ -468,6 +468,78 @@ class TestPseudoDissipative:
         assert cert.samples == 8
 
 
+def blocked_scan(re, im, radius):
+    """The fit's theta index by the full scan: h at all 720 grid angles over
+    every cloud point, in blocks of 90 angles, then the first least."""
+    thetas, h = 2.0 * np.pi * np.arange(720) / 720, np.empty(720)
+    for i in range(0, 720, 90):
+        block = np.multiply.outer(np.cos(thetas[i:i + 90]), re) + radius
+        block -= np.multiply.outer(np.sin(thetas[i:i + 90]), im)
+        h[i:i + 90] = block.max(axis=1)
+    return int(np.argmin(h))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Record the (re, im, radius) cloud and the (index, angles read) result
+    of each certify._least_angle call."""
+    calls, real = [], certify._least_angle
+
+    def run(re, im, radius):
+        result = real(re, im, radius)
+        calls.append(((re, im, radius), result))
+        return result
+
+    monkeypatch.setattr(certify, "_least_angle", run)
+    return calls
+
+
+class TestThetaScan:
+    """The bounded theta scan returns the full scan's index."""
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_criterion_3_maps(self, scans, seed):
+        # the fit reads the whole cloud at 30 coarse angles and at fewer
+        # than the 720 grid angles after them
+        certify_pseudo_dissipative(criterion_3_map(seed))
+        (cloud, (index, read)), = scans
+        assert index == blocked_scan(*cloud)
+        assert read < 720
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l1_clouds_with_free_terms(self, scans, seed):
+        # criterion-3 seeds 1 and 2 are dims 2 and 4 at p = 1; a shifted copy
+        # moves the angle, and both clouds carry free-term radii
+        F = criterion_3_map(1 + seed % 2).shifted(1.3 * seed, 0.4)
+        certify_pseudo_dissipative(F, CertifyBudget(sphere=192, seed=seed))
+        (cloud, (index, _)), = scans
+        assert np.any(cloud[2] > 0.0)
+        assert index == blocked_scan(*cloud)
+
+    def test_identity_map_repeats_one_point(self, scans, l2_2d):
+        # every line of the identity pairs to 1, so h(t) = cos t is least at pi
+        certify_pseudo_dissipative(identity_map(l2_2d))
+        (cloud, (index, _)), = scans
+        assert index == blocked_scan(*cloud) == 360
+
+    def test_duplicated_points(self):
+        rng = np.random.default_rng(5)
+        re, im, radius = rng.standard_normal((3, 500))
+        radius = np.abs(radius)
+        cloud = [np.concatenate((x, x[::-1])) for x in (re, im, radius)]
+        assert certify._least_angle(*cloud)[0] == blocked_scan(*cloud)
+
+    def test_ties_at_every_angle_take_the_first(self):
+        # points at the origin with equal radii: h is that radius everywhere
+        zeros, radius = np.zeros(64), np.full(64, 0.25)
+        assert certify._least_angle(zeros, zeros, radius) == (0, 720)
+        assert blocked_scan(zeros, zeros, radius) == 0
+
+    def test_non_finite_cloud_reads_every_angle(self):
+        re, im, radius = np.array([1.0, np.nan]), np.zeros(2), np.zeros(2)
+        assert certify._least_angle(re, im, radius) == (blocked_scan(re, im, radius), 720)
+
+
 class TestShifts:
     def test_round_trip_pointwise(self, l2_2d):
         F = sample_generator(l2_2d, seed=7, degree=4)

@@ -515,6 +515,25 @@ class TestErrorPaths:
         assert rc == 2
         assert "bad map description" in err
 
+    @pytest.mark.parametrize("field", ["constant", "linear", "terms"])
+    def test_non_finite_coefficients_rejected(self, capsys, tmp_path, field):
+        # NaN once certified with worst_slack NaN, since no comparison fails
+        data = {"space": {"dim": 1, "p": 2}, "constant": [[0.0, 0.0]],
+                "linear": [[[-1.0, 0.0]]],
+                "terms": [{"degree": 2, "monomial": [2], "coeff": [[0.5, 0.0]]}]}
+        if field == "constant":
+            data["constant"] = [[math.inf, 0.0]]
+        elif field == "linear":
+            data["linear"] = [[[math.nan, 0.0]]]
+        else:
+            data["terms"][0]["coeff"] = [[0.5, math.nan]]
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(data))  # written as NaN and Infinity
+        for command in ("certify-gen", "certify-pd"):
+            rc, out, err = invoke(capsys, command, str(path))
+            assert rc == 2 and out == ""
+            assert "bad map description" in err and "must be finite" in err
+
     def test_boolean_entries_rejected(self, capsys, tmp_path):
         good = map_to_dict(minus_identity(NormedSpace(2, 2.0)))
         path = tmp_path / "bools.json"

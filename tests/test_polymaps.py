@@ -87,6 +87,11 @@ class TestHomogeneousPoly:
         with pytest.raises(ValueError):
             HomogeneousPoly(2, np.array([[1, 1], [2, 0]]), np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="coeffs of the degree-2 part must be finite"):
+            HomogeneousPoly(2, np.array([[2, 0], [1, 1]]), np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 def reference_part(part, Z):
     """The evaluation formula before power tables: a complex power per
@@ -329,6 +334,15 @@ class TestPolyMap:
             PolyMap(space=l2_2d, constant=np.zeros(3), linear=np.eye(2), higher=())
         with pytest.raises(ValueError):
             PolyMap(space=l2_2d, constant=np.zeros(2), linear=np.eye(3), higher=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_non_finite_constant_or_linear_rejected(self, l2_2d, bad):
+        # a NaN coefficient makes every slack NaN, which no comparison refutes
+        with pytest.raises(ValueError, match="constant must be finite"):
+            PolyMap(space=l2_2d, constant=np.array([0.0, bad]), linear=np.eye(2), higher=())
+        with pytest.raises(ValueError, match="linear must be finite"):
+            PolyMap(space=l2_2d, constant=np.zeros(2), linear=np.array([[bad, 0.0], [0.0, 1.0]]),
+                    higher=())
 
     def test_restrict_frozen_example(self, l2_2d):
         # F(z) = (z2^2, 0) restricted to the diagonal direction picks up
