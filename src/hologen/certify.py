@@ -40,7 +40,10 @@ class CertifyBudget:
     `_PROPOSALS` candidates per line, seed: key of the direction and climb
     streams, max_evals: cap on the lines read; reaching it makes a clean run
     "inconclusive", and samples exceed it only when the grid alone does.
-    A dim-1 ball, a disc and a slice are one line, decided exactly.
+    A dim-1 ball, a disc and a slice are one line, decided exactly. A dim-1
+    pseudo-dissipativity fit reads only its sphere grid lines and climbs
+    none: a cap at or above sphere leaves it "certified", one below still
+    makes it "inconclusive".
     ValueError unless sphere and refine_points are >= 1, refine_iters >= 0
     and max_evals is None or >= 0.
     """
@@ -187,28 +190,51 @@ def _phase_grid(terms: int) -> np.ndarray:
     return np.exp(1j * np.outer(np.arange(terms) - 1, _PHI))
 
 
-def _phase_max(C, every=False) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache
+def _newton_weights(terms: int) -> np.ndarray:
+    """(terms, 3) weights 1, k - 1 and (k - 1)^2 that give a row's sum and
+    its first two phase derivatives from its terms."""
+    j = np.arange(terms) - 1.0
+    return np.stack([np.ones_like(j), j, j * j], axis=1)
+
+
+def _phase_terms(phi, terms: int) -> np.ndarray:
+    """(len(phi), terms) array of e^(i (k - 1) phi) with the exponential
+    formed for k - 1 >= 1 only: column 1 is 1, and column 0 the conjugate
+    of e^(i phi), which is e^(-i phi) bit for bit, signed zeros included."""
+    E = np.empty((len(phi), terms), dtype=np.complex128)
+    E[:, 1] = 1.0
+    ahead = E[:, 2:] if terms > 2 else np.empty((len(phi), 1), dtype=np.complex128)
+    np.exp(np.multiply.outer(phi, 1j * np.arange(1.0, ahead.shape[1] + 1)), out=ahead)
+    np.conjugate(ahead[:, 0], out=E[:, 0])
+    return E
+
+
+def _phase_max(C, every=False, grid=None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's max over phi of Re sum_k C[:, k] e^(i (k - 1) phi), and a
     phase phi* where the sum takes it.
 
     Newton steps of at most half the grid spacing, uphill where the sum is
     convex, finish the best grid phase, or with every=True each grid phase,
     which also reaches a narrow peak that lower grid values flank. Every
-    value is the sum at its phase.
+    value is the sum at its phase. grid, if given, holds the rows' grid
+    values (C @ _phase_grid).real, which are then not formed again. C times
+    each pass's `_phase_terms` array stays an unnamed temporary: from
+    256 KiB numpy multiplies it in place with the operands swapped, which
+    rounds the imaginary parts apart from a named product (numrange._raw).
     """
-    j = np.arange(C.shape[1]) - 1.0
-    P = (C @ _phase_grid(C.shape[1])).real
+    J = _newton_weights(C.shape[1])
+    P = (C @ _phase_grid(C.shape[1])).real if grid is None else grid
     if every:
         C, phi, best = np.repeat(C, _PHASES, axis=0), np.tile(_PHI, len(P)), P.ravel()
     else:
         i = np.argmax(P, axis=1)
         phi, best = _PHI[i], P[np.arange(len(P)), i]
-    J = np.stack([np.ones_like(j), j, j * j], axis=1)
     cap = np.pi / _PHASES
     at = phi
     for _ in range(_NEWTON + 1):
         # f = Re S0, f' = -Im S1, f'' = -Re S2
-        S = (C * np.exp(np.multiply.outer(phi, 1j * j))) @ J
+        S = (C * _phase_terms(phi, C.shape[1])) @ J
         at = np.where(S[:, 0].real > best, phi, at)
         best = np.maximum(best, S[:, 0].real)
         phi = phi - np.clip(S[:, 1].imag / np.maximum(np.abs(S[:, 2].real), 1e-12), -cap, cap)
@@ -249,10 +275,10 @@ def _free_terms(X, free) -> np.ndarray:
     return (Xf @ _phase_grid(X.shape[1])).transpose(1, 2, 0)
 
 
-def _line_rows(X, W, free):
-    """Each line's largest -Re q_v at the grid phases, and its coefficient
-    row; a free entry takes the phase that adds its term's modulus at the
-    best grid phase."""
+def _line_grid(X, W, free):
+    """Each line's -Re q_v at the grid phases, and its coefficient row; a
+    free entry adds its term's modulus at every grid phase, and takes in
+    the row the phase that does so at the best one."""
     C = _pair_lines(X, W)
     P = (C @ _phase_grid(C.shape[1])).real
     if free.any():
@@ -261,6 +287,13 @@ def _line_rows(X, W, free):
         P[f] += np.abs(terms).sum(axis=2)
         q = terms[np.arange(f.size), np.argmax(P[f], axis=1)]
         C[f] += _pair_lines(X[f], np.conj(q) / np.where(q != 0.0, np.abs(q), 1.0))
+    return P, C
+
+
+def _line_rows(X, W, free):
+    """Each line's largest -Re q_v at the grid phases, and its coefficient
+    row (_line_grid)."""
+    P, C = _line_grid(X, W, free)
     return P.max(axis=1), C
 
 
@@ -386,9 +419,11 @@ def _least_angle(re, im, radius) -> tuple[int, int]:
 
 
 def _line_values(X, W, free, rot):
-    """_line_rows of the rotated map, each line maximized over its phase."""
-    C = _line_rows(rot * X, W, free)[1]
-    return _phase_max(C)[0], C
+    """The coefficient rows of the rotated map's lines (_line_grid), each
+    maximized over its phase. `_phase_max` starts from the grid values
+    _line_grid computed, which are the rows' own unless an entry is free."""
+    P, C = _line_grid(rot * X, W, free)
+    return _phase_max(C, grid=None if free.any() else P)[0], C
 
 
 def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
@@ -402,8 +437,12 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     which a bounded scan (_least_angle) finds while reading the whole cloud
     at only a few of them, then a golden-section polish. It
     climbs the best refine_points lines at theta and sets a to the largest
-    -Re q found; b = ||F(0)|| then holds exactly. A climb that max_evals
-    cuts short gives "inconclusive"; samples counts the lines read.
+    -Re q found, Newton-finished from every grid phase; b = ||F(0)|| then
+    holds exactly. On a dim-1 ball every line is the line through 1
+    shifted in phase, so the fit climbs none there and reads a off the best
+    refine_points grid lines, with samples = sphere. A climb that max_evals
+    cuts short, or a grid above it, gives "inconclusive"; samples counts
+    the lines read.
 
     Raises:
         ValueError: F is not a PolyMap, whose lines the fit reads exactly.
@@ -424,11 +463,17 @@ def certify_pseudo_dissipative(F, budget: CertifyBudget | None = None
     theta = float(x1 if f1 >= f2 else x2)
     rot = complex(math.cos(theta), math.sin(theta))
 
-    # climb the best lines at theta on their Newton-finished values
+    # climb the best lines at theta on their Newton-finished values; every
+    # line of a dim-1 ball is the line through 1 shifted in phase, so there
+    # the best grid lines stand for all
     values, C = _line_values(*lines, rot)
-    _, kept_C, climbed, exhausted = _climb_lines(
-        F, V, values, C, lambda Z: _line_values(*_lines(F, Z), rot), budget)
-    evals += climbed
+    if space.dim == 1:
+        kept_C = C[np.argsort(-values, kind="stable")[:budget.refine_points]]
+        exhausted = budget.max_evals is not None and evals > budget.max_evals
+    else:
+        _, kept_C, climbed, exhausted = _climb_lines(
+            F, V, values, C, lambda Z: _line_values(*_lines(F, Z), rot), budget)
+        evals += climbed
     a = float(np.max(_phase_max(kept_C, every=True)[0]))
     b = float(space.norm(np.asarray(F.constant)))
     return PseudoDissipativityCertificate(

@@ -195,8 +195,10 @@ class PolyMap:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "linear", A)
         object.__setattr__(self, "higher", parts)
-        # runs of consecutive parts of one (factors, terms) shape, stacked for `_eval_parts`
-        runs = [list(run) for _, run in itertools.groupby(parts, lambda q: q._columns.shape)]
+        # runs of parts of consecutive degrees and one (factors, terms) shape,
+        # stacked for `_eval_parts`; degree - position is constant along a run
+        runs = [[q for _, q in run] for _, run in itertools.groupby(
+            enumerate(parts), lambda iq: (iq[1]._columns.shape, iq[1].degree - iq[0]))]
         object.__setattr__(self, "_groups", [(np.stack([q._columns for q in run], axis=1),
                                               np.stack([q.coeffs for q in run])) for run in runs])
 
@@ -204,17 +206,16 @@ class PolyMap:
     def degree(self) -> int:
         return self.higher[-1].degree if self.higher else 1
 
-    def _part_values(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(parts, B, dim) values of the homogeneous parts on rows Z in degree
-        order, group by group, written into out if given."""
-        if out is None:
-            out = np.empty((len(self.higher), len(Z), self.space.dim), dtype=np.complex128)
+    def _part_values(self, Z: np.ndarray, out: np.ndarray, by_degree: bool = False) -> None:
+        """Write the values of the homogeneous parts on rows Z into out, group
+        by group: the k-th part in degree order into out[k], or with
+        by_degree=True the part of degree j into out[j]."""
         table = _power_table(Z, self.degree) if self.higher else None
         k = 0
         for columns, coeffs in self._groups:
-            _eval_parts(table, columns, coeffs, out[k:k + columns.shape[1]])
+            lo = self.higher[k].degree if by_degree else k
+            _eval_parts(table, columns, coeffs, out[lo:lo + columns.shape[1]])
             k += columns.shape[1]
-        return out
 
     @_gemm_rows
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
@@ -248,11 +249,15 @@ class PolyMap:
     def line_vectors(self, V) -> np.ndarray:
         """(B, degree + 1, dim) array of the Taylor vectors F_k(v) of
         zeta -> F(zeta v) for the rows v of V, rounded as `eval_batch` rounds
-        its terms; degrees the map lacks read 0."""
-        X = np.zeros((V.shape[0], self.degree + 1, self.space.dim), dtype=np.complex128)
+        its terms; degrees the map lacks read 0. Each group of parts writes
+        straight into its degree columns, and the array starts zeroed only
+        when some degree between 2 and the map's is missing."""
+        gaps = len(self.higher) < self.degree - 1
+        X = (np.zeros if gaps else np.empty)((V.shape[0], self.degree + 1, self.space.dim),
+                                             dtype=np.complex128)
         X[:, 0] = self.constant
         X[:, 1] = V @ self.linear.T
-        X[:, [part.degree for part in self.higher]] = self._part_values(V).transpose(1, 0, 2)
+        self._part_values(V, X.transpose(1, 0, 2), by_degree=True)
         return X
 
     def line_coefficients(self, V) -> np.ndarray:

@@ -468,6 +468,119 @@ class TestPseudoDissipative:
         assert cert.samples == 8
 
 
+def dim_1_map(p, degree):
+    """A dim-1 fit input: inverse_shift of a sampled generator by a seeded
+    theta and a, its seed 10 * degree plus p's place in (1, 2, inf)."""
+    seed = 10 * degree + (1.0, 2.0, math.inf).index(p)
+    rng = np.random.default_rng([seed, 1311])
+    G = sample_generator(NormedSpace(1, p), seed=seed, degree=degree)
+    return inverse_shift(G, float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(-2.0, 2.0)))
+
+
+# (p, degree, theta, a) of the fit that climbed its 32 best lines on dim 1
+DIM_1_FITS = [
+    (1.0, 2, 2.9076539292399093, -1.1059452053917525),
+    (1.0, 5, 1.614653251552135, 0.8749152255880757),
+    (1.0, 8, 5.205418903546751, -2.8614793872660402),
+    (2.0, 2, 2.4675105571120763, -0.8696742513173261),
+    (2.0, 5, 4.453891389266003, -0.5186218620249307),
+    (2.0, 8, 5.775188845248456, -0.13871282044027217),
+    (math.inf, 2, 6.209355290855913, -1.4884403642842883),
+    (math.inf, 5, 4.943991939341317, -0.5139035024049727),
+    (math.inf, 8, 1.3491486897251002, -0.31988533058755153),
+]
+
+
+@pytest.fixture
+def no_climb(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dim-1 fit climbs no line")
+
+    monkeypatch.setattr(certify, "_climb_lines", refuse)
+
+
+class TestDim1Fit:
+    """A dim-1 ball is one line up to phase: the fit reads its grid lines only."""
+
+    @pytest.mark.parametrize("p, degree, theta, a", DIM_1_FITS,
+                             ids=[f"p={p:g}-degree={d}" for p, d, _, _ in DIM_1_FITS])
+    def test_grid_lines_decide_the_fit(self, no_climb, p, degree, theta, a):
+        F = dim_1_map(p, degree)
+        cert = certify_pseudo_dissipative(F)
+        assert cert.verdict == "certified"
+        assert cert.samples == 192
+        assert cert.theta == theta
+        assert abs(cert.a - a) <= 1e-14 * max(1.0, abs(a))
+        assert certify_generator(shift_to_generator(F, cert.theta, cert.a)).verdict == "certified"
+
+    def test_samples_are_the_budget_sphere(self, no_climb, count_calls):
+        budget = CertifyBudget(sphere=40, refine_points=3, refine_iters=9)
+        calls = count_calls(PolyMap, "line_vectors")
+        cert = certify_pseudo_dissipative(dim_1_map(2.0, 5), budget)
+        assert cert.samples == budget.sphere == evaluated_rows(calls)
+
+    @pytest.mark.parametrize("cap, verdict", [
+        (0, "inconclusive"), (191, "inconclusive"), (192, "certified"), (193, "certified")])
+    def test_only_a_cap_below_the_grid_is_inconclusive(self, no_climb, cap, verdict):
+        cert = certify_pseudo_dissipative(dim_1_map(math.inf, 8), CertifyBudget(
+            sphere=192, max_evals=cap))
+        assert (cert.verdict, cert.samples) == (verdict, 192)
+
+
+def stepwise_phase_max(C, every=False):
+    """`certify._phase_max` with each Newton pass forming every column
+    e^(i (k - 1) phi), k - 1 = -1 and 0 included, as one unnamed exponential."""
+    j = np.arange(C.shape[1]) - 1.0
+    P = (C @ certify._phase_grid(C.shape[1])).real
+    phases = certify._PHASES
+    if every:
+        C, phi, best = np.repeat(C, phases, axis=0), np.tile(certify._PHI, len(P)), P.ravel()
+    else:
+        i = np.argmax(P, axis=1)
+        phi, best = certify._PHI[i], P[np.arange(len(P)), i]
+    J = np.stack([np.ones_like(j), j, j * j], axis=1)
+    cap = np.pi / phases
+    at = phi
+    for _ in range(certify._NEWTON + 1):
+        S = (C * np.exp(np.multiply.outer(phi, 1j * j))) @ J
+        at = np.where(S[:, 0].real > best, phi, at)
+        best = np.maximum(best, S[:, 0].real)
+        phi = phi - np.clip(S[:, 1].imag / np.maximum(np.abs(S[:, 2].real), 1e-12), -cap, cap)
+    best, at = best.reshape(len(P), -1), at.reshape(len(P), -1)
+    i = np.argmax(best, axis=1)
+    rows = np.arange(len(P))
+    return best[rows, i], at[rows, i]
+
+
+class TestPhaseKernel:
+    """_phase_max keeps the bits of forming every exponential column."""
+
+    @pytest.mark.parametrize("every", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 32, 256])
+    def test_bytes_match_every_column_exponentials(self, rows, every):
+        # 2 terms (c_0, c_1) is a degree-1 map; with every=True, 32 rows and
+        # 22 or more terms, C times the exponential is a 256 KiB temporary,
+        # which numpy multiplies in place with its operands swapped
+        rng = np.random.default_rng([rows, every])
+        for terms in range(2, 34):
+            C = rng.standard_normal((rows, terms)) + 1j * rng.standard_normal((rows, terms))
+            C[0, rng.integers(terms)] = 0.0
+            if rows > 1:
+                C[1] = 0.0
+                C[1, 1] = -0.5
+            for got, want in zip(certify._phase_max(C, every), stepwise_phase_max(C, every)):
+                assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_grid_values_handed_over_keep_the_bits(self, p):
+        # the fit's lines pass _phase_max the grid values _line_grid made
+        F = criterion_3_map({1.0: 1, 2.0: 4, math.inf: 7}[p])
+        X, W, free = certify._lines(F, F.space.sphere_sample(192, 0))
+        rot = complex(math.cos(0.7), math.sin(0.7))
+        values, C = certify._line_values(X, W, free, rot)
+        assert values.tobytes() == stepwise_phase_max(C)[0].tobytes()
+
+
 def blocked_scan(re, im, radius):
     """The fit's theta index by the full scan: h at all 720 grid angles over
     every cloud point, in blocks of 90 angles, then the first least."""

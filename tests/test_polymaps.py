@@ -298,6 +298,69 @@ class TestPowerTableKernel:
         assert tables == []
 
 
+def stacked_line_vectors(F, V):
+    """The Taylor vectors as zeros with the stacked part values assigned to
+    their degree columns, a one-row call taken as that row of a two-row batch."""
+    W = np.concatenate((V, V)) if len(V) == 1 else V
+    X = np.zeros((len(W), F.degree + 1, F.space.dim), dtype=np.complex128)
+    X[:, 0] = F.constant
+    X[:, 1] = W @ F.linear.T
+    if F.higher:
+        X[:, [q.degree for q in F.higher]] = np.stack([q.eval_batch(W) for q in F.higher], axis=1)
+    return X[:len(V)]
+
+
+def gapped_map(space, degrees, seed):
+    """Dense two-term parts of the given degrees, one (factors, terms) shape."""
+    rng = np.random.default_rng([seed, space.dim, 53])
+    n, parts = space.dim, []
+    for j in degrees:
+        powers = np.zeros((2, n), dtype=np.int64)
+        powers[:, 0] = j - 1
+        powers[:, -1] += 1
+        coeffs = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        parts.append(HomogeneousPoly(j, powers, coeffs))
+    return PolyMap(space, rng.standard_normal(n) + 0.5j, np.eye(n) - 0.3j, tuple(parts))
+
+
+def line_vector_maps():
+    """pytest params of maps with gapped, contiguous and dense parts, and none."""
+    empty = HomogeneousPoly(3, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.complex128))
+    quad = HomogeneousPoly(2, np.array([[1, 1], [2, 0]]), np.array([[1.0, 2.0j], [0.5, -1.0]]))
+    l2 = NormedSpace(2, 2.0)
+    maps = [("linear-only", make_linear_map(NormedSpace(3, 1.0), np.arange(9.0).reshape(3, 3) - 4j)),
+            ("empty-part", PolyMap(l2, np.zeros(2), np.eye(2), (quad, empty))),
+            ("gaps-2-5", gapped_map(l2, (2, 5), 1)),
+            ("gaps-3-4-7", gapped_map(NormedSpace(4, math.inf), (3, 4, 7), 2))]
+    for dim in (1, 2, 3, 4):
+        maps.append((f"contiguous-dim{dim}", sample_generator(NormedSpace(dim, 1.0), 5 + dim, 6)))
+        maps.append((f"dense-dim{dim}", dense_copy(dim, seed=dim, degree=7)))
+    return [pytest.param(F, id=label) for label, F in maps]
+
+
+class TestLineVectors:
+    """line_vectors writes the parts into their degree columns in place,
+    with the bits of zeros filled by stacked part values."""
+
+    @pytest.mark.parametrize("F", line_vector_maps())
+    @pytest.mark.parametrize("count", [1, 2, 300])
+    def test_bytes_match_stacked_assignment(self, F, count):
+        V = F.space.sphere_sample(count, seed=count)
+        X = F.line_vectors(V)
+        expected = stacked_line_vectors(F, V)
+        assert X.shape == expected.shape
+        assert X.tobytes() == expected.tobytes()
+        C = polymaps._pair_lines(expected, F.space.support_batch(V))
+        assert F.line_coefficients(V).tobytes() == C.tobytes()
+        # a gap in the degrees splits a group, which must not move eval_batch's bits
+        assert F.eval_batch(0.5 * V).tobytes() == summed_parts(F, 0.5 * V).tobytes()
+
+    def test_dense_batch_runs_in_row_blocks(self):
+        # the 300-row dense dim-4 batch above crosses `_row_blocks`
+        columns, coeffs = dense_copy(4, seed=4, degree=7)._groups[-1]
+        assert len(polymaps._row_blocks(300, columns, coeffs)) > 1
+
+
 class TestPolyMap:
     def test_evaluation_composition(self, l2_2d):
         P = HomogeneousPoly(2, np.array([[2, 0]]), np.array([[0.0, 1.0]]))
