@@ -8,8 +8,7 @@ from .spaces import MAX_DIM, NormedSpace, space_from_dict, space_to_dict
 from .polymaps import (MAX_DEGREE, DiscFunction, HomogeneousPoly, PolyMap,
                        disc_generator_from, fejer_truncate, herglotz_sample,
                        lift_to_ball, map_from_dict, map_to_dict,
-                       sample_generator, taylor_coefficients,
-                       unitary_conjugate)
+                       sample_generator, unitary_conjugate)
 from .numrange import (OracleMismatchError, RangeEstimate, SearchBudget,
                        harris_check, harris_constant, hilbert_radius_oracle,
                        numerical_radius, numerical_range_inf, operator_norm,
@@ -49,6 +48,6 @@ __all__ = [
     "operator_norm", "polynomial_numerical_radius", "restriction_agreement",
     "rhs_coarse", "rhs_sharp", "sample_generator", "shift_to_generator",
     "space_from_dict", "space_to_dict", "sup_norm_on_sphere",
-    "taylor_coefficients", "trajectory_to_csv", "unitary_conjugate",
+    "trajectory_to_csv", "unitary_conjugate",
     "verdict_to_dict", "verify_growth_bound", "verify_intermediate_chain",
 ]

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numrange import _PROPOSALS, _check_floors, _climb, _golden_max
-from .polymaps import (PolyMap, _least_real_part, _pair_lines, _pairs,
-                       _polynomial_coefficients, taylor_coefficients)
+# the phase kernel lives next to DiscFunction, whose data it also decides
+from .polymaps import (_NEWTON, _PHASES, _PHI, PolyMap, _min_real_part, _pair_lines, _pairs,
+                       _phase_grid, _phase_max, _polynomial_coefficients)
 
 
 class NotCertifiedError(RuntimeError):
@@ -173,75 +174,12 @@ def certify_disc_generator(g, tolerance: float = 1e-9) -> GeneratorVerdict:
 
 # -- complex lines ------------------------------------------------------------
 
-_PHASES = 24  # grid phases on each line's boundary circle
-_PHI = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
-_NEWTON = 4  # Newton steps that finish a grid phase
 _THETAS = 720  # grid angles of the fit's theta scan
 _COARSE = 24  # the scan reads every _COARSE-th angle over the whole cloud first
 _SCAN_BLOCK = 90  # angles per block of a full read, which keeps the scan's memory small
 _FACE_SNAP = 0.02  # l1 coordinates below this share of a row's largest read 0
 _FACE_STEP = 1e-7  # a witness's step off an l1 face, relative to its radius
 _LINE_SALT = 7919
-
-
-@functools.lru_cache
-def _phase_grid(terms: int) -> np.ndarray:
-    """(terms, _PHASES) array of e^(i (k - 1) phi) at the grid phases."""
-    return np.exp(1j * np.outer(np.arange(terms) - 1, _PHI))
-
-
-@functools.lru_cache
-def _newton_weights(terms: int) -> np.ndarray:
-    """(terms, 3) weights 1, k - 1 and (k - 1)^2 that give a row's sum and
-    its first two phase derivatives from its terms."""
-    j = np.arange(terms) - 1.0
-    return np.stack([np.ones_like(j), j, j * j], axis=1)
-
-
-def _phase_terms(phi, terms: int) -> np.ndarray:
-    """(len(phi), terms) array of e^(i (k - 1) phi) with the exponential
-    formed for k - 1 >= 1 only: column 1 is 1, and column 0 the conjugate
-    of e^(i phi), which is e^(-i phi) bit for bit, signed zeros included."""
-    E = np.empty((len(phi), terms), dtype=np.complex128)
-    E[:, 1] = 1.0
-    ahead = E[:, 2:] if terms > 2 else np.empty((len(phi), 1), dtype=np.complex128)
-    np.exp(np.multiply.outer(phi, 1j * np.arange(1.0, ahead.shape[1] + 1)), out=ahead)
-    np.conjugate(ahead[:, 0], out=E[:, 0])
-    return E
-
-
-def _phase_max(C, every=False, grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's max over phi of Re sum_k C[:, k] e^(i (k - 1) phi), and a
-    phase phi* where the sum takes it.
-
-    Newton steps of at most half the grid spacing, uphill where the sum is
-    convex, finish the best grid phase, or with every=True each grid phase,
-    which also reaches a narrow peak that lower grid values flank. Every
-    value is the sum at its phase. grid, if given, holds the rows' grid
-    values (C @ _phase_grid).real, which are then not formed again. C times
-    each pass's `_phase_terms` array stays an unnamed temporary: from
-    256 KiB numpy multiplies it in place with the operands swapped, which
-    rounds the imaginary parts apart from a named product (numrange._raw).
-    """
-    J = _newton_weights(C.shape[1])
-    P = (C @ _phase_grid(C.shape[1])).real if grid is None else grid
-    if every:
-        C, phi, best = np.repeat(C, _PHASES, axis=0), np.tile(_PHI, len(P)), P.ravel()
-    else:
-        i = np.argmax(P, axis=1)
-        phi, best = _PHI[i], P[np.arange(len(P)), i]
-    cap = np.pi / _PHASES
-    at = phi
-    for _ in range(_NEWTON + 1):
-        # f = Re S0, f' = -Im S1, f'' = -Re S2
-        S = (C * _phase_terms(phi, C.shape[1])) @ J
-        at = np.where(S[:, 0].real > best, phi, at)
-        best = np.maximum(best, S[:, 0].real)
-        phi = phi - np.clip(S[:, 1].imag / np.maximum(np.abs(S[:, 2].real), 1e-12), -cap, cap)
-    best, at = best.reshape(len(P), -1), at.reshape(len(P), -1)
-    i = np.argmax(best, axis=1)
-    rows = np.arange(len(P))
-    return best[rows, i], at[rows, i]
 
 
 def _snap(space, V, unit=False):
@@ -533,26 +471,27 @@ def linear_dissipation_check(G: PolyMap, v_count: int = 256, seed: int = 0,
 def caratheodory_check(q, order: int = 16) -> dict:
     """Coefficient bounds |a_j| <= 2 Re q(0) for nonnegative-real-part q.
 
-    Coefficients come from circle quadrature on |zeta| = 0.7
-    (taylor_coefficients); the input is first spot-checked for nonnegative
-    real part at 16 angles on each of the circles |zeta| = 0.2, 0.5, 0.8,
-    0.95.
+    Reads the exact coefficients q.coefficient(j), j <= order, once
+    Re q >= -1e-9 on the disc is decided exactly (polymaps._min_real_part),
+    for polynomial data up to degree 27 (ROADMAP item 11).
 
     Raises:
-        ValueError: when sampling finds Re q < -1e-9.
+        ValueError: order outside [1, 512], Re q < -1e-9 on the disc, or q
+            neither a Herglotz function nor exact polynomial data.
     """
-    if _least_real_part(q, [0.2, 0.5, 0.8, 0.95]) < -1e-9:
+    if not 1 <= order <= 512:
+        raise ValueError(f"order must be in [1, 512], got {order}")
+    if _min_real_part(q) < -1e-9:
         raise ValueError("input is not a nonnegative-real-part function on the disc")
-    coeffs = taylor_coefficients(q, order)
-    q0 = complex(q(0.0 + 0.0j))
-    bound = 2.0 * q0.real
+    coeffs = np.array([q.coefficient(k) for k in range(order + 1)], dtype=np.complex128)
+    bound = 2.0 * float(coeffs[0].real)
     mags = np.abs(coeffs[1:])
     excess = mags - bound
     violations = int(np.count_nonzero(excess > 1e-8))
     return {
         "bound": bound,
         "coefficient_magnitudes": mags.tolist(),
-        "max_excess": float(np.max(excess)) if mags.size else -bound,
+        "max_excess": float(np.max(excess)),
         "violations": violations,
         "passed": violations == 0,
     }

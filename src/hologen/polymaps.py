@@ -1,5 +1,6 @@
 """Polynomial holomorphic maps on the unit ball, scalar disc functions,
-coefficient extraction, and the seeded generator sampler.
+the phase kernel that decides Re q >= 0 on a circle, and the seeded
+generator sampler.
 
 A ball map is stored as constant + linear + homogeneous parts of distinct
 degrees; a disc function is a scalar function of one complex variable in
@@ -293,6 +294,76 @@ class PolyMap:
         )
 
 
+# -- the phase kernel ------------------------------------------------------
+
+_PHASES = 24  # grid phases on each line's boundary circle
+_PHI = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
+_NEWTON = 4  # Newton steps that finish a grid phase
+
+
+@functools.lru_cache
+def _phase_grid(terms: int) -> np.ndarray:
+    """(terms, _PHASES) array of e^(i (k - 1) phi) at the grid phases."""
+    return np.exp(1j * np.outer(np.arange(terms) - 1, _PHI))
+
+
+@functools.lru_cache
+def _newton_weights(terms: int) -> np.ndarray:
+    """(terms, 3) weights 1, k - 1 and (k - 1)^2 that give a row's sum and
+    its first two phase derivatives from its terms."""
+    j = np.arange(terms) - 1.0
+    return np.stack([np.ones_like(j), j, j * j], axis=1)
+
+
+def _phase_terms(phi, terms: int) -> np.ndarray:
+    """(len(phi), terms) array of e^(i (k - 1) phi) with the exponential
+    formed for k - 1 >= 1 only: column 1 is 1, and column 0 the conjugate
+    of e^(i phi), which is e^(-i phi) bit for bit, signed zeros included."""
+    E = np.empty((len(phi), terms), dtype=np.complex128)
+    E[:, 1] = 1.0
+    ahead = E[:, 2:] if terms > 2 else np.empty((len(phi), 1), dtype=np.complex128)
+    np.exp(np.multiply.outer(phi, 1j * np.arange(1.0, ahead.shape[1] + 1)), out=ahead)
+    np.conjugate(ahead[:, 0], out=E[:, 0])
+    return E
+
+
+def _phase_max(C, every=False, grid=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max over phi of Re sum_k C[:, k] e^(i (k - 1) phi), and a
+    phase phi* where the sum takes it.
+
+    Newton steps of at most half the grid spacing, uphill where the sum is
+    convex, finish the best grid phase, or with every=True each grid phase,
+    which also reaches a narrow peak that lower grid values flank. Every
+    value is the sum at its phase. grid, if given, holds the rows' grid
+    values (C @ _phase_grid).real, which are then not formed again. C times
+    each pass's `_phase_terms` array stays an unnamed temporary: from
+    256 KiB numpy multiplies it in place with the operands swapped, which
+    rounds the imaginary parts apart from a named product (numrange._raw).
+    It is the one kernel that decides Re q >= 0 on a circle, for lines,
+    discs and disc data (`_min_real_part`) alike, exactly for rows of at
+    most 29 terms (a degree-28 map) until ROADMAP item 11.
+    """
+    J = _newton_weights(C.shape[1])
+    P = (C @ _phase_grid(C.shape[1])).real if grid is None else grid
+    if every:
+        C, phi, best = np.repeat(C, _PHASES, axis=0), np.tile(_PHI, len(P)), P.ravel()
+    else:
+        i = np.argmax(P, axis=1)
+        phi, best = _PHI[i], P[np.arange(len(P)), i]
+    cap = np.pi / _PHASES
+    at = phi
+    for _ in range(_NEWTON + 1):
+        # f = Re S0, f' = -Im S1, f'' = -Re S2
+        S = (C * _phase_terms(phi, C.shape[1])) @ J
+        at = np.where(S[:, 0].real > best, phi, at)
+        best = np.maximum(best, S[:, 0].real)
+        phi = phi - np.clip(S[:, 1].imag / np.maximum(np.abs(S[:, 2].real), 1e-12), -cap, cap)
+    best, at = best.reshape(len(P), -1), at.reshape(len(P), -1)
+    i = np.argmax(best, axis=1)
+    rows = np.arange(len(P))
+    return best[rows, i], at[rows, i]
+
+
 @dataclass(frozen=True)
 class DiscFunction:
     """Scalar holomorphic function on the unit disc in one of three shapes.
@@ -305,8 +376,8 @@ class DiscFunction:
       "generator":  g(zeta) = g0 - conj(g0) zeta^2 - zeta q(zeta) for a
                     nonnegative-real-part q.
 
-    An opaque callable is not a DiscFunction; `fejer_truncate` turns one
-    into a polynomial.
+    An opaque callable is not a DiscFunction, and nothing here reads one;
+    `fejer_truncate` cuts a DiscFunction to a polynomial.
     """
 
     kind: str
@@ -397,38 +468,6 @@ class DiscFunction:
         return None
 
 
-def taylor_coefficients(f, order: int, radius: float = 0.7, nodes: int | None = None) -> np.ndarray:
-    """Taylor coefficients c_0..c_order of f at 0 by circle quadrature.
-
-    Uses N = 4*(order+1) equispaced nodes on |zeta| = radius unless `nodes`
-    overrides. c_k = (1/(N r^k)) sum_m f(r e^(2 pi i m/N)) e^(-2 pi i k m/N);
-    for functions analytic past the circle the aliasing error decays like
-    radius^N.
-
-    Args:
-        f: vectorized callable or DiscFunction.
-        order: highest coefficient index, 1 <= order <= 512.
-        radius: quadrature circle radius in (0, 1).
-        nodes: optional node-count override, must exceed `order`.
-    """
-    if not 1 <= order <= 512:
-        raise ValueError(f"order must be in [1, 512], got {order}")
-    if not 0.0 < radius < 1.0:
-        raise ValueError(f"radius must lie in (0, 1), got {radius}")
-    N = 4 * (order + 1) if nodes is None else int(nodes)
-    if N <= order:
-        raise ValueError("need more quadrature nodes than coefficients")
-    zeta = radius * np.exp(2j * np.pi * np.arange(N) / N)
-    vals = np.asarray(f(zeta), dtype=np.complex128)
-    if vals.shape != (N,):
-        raise ValueError("evaluator must return one value per quadrature node")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("evaluator returned non-finite values on the circle")
-    hat = np.fft.fft(vals) / N
-    k = np.arange(order + 1)
-    return hat[: order + 1] / radius ** k
-
-
 def herglotz_sample(seed: int, atoms: int = 2) -> DiscFunction:
     """Seeded random function with nonnegative real part on the disc.
 
@@ -445,28 +484,37 @@ def herglotz_sample(seed: int, atoms: int = 2) -> DiscFunction:
     return DiscFunction.herglotz(beta=beta, weights=weights, angles=angles)
 
 
-def fejer_truncate(f, degree: int) -> DiscFunction:
+def fejer_truncate(f: DiscFunction, degree: int) -> DiscFunction:
     """Degree-`degree` polynomial that keeps the sign of Re f.
 
-    Cesaro weighting: coefficient k is scaled by 1 - k/(degree+1), which is
-    circle convolution with a nonnegative kernel, so a nonnegative real part
-    survives the cut (a plain Taylor truncation does not).
+    Cesaro weighting of f's exact coefficients: coefficient k is scaled by
+    1 - k/(degree+1), which is circle convolution with a nonnegative kernel,
+    so a nonnegative real part survives the cut (a plain Taylor truncation
+    does not).
+
+    Raises:
+        ValueError: f is not a DiscFunction, or degree lies outside [1, 32].
     """
+    if not isinstance(f, DiscFunction):
+        raise ValueError(f"fejer_truncate reads the coefficients of a DiscFunction; "
+                         f"got {type(f).__name__}")
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
-    try:
-        c = np.array([f.coefficient(k) for k in range(degree + 1)], dtype=np.complex128)
-    except (AttributeError, ValueError):
-        c = taylor_coefficients(f, degree)
+    c = np.array([f.coefficient(k) for k in range(degree + 1)], dtype=np.complex128)
     w = 1.0 - np.arange(degree + 1) / (degree + 1.0)
     return DiscFunction.polynomial(c * w)
 
 
-def _least_real_part(q, radii) -> float:
-    """Least Re q over 16 equally spaced angles on each circle |zeta| = r."""
-    angles = 2.0 * np.pi * np.arange(16) / 16
-    zeta = (np.asarray(radii)[:, None] * np.exp(1j * angles)[None, :]).reshape(-1)
-    return float(np.min(np.asarray(q(zeta), dtype=np.complex128).real))
+def _min_real_part(q: DiscFunction) -> float:
+    """The least Re q on the closed disc: for a Herglotz q 0, or -inf at the
+    atom of a weight below 0, which only a bypassed `herglotz` check leaves;
+    from exact polynomial data minus one `_phase_max` row of -q's
+    coefficients shifted by one slot, as Re q is harmonic. ValueError if q
+    is neither."""
+    if isinstance(q, DiscFunction) and q.kind == "herglotz":
+        return 0.0 if np.all(q.weights >= 0.0) else -math.inf
+    row = np.concatenate(([0.0], -_polynomial_coefficients(q)))
+    return float(-_phase_max(row[None], every=True)[0][0])
 
 
 def disc_generator_from(g0: complex, q: DiscFunction) -> DiscFunction:
@@ -474,15 +522,16 @@ def disc_generator_from(g0: complex, q: DiscFunction) -> DiscFunction:
 
     Args:
         g0: value at the origin.
-        q: disc function whose real part must be nonnegative; spot-checked
-            at 16 angles on each of the circles |zeta| = 0.3, 0.6, 0.9, 0.97.
+        q: disc function whose real part must be nonnegative, decided
+            exactly (`_min_real_part`) up to degree 27 (ROADMAP item 11).
 
     Raises:
-        ValueError: when Re q < -1e-9 at a sampled point.
+        ValueError: when Re q < -1e-9 on the disc, or q is neither a
+            Herglotz function nor exact polynomial data.
     """
-    worst = _least_real_part(q, [0.3, 0.6, 0.9, 0.97])
+    worst = _min_real_part(q)
     if worst < -1e-9:
-        raise ValueError(f"invalid dissipation data: Re q = {worst:.3e} < 0 at a sampled point")
+        raise ValueError(f"invalid dissipation data: Re q = {worst:.3e} < 0 on the disc")
     return DiscFunction.generator_form(complex(g0), q)
 
 
@@ -530,7 +579,10 @@ def sample_generator(space: NormedSpace, seed: int, degree: int = 6, atoms: int 
     part function is Cesaro-truncated to degree-1 and given an extra
     constant margin so that the coordinatewise lift certifies on the ball of
     `space`; the margin must exceed max_k |g_k(0)| * dim**(1/p), which is
-    the worst cross-coordinate leakage of the constant terms.
+    the worst cross-coordinate leakage of the constant terms. Each q is
+    nonnegative by construction, being a Fejer mean of a Herglotz function
+    plus a margin of at least 0.05, so it goes into `generator_form`
+    unchecked.
 
     Args:
         space: target space; the margin adapts to its p.
@@ -552,7 +604,7 @@ def sample_generator(space: NormedSpace, seed: int, degree: int = 6, atoms: int 
         qt = fejer_truncate(q, degree - 1)
         c = qt.coefficients.copy()
         c[0] += delta
-        gens.append(disc_generator_from(centers[k], DiscFunction.polynomial(c)))
+        gens.append(DiscFunction.generator_form(centers[k], DiscFunction.polynomial(c)))
     return lift_to_ball(space, gens)
 
 

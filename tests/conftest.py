@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hologen.polymaps import PolyMap
+from hologen.polymaps import DiscFunction, PolyMap
 from hologen.spaces import NormedSpace, _p_norm
 
 
@@ -44,6 +44,15 @@ def conjugate_exponent(p: float) -> float:
 def dual_norm(space: NormedSpace, w) -> float:
     """Norm of a functional w on `space`: the conjugate-exponent norm of its moduli."""
     return float(_p_norm(np.abs(np.asarray(w, dtype=np.complex128)), conjugate_exponent(space.p)))
+
+
+def fejer_dip() -> DiscFunction:
+    """Degree-11 q with Re q(phi) = 0.95 - F_12(phi - pi/16)/12, F_12 the
+    Fejer kernel: -0.05 at its least, at phi = pi/16, yet above 0.33 at
+    the angles 2 pi j/16 on every circle |zeta| = r <= 1."""
+    k = np.arange(1, 12)
+    return DiscFunction.polynomial(np.concatenate((
+        [0.95 - 1.0 / 12.0], -(1.0 - k / 12.0) * np.exp(-1j * k * np.pi / 16.0) / 6.0)))
 
 
 def minus_identity(space: NormedSpace) -> PolyMap:

@@ -35,7 +35,7 @@ from hologen.polymaps import (
 )
 from hologen.spaces import NormedSpace
 
-from conftest import BlackBox, identity_map, make_linear_map, minus_identity
+from conftest import BlackBox, fejer_dip, identity_map, make_linear_map, minus_identity
 
 QUICK = CertifyBudget(sphere=64, refine_points=8, refine_iters=20)
 
@@ -716,10 +716,10 @@ class TestCaratheodory:
         report = caratheodory_check(q, order=16)
         assert report["passed"]
         assert report["violations"] == 0
-        assert report["bound"] == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(report["coefficient_magnitudes"],
-                                   np.full(16, 2.0), atol=1e-8)
-        assert abs(report["max_excess"]) <= 1e-8
+        # the exact coefficients of (1 + zeta)/(1 - zeta) are 2, bit for bit
+        assert report["bound"] == 2.0
+        assert report["coefficient_magnitudes"] == [2.0] * 16
+        assert report["max_excess"] == 0.0
 
     def test_sampled_functions_pass(self):
         from hologen.polymaps import herglotz_sample
@@ -728,17 +728,33 @@ class TestCaratheodory:
             assert report["passed"], f"seed {seed}"
 
     def test_high_degree_violation_detected(self):
-        # 1 + 2.2 zeta^16 is positive on the spot-check grid (the sampled
-        # angles all satisfy zeta^16 > 0) yet breaks the coefficient bound.
+        # Re (1 + 2.2 zeta^16) = -1.2 where zeta^16 = -1, though zeta^16 > 0
+        # at the 16 angles 2 pi j/16 of a spot check: the exact check rejects
+        # it before the coefficient bound is read
         q = DiscFunction.polynomial([1.0] + [0.0] * 15 + [2.2])
-        report = caratheodory_check(q, order=16)
-        assert not report["passed"]
-        assert report["violations"] == 1
-        assert report["max_excess"] == pytest.approx(0.2, abs=1e-3)
+        with pytest.raises(ValueError, match="nonnegative-real-part"):
+            caratheodory_check(q, order=16)
+
+    def test_dip_between_sample_angles_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative-real-part"):
+            caratheodory_check(fejer_dip(), order=16)
 
     def test_negative_real_part_rejected(self):
         with pytest.raises(ValueError):
             caratheodory_check(DiscFunction.polynomial([1.0, 3.0]), order=4)
+
+    def test_data_without_exact_coefficients_rejected(self):
+        herglotz = DiscFunction.herglotz(beta=0.0, weights=[1.0], angles=[0.0])
+        for q in (lambda z: 1.0 + z, DiscFunction.generator_form(0.0, herglotz)):
+            with pytest.raises(ValueError, match="truncate it first"):
+                caratheodory_check(q)
+
+    def test_order_validation(self):
+        q = DiscFunction.polynomial([1.0])
+        for order in (0, 513):
+            with pytest.raises(ValueError, match="order"):
+                caratheodory_check(q, order=order)
+        assert len(caratheodory_check(q, order=512)["coefficient_magnitudes"]) == 512
 
 
 class TestRestrictionAgreement:

@@ -22,12 +22,17 @@ from hologen.polymaps import (
     map_from_dict,
     map_to_dict,
     sample_generator,
-    taylor_coefficients,
     unitary_conjugate,
 )
 from hologen.spaces import NormedSpace
 
-from conftest import make_linear_map, pairing
+from conftest import fejer_dip, make_linear_map, pairing
+
+
+def map_bytes(F) -> list:
+    """Every stored array of a PolyMap as bytes, in order."""
+    return [F.constant.tobytes(), F.linear.tobytes()] + [
+        b for h in F.higher for b in (h.powers.tobytes(), h.coeffs.tobytes())]
 
 
 def dense_map(space, rng):
@@ -521,10 +526,12 @@ class TestDiscFunction:
 
     def test_herglotz_coefficients_match_quadrature(self):
         f = herglotz_sample(seed=12, atoms=3)
-        # small radius keeps the boundary poles far from the circle
-        quad = taylor_coefficients(f, order=6, radius=0.3)
+        # an FFT of 28 values on |zeta| = 0.3, far from the boundary poles,
+        # adds c_(k + 28) 0.3^28, below 2e-14, to each c_k
+        r, nodes = 0.3, 28
+        quad = np.fft.fft(f(r * np.exp(2j * np.pi * np.arange(nodes) / nodes))) / nodes
         exact = np.array([f.coefficient(k) for k in range(7)])
-        np.testing.assert_allclose(quad, exact, atol=1e-12)
+        np.testing.assert_allclose(quad[:7] / r ** np.arange(7), exact, atol=1e-12)
 
     def test_herglotz_real_part_nonnegative(self):
         f = herglotz_sample(seed=3, atoms=2)
@@ -551,36 +558,6 @@ class TestDiscFunction:
         assert g.polynomial_degree() == 2
         zeta = 0.4 - 0.3j
         assert g(zeta) == pytest.approx(g0 - np.conj(g0) * zeta ** 2 - zeta * q(zeta))
-
-
-class TestTaylorCoefficients:
-    def test_polynomial_recovered_exactly(self):
-        f = DiscFunction.polynomial([0.0, 0.0, 1.0])
-        c = taylor_coefficients(f, order=4, radius=0.7)
-        np.testing.assert_allclose(c, [0, 0, 1, 0, 0], atol=1e-14)
-
-    def test_geometric_series_default_nodes(self):
-        # 20 nodes on radius 0.5 alias with error 0.5^20/(1 - 0.5^20).
-        c = taylor_coefficients(lambda z: 1.0 / (1.0 - z), order=4, radius=0.5)
-        np.testing.assert_allclose(c, np.ones(5), atol=5e-6)
-        assert float(np.max(np.abs(c - 1.0))) > 1e-9
-
-    def test_node_override_buys_accuracy(self):
-        c = taylor_coefficients(lambda z: 1.0 / (1.0 - z), order=4, radius=0.5, nodes=64)
-        np.testing.assert_allclose(c, np.ones(5), atol=1e-13)
-
-    def test_validation(self):
-        f = DiscFunction.polynomial([1.0])
-        with pytest.raises(ValueError):
-            taylor_coefficients(f, order=0)
-        with pytest.raises(ValueError):
-            taylor_coefficients(f, order=513)
-        with pytest.raises(ValueError):
-            taylor_coefficients(f, order=2, radius=1.0)
-        with pytest.raises(ValueError):
-            taylor_coefficients(f, order=4, radius=0.5, nodes=4)
-        with pytest.raises(ValueError):
-            taylor_coefficients(lambda z: np.full(z.shape, np.nan), order=2)
 
 
 class TestFejerTruncate:
@@ -613,6 +590,11 @@ class TestFejerTruncate:
         with pytest.raises(ValueError):
             fejer_truncate(f, 33)
 
+    def test_callable_is_rejected(self):
+        # a plain callable carries no exact coefficients to weight
+        with pytest.raises(ValueError, match="DiscFunction"):
+            fejer_truncate(lambda z: 1.0 + z, 4)
+
 
 class TestDiscGeneratorFrom:
     def test_accepts_positive_real_part(self):
@@ -624,6 +606,28 @@ class TestDiscGeneratorFrom:
     def test_rejects_negative_real_part(self):
         with pytest.raises(ValueError, match="dissipation"):
             disc_generator_from(0.0, DiscFunction.polynomial([-1.0]))
+
+    @pytest.mark.parametrize("q, least", [
+        (fejer_dip(), "-5.000e-02"),
+        (DiscFunction.polynomial([1.0] + [0.0] * 15 + [2.2]), "-1.200e\\+00")],
+        ids=["fejer-dip", "zeta-16"])
+    def test_rejects_a_dip_between_the_angles_of_a_spot_check(self, q, least):
+        # both are positive at the angles 2 pi j/16 on every circle: the dip
+        # is -0.05 at phi = pi/16, and 1 + 2.2 zeta^16 is -1.2 where zeta^16 = -1
+        with pytest.raises(ValueError, match=f"Re q = {least}"):
+            disc_generator_from(0.3, q)
+
+    def test_rejects_a_herglotz_function_with_a_negative_weight(self):
+        # the dataclass constructor skips the weight check of `herglotz`
+        q = DiscFunction(kind="herglotz", weights=np.array([1.0, -0.5]), angles=np.array([0.0, 2.0]))
+        with pytest.raises(ValueError, match="Re q = -inf"):
+            disc_generator_from(0.3, q)
+
+    def test_rejects_data_without_exact_coefficients(self):
+        herglotz = DiscFunction.herglotz(beta=0.0, weights=[1.0], angles=[0.0])
+        for q in (lambda z: 1.0 + z, DiscFunction.generator_form(0.0, herglotz)):
+            with pytest.raises(ValueError, match="truncate it first"):
+                disc_generator_from(0.3, q)
 
 
 class TestLiftToBall:
@@ -672,6 +676,27 @@ class TestSampleGenerator:
             space = NormedSpace(3, p)
             G = sample_generator(space, seed=4, degree=3)
             assert space.norm(G.constant) > 0.0
+
+    def test_lift_of_exactly_checked_disc_data(self):
+        # sample_generator skips the check of disc_generator_from, whose q is
+        # nonnegative by construction: each q passes it, and the map keeps
+        # its bytes, over the nine (dim, p, degree) slots of the benchmark
+        slots = [((1, 2, 4)[i % 3], (1.0, 2.0, math.inf)[i // 3], 2 + i % 7) for i in range(9)]
+        for seed in range(20):
+            for n, p, degree in slots:
+                space = NormedSpace(n, p)
+                rng = np.random.default_rng([seed, polymaps._CENTER_SALT])
+                centers = rng.normal(0.0, 0.35, n) + 1j * rng.normal(0.0, 0.35, n)
+                leak = 1.0 if math.isinf(p) else float(n) ** (1.0 / p)
+                gens = []
+                for k in range(n):
+                    c = fejer_truncate(herglotz_sample(seed * 64 + k), degree - 1).coefficients
+                    c[0] += float(np.max(np.abs(centers))) * leak + 0.05
+                    q = DiscFunction.polynomial(c)
+                    assert polymaps._min_real_part(q) >= 0.05 - 1e-12
+                    gens.append(disc_generator_from(centers[k], q))
+                assert map_bytes(sample_generator(space, seed, degree)) == map_bytes(
+                    lift_to_ball(space, gens))
 
     def test_degree_validation(self, l2_2d):
         with pytest.raises(ValueError):
