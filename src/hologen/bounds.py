@@ -61,6 +61,11 @@ def majorant_line(j) -> np.ndarray | float:
 class GrowthInputs:
     """Measured scalars feeding the growth envelopes.
 
+    The radii and the infimum are exact on a dim-1 space and at p in
+    {1, inf}, where they have closed forms (numrange._closed_form), and
+    searched inner estimates otherwise; at p = 2 they never fall on the
+    inner side of their eigenvalue oracles.
+
     Attributes:
         theta: rotation angle of the certificate.
         a: radial shift of the certificate.
@@ -124,9 +129,9 @@ def _deepened(est) -> float:
 
 def _linear_searches(F, cert: PseudoDissipativityCertificate):
     """Check F and cert as growth_inputs_from does, and return its range
-    searches as `_estimates` groups with the function that reads the
+    quantities as `_estimates` groups with the function that reads the
     GrowthInputs off their estimates. Equal matrices (theta = 0, a = 0) are
-    searched once, so there are two groups, three or four."""
+    asked for once, so there are two groups, three or four."""
     _require_certified(F, cert)
     if not (math.isfinite(cert.theta) and math.isfinite(cert.a)):
         raise ValueError(f"certificate theta {cert.theta} and a {cert.a} must be finite")
@@ -167,11 +172,12 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
     """Measure the envelope inputs of F under a certified rotation/shift.
 
     The radii of A and of the shifted part and the infima of the shifted and
-    the rotated part are groups of one sphere search, each on the stream a
-    search of it alone would use. The shifted infimum must match the rotated
-    infimum minus the shift to 1e-9, since both searches walk the same
-    landscape up to a constant; a larger gap means the estimates cannot be
-    trusted. Equal matrices (theta = 0, a = 0) are searched once.
+    the rotated part are groups of one `_estimates` call: closed forms on a
+    dim-1 space and at p in {1, inf}, otherwise one sphere search, each
+    group on the stream a search of it alone would use. The shifted infimum
+    must match the rotated infimum minus the shift to 1e-9, since both walk
+    the same landscape up to a constant; a larger gap means the estimates
+    cannot be trusted. Equal matrices (theta = 0, a = 0) are asked for once.
 
     Raises:
         NotCertifiedError: the certificate is not a certified one.
@@ -230,7 +236,7 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
         F: a PolyMap.
         cert: certified rotation/shift certificate, or None.
         radii: nonempty 1-D grid of shell radii, default 0.1 .. 0.95 step 0.05, 0.99.
-        budget: search effort for the suprema and range estimates.
+        budget: search effort for the suprema and the searched range estimates.
         tolerance: slack below -tolerance marks it violated; must be > 0.
     """
     _check_tolerance(tolerance)
@@ -245,8 +251,8 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     def shells(V, g):
         return F.eval_batch(grid[g - k][:, None] * V) - F0[None, :]
 
-    # the range searches and the shells climb together, shell i as group
-    # k + i on stream salt 11 + i
+    # the shells climb together with any range searches that have no closed
+    # form, shell i as group k + i on stream salt 11 + i
     found = _estimates(space, linear + [_Group("norm", 11 + i, shells) for i in range(grid.size)],
                        budget)
     inputs = read(found[:k])
@@ -310,8 +316,10 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     margins; all must clear -1e-8, and the stage margins -1e-9. c, V_T and
     m(T) are read from inputs, the growth inputs of G under its canonical
     certificate as `verify_growth_bound` reports them; None certifies G and
-    measures them as `growth_inputs_from` does, in the one climb that also
-    searches the radius of every homogeneous part.
+    measures them as `growth_inputs_from` does, in the one `_estimates` call
+    that also reads the radius of every homogeneous part. On a dim-1 space
+    all of these are closed forms, so the chain climbs nothing; at p in
+    {1, inf} it climbs the part radii only.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.
@@ -327,7 +335,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
         linear, read = _linear_searches(G, generator_certificate(G))
     elif (inputs.theta, inputs.a, inputs.center_norm) != (0.0, 0.0, space.norm(G.constant)):
         raise ValueError("the chain needs G's canonical growth inputs (theta 0, a 0, ||G(0)||)")
-    # the range searches, if any, and every part radius climb together
+    # the range quantities, if any, and every part radius in one call
     found = _estimates(space, linear + [_radius_group(p) for p in G.higher], budget)
     if read is not None:
         inputs = read(found[:len(linear)])

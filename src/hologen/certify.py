@@ -166,8 +166,9 @@ def certify_disc_generator(g, tolerance: float = 1e-9) -> GeneratorVerdict:
     min over the unit circle of Re q >= -tolerance, see _disc_verdicts.
 
     Raises:
-        ValueError: g carries no exact polynomial coefficients; truncate it
-            first (fejer_truncate).
+        ValueError: g is not a DiscFunction (build it with
+            DiscFunction.polynomial), or it carries no exact polynomial
+            coefficients (truncate it first with fejer_truncate).
     """
     return _disc_verdicts(_polynomial_coefficients(g)[None, :], tolerance)[0]
 

@@ -193,6 +193,8 @@ def _cmd_numrange(args) -> int:
         "p": space_to_dict(space)["p"],
         "m": m_est.value,
         "V": v_est.value,
+        "m_method": m_est.method,
+        "V_method": v_est.method,
         "samples": m_est.samples,
     }
     _emit(payload, args)

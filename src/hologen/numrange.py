@@ -5,14 +5,17 @@ matrices, the same supremum for homogeneous polynomials, induced operator
 norms, and the degree-dependent constants that turn range radii into sup
 norm bounds. For p = 2 closed-form eigenvalue oracles cross-check them.
 
-Every search is a group of `_sphere_search`: a range infimum, a matrix or
-polynomial-part radius, or a sup norm such as a growth shell. The groups
-of one call score the same coarse sphere samples, then refine their best
-samples in one climb of one engine, `_climb`, which also serves the
-certifiers. verify_growth_bound thus climbs its range searches and its
-shells together, verify_intermediate_chain its range searches and every
-part radius, and harris_check the part radius and the sup norm; the public
-searches are one-group calls. Every start of every group advances
+Each request is a group: a range infimum, a matrix or polynomial-part
+radius, or a sup norm such as a growth shell. A group with a closed form
+reads it (`_closed_form`): every range group on a dim-1 space, and every
+matrix range group at p in {1, inf}. The rest of one call are groups of
+`_sphere_search`: they score the same coarse sphere samples, then refine
+their best samples in one climb of one engine, `_climb`, which also serves
+the certifiers. verify_growth_bound thus climbs its shells together with
+any range searches left, verify_intermediate_chain the range searches and
+part radii left, and harris_check the sup norm with a part radius left; a
+call with nothing left makes no climb, and the public searches are
+one-group calls. Every start of every group advances
 together, one objective call per iteration, in which one support batch
 serves all pairings and one power table all polynomial parts. Each
 climbing row tries `_PROPOSALS` candidates per iteration; that width is
@@ -73,11 +76,25 @@ _PROPOSALS = 8  # climb candidates per row and iteration
 # sigma0, grow, cap, shrink: the gentle decay keeps climbing long enough for
 # the 1e-6 oracle agreement the certifications rely on, where halving stalls
 _SPHERE_STEPS = (0.25, 1.5, 0.5, 0.8)
+# moduli of a closed-form witness's other entries at p = inf and p = 1:
+# far from rounding below 1, and too small to move a sum (see _closed_form)
+_ROW_MARGIN = 2.0 ** -45
+_VERTEX_SPILL = 2.0 ** -60
 
 
 @dataclass(frozen=True)
 class RangeEstimate:
-    """Search result: the value re-evaluates at `maximizer` within 1e-12."""
+    """A range value and its witness `maximizer`.
+
+    method "sphere-search": the climb's best value, which re-evaluates at
+    the maximizer within 1e-12; samples and refinement_iters are the
+    budget's, and oracle is the p = 2 cross-check's value, else None.
+    method "closed-form" (`_closed_form`): the exact value, also in oracle,
+    with samples and refinement_iters 0. Its maximizer re-evaluates through
+    support_batch exactly on a dim-1 space, and at p in {1, inf} within
+    1e-12 max(1, s), s the largest absolute row sum (p = inf) or column sum
+    (p = 1) of the matrix.
+    """
 
     value: float
     maximizer: np.ndarray
@@ -157,9 +174,9 @@ class _Group(NamedTuple):
     kind "inf" maximizes -Re<f(v), v*>, "radius" |<f(v), v*>| and "norm"
     ||f(v)|| over the unit sphere. f is a matrix A, evaluated as v A^T, a
     HomogeneousPoly, or a callable f(V, g) of rows V and their group
-    indices g, so that groups sharing one callable, such as the shells of a
-    growth bound, are evaluated in one call. salt keys the group's
-    refinement stream.
+    labels g (see `_sphere_search`), so that groups sharing one callable,
+    such as the shells of a growth bound, are evaluated in one call. salt
+    keys the group's refinement stream.
     """
 
     kind: str
@@ -245,7 +262,7 @@ def _phase_sweep(omega, modulus):
     return cand
 
 
-def _sphere_search(space, groups, budget):
+def _sphere_search(space, groups, budget, labels=None):
     """Maximize every group's objective over the unit sphere in one climb.
 
     groups is a sequence of `_Group`. Each group scores the same coarse
@@ -254,17 +271,19 @@ def _sphere_search(space, groups, budget):
     starts of all groups then climb together, one objective call per
     iteration, each group on its own noise block from the refinement
     stream keyed by its salt. So every group gets the bits a search of it
-    alone would. Returns one (value, maximizer) per group.
+    alone would. A callable f sees group k's rows labelled labels[k]
+    (default k). Returns one (value, maximizer) per group.
     """
     if not groups:
         return []
+    labels = np.arange(len(groups)) if labels is None else np.asarray(labels)
     pts = space.sphere_sample(budget.samples, budget.seed)
     W = space.support_batch(pts) if any(grp.kind != "norm" for grp in groups) else None
     degrees = [grp.f.degree for grp in groups if isinstance(grp.f, HomogeneousPoly)]
     table = _power_table(pts, max(degrees)) if degrees else None
     starts, coarse, owner = [], [], []
     for g, grp in enumerate(groups):
-        raw = _raw(space, grp, pts, np.full(pts.shape[0], g), W, table)
+        raw = _raw(space, grp, pts, np.full(pts.shape[0], labels[g]), W, table)
         vals = _score(grp.kind, raw)
         if grp.kind == "radius":
             idx = _phase_sweep(raw, vals)
@@ -280,7 +299,7 @@ def _sphere_search(space, groups, budget):
     for grp, lo, hi in zip(groups, edges, edges[1:]):
         np.random.default_rng([budget.seed, _REFINE_SALT, grp.salt]).standard_normal(out=noise[lo:hi])
     V, f = _climb(space, _climb_objective(space, groups, edges * _PROPOSALS), pts[starts],
-                  np.concatenate(coarse), noise.swapaxes(0, 1), owner)
+                  np.concatenate(coarse), noise.swapaxes(0, 1), labels[owner])
     out = []
     for lo, hi in zip(edges, edges[1:]):
         best = lo + int(np.argmax(f[lo:hi]))
@@ -313,18 +332,78 @@ def _radius_group(f) -> _Group:
     return _Group("radius", 3 if isinstance(f, HomogeneousPoly) else 2, f)
 
 
-def _estimates(space, groups, budget=None) -> list:
-    """Run groups as one `_sphere_search`: a RangeEstimate per "inf" and
-    "radius" group, a (value, maximizer) pair per "norm" group.
+def _closed_form(space, grp) -> RangeEstimate | None:
+    """The exact estimate of a group that has a closed form, else None.
 
-    At p = 2 each matrix estimate is cross-checked against its oracle, in
-    group order, as numerical_range_inf and numerical_radius describe.
+    On a dim-1 space the sphere is the circle e^(i phi), and <f(v), v*> is
+    constant on it for a matrix and, in modulus, for a HomogeneousPoly
+    P(z) = c z^m: an "inf" group of a matrix a reads Re a and a "radius"
+    group |a| or |P(1)| = |sum_t c_t|, at v = 1 and exactly as a search
+    would re-evaluate them there. At p in {1, inf} complex l1 and l-inf
+    have numerical index 1 (Lumer; Duncan, McGregor, Pryce & White), so a
+    matrix's range is bounded by its rows at p = inf and its columns at
+    p = 1 (the rows of A^T): inf Re<Av, v*> = min_i (Re a_ii - sum_(j!=i)
+    |a_ij|) and sup |<Av, v*>| = max_i sum_j |a_ij|. The witness of row i
+    has v_i = 1 and each other entry in the phase that turns a_ij into
+    -|a_ij| (infimum) or into the phase of a_ii times |a_ij| (radius): at
+    p = inf of modulus 1 - `_ROW_MARGIN`, so that support_batch keeps row
+    i, and at p = 1 of modulus `_VERTEX_SPILL`, which fixes the support
+    phases without moving a sum. Every other group has none.
+    """
+    f = grp.f
+    matrix = isinstance(f, np.ndarray)
+    part = grp.kind == "radius" and isinstance(f, HomogeneousPoly)
+    if grp.kind == "norm" or not (matrix or part):
+        return None
+    if space.dim == 1:
+        v = np.ones((1, 1), dtype=np.complex128)
+        table = None if matrix else _power_table(v, f.degree)
+        score = _score(grp.kind, _raw(space, grp, v, None, space.support_batch(v), table))[0]
+        return _exact(-score if grp.kind == "inf" else score, v[0])
+    if not matrix or space.p not in (1.0, math.inf):
+        return None
+    M = f if math.isinf(space.p) else f.T
+    mod = np.abs(M)
+    diag = np.diagonal(M)
+    if grp.kind == "inf":
+        rows = diag.real - np.where(np.eye(space.dim, dtype=bool), 0.0, mod).sum(axis=1)
+        i = int(np.argmin(rows))
+        turn = -1.0
+    else:
+        rows = mod.sum(axis=1)
+        i = int(np.argmax(rows))
+        turn = diag[i] / mod[i, i] if mod[i, i] > 0.0 else 1.0
+    phase = np.divide(M[i], mod[i], out=np.zeros_like(M[i]), where=mod[i] > 0.0)
+    if math.isinf(space.p):
+        v = (1.0 - _ROW_MARGIN) * turn * phase.conj()
+    else:
+        v = _VERTEX_SPILL * np.conj(turn) * phase
+    v[i] = 1.0
+    return _exact(rows[i], v)
+
+
+def _exact(value, maximizer) -> RangeEstimate:
+    return RangeEstimate(float(value), maximizer, "closed-form", 0, 0, float(value))
+
+
+def _estimates(space, groups, budget=None) -> list:
+    """A RangeEstimate per "inf" and "radius" group, a (value, maximizer)
+    pair per "norm" group.
+
+    Each group with a `_closed_form` reads it; the others run as one
+    `_sphere_search`, their callables seeing their index in groups, and a
+    call with none left makes no climb. At p = 2 each searched matrix
+    estimate is cross-checked against its oracle, in group order, as
+    numerical_range_inf and numerical_radius describe.
     """
     budget = budget or DEFAULT_BUDGET
-    out = []
-    for grp, (value, vmax) in zip(groups, _sphere_search(space, groups, budget)):
+    out = [_closed_form(space, grp) for grp in groups]
+    rest = [k for k, est in enumerate(out) if est is None]
+    found = _sphere_search(space, [groups[k] for k in rest], budget, rest) if rest else []
+    for k, (value, vmax) in zip(rest, found):
+        grp = groups[k]
         if grp.kind == "norm":
-            out.append((value, vmax))
+            out[k] = (value, vmax)
             continue
         A, oracle = grp.f, None
         if grp.kind == "inf":
@@ -343,25 +422,31 @@ def _estimates(space, groups, budget=None) -> list:
                     f"radius search {value:.12g} disagrees with the rotated "
                     f"eigenvalue oracle {oracle:.12g}"
                 )
-        out.append(RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
-                                 budget.refine_iters, oracle))
+        out[k] = RangeEstimate(float(value), vmax, "sphere-search", budget.samples,
+                               budget.refine_iters, oracle)
     return out
 
 
 def numerical_range_inf(space: NormedSpace, A, budget: SearchBudget | None = None) -> RangeEstimate:
     """Infimum of Re<Av, v*> over the unit sphere of the space.
 
-    For p = 2 the exact value is the smallest eigenvalue of the Hermitian
-    part (A + A^H)/2; the search is cross-checked against it at 1e-6 and a
-    mismatch raises OracleMismatchError.
+    Exact on a dim-1 space (Re a) and at p in {1, inf} (min_i Re a_ii -
+    sum_(j!=i) |a_ij| over the rows at p = inf, the columns at p = 1): a
+    "closed-form" RangeEstimate. Otherwise searched; for p = 2 the exact
+    value is the smallest eigenvalue of the Hermitian part (A + A^H)/2, the
+    search is cross-checked against it at 1e-6 and a mismatch raises
+    OracleMismatchError.
     """
     return _estimates(space, [_range_inf_group(_check_matrix(space, A))], budget)[0]
 
 
 def numerical_radius(space: NormedSpace, A, budget: SearchBudget | None = None) -> RangeEstimate:
-    """Supremum of |<Av, v*>| over the unit sphere (inner approximation).
+    """Supremum of |<Av, v*>| over the unit sphere.
 
-    For p = 2 the result is cross-checked at 1e-4 against the largest
+    Exact on a dim-1 space (|a|) and at p in {1, inf} (the largest absolute
+    row sum at p = inf, column sum at p = 1): a "closed-form" RangeEstimate.
+    Otherwise a search, an inner approximation; for p = 2 the result is
+    cross-checked at 1e-4 against the largest
     eigenvalue of the Hermitian part of e^(i phi) A, maximized over phi by
     hilbert_radius_oracle: one stacked 720-angle eigenvalue sweep, already
     within 9.5e-6 times the radius, then a golden-section polish.
@@ -373,7 +458,9 @@ def polynomial_numerical_radius(space: NormedSpace, P: HomogeneousPoly,
                                 budget: SearchBudget | None = None) -> RangeEstimate:
     """Supremum of |<P(v), v*>| over the unit sphere for a homogeneous P.
 
-    A lower-bound estimate by construction; the refinement stage tightens
+    Exact on a dim-1 space, where P(z) = c z^m and the value is
+    |P(1)| = |c|, the modulus of the summed coefficient. Otherwise a
+    lower-bound estimate by construction; the refinement stage tightens
     the coarse sampling but cannot overshoot the true supremum.
     """
     return _estimates(space, [_radius_group(_check_part(space, P))], budget)[0]
@@ -474,7 +561,8 @@ def harris_check(space: NormedSpace, P, budget: SearchBudget | None = None) -> d
 
     P is a HomogeneousPoly of any degree, or a matrix, which counts as
     degree 1 with the constant e. The radius and the sup norm (salt 6) are
-    two groups of one search. Returns a report dict; `passed` tolerates
+    two groups of one `_estimates` call, so the radius is exact where it
+    has a closed form. Returns a report dict; `passed` tolerates
     violations up to 1e-6.
     """
     if isinstance(P, HomogeneousPoly):

@@ -537,9 +537,13 @@ def disc_generator_from(g0: complex, q: DiscFunction) -> DiscFunction:
 
 def _polynomial_coefficients(g: DiscFunction) -> np.ndarray:
     """Exact coefficient array of a polynomial-backed disc function."""
-    deg = g.polynomial_degree() if isinstance(g, DiscFunction) else None
+    if not isinstance(g, DiscFunction):
+        raise ValueError(f"expected a DiscFunction, got {type(g).__name__}; build exact "
+                         "polynomial data with DiscFunction.polynomial")
+    deg = g.polynomial_degree()
     if deg is None:
-        raise ValueError("disc function is not an exact polynomial; truncate it first")
+        raise ValueError("disc function is not an exact polynomial; truncate it first "
+                         "(fejer_truncate)")
     return np.array([g.coefficient(k) for k in range(deg + 1)], dtype=np.complex128)
 
 

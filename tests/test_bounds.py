@@ -415,17 +415,20 @@ class TestOneClimb:
 
     @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, math.inf)])
     def test_one_climb_per_call(self, count_calls, dim, p):
+        # the shells always climb; on a dim-1 space every linear input and
+        # part radius is a closed form, so the chain climbs nothing there
+        chain = 0 if dim == 1 else 1
         G = sample_generator(NormedSpace(dim, p), seed=dim, degree=4)
         budget = SearchBudget(samples=512, refine_iters=40, starts=2)
         climbs = count_calls(numrange, "_climb")
         rep = verify_growth_bound(G, radii=[0.3, 0.6, 0.9], budget=budget)
         assert len(climbs) == 1
         verify_intermediate_chain(G, budget=budget, v_count=16)
-        assert len(climbs) == 2
+        assert len(climbs) == 1 + chain
         verify_intermediate_chain(G, budget=budget, v_count=16, inputs=rep.inputs)
-        assert len(climbs) == 3
+        assert len(climbs) == 1 + 2 * chain
         verify_growth_bound(G, manual_certificate(0.5, -0.25), radii=[0.5], budget=budget)
-        assert len(climbs) == 4
+        assert len(climbs) == 2 + 2 * chain
 
     def test_p2_cross_check_still_raises(self):
         # the dense copy of the growth workload's seed-53 slot-5 map: the
@@ -487,11 +490,20 @@ class TestIntermediateChain:
         G = sample_generator(space, seed=4, degree=4)
         budget = SearchBudget(samples=512, refine_iters=60, starts=2, seed=4)
         inputs = verify_growth_bound(G, budget=budget).inputs
+        asked = count_calls(bounds, "_estimates")
+        climbed = count_calls(numrange, "_sphere_search")
         fresh = verify_intermediate_chain(G, budget=budget, v_count=16, seed=4)
-        searches = count_calls(bounds, "_estimates")
+        # at p = 1 the linear inputs are closed forms: the fresh chain asks
+        # for them but climbs only the part radii
+        assert matrix_searches(asked) == (1, 1)
+        assert [len(args[1]) for args, _ in climbed] == [len(G.higher)]
+        asked.clear()
+        climbed.clear()
         given = verify_intermediate_chain(G, budget=budget, v_count=16, seed=4,
                                           inputs=inputs)
-        assert matrix_searches(searches) == (0, 0)
+        # given inputs are not asked for at all, and the climb is the same
+        assert matrix_searches(asked) == (0, 0)
+        assert [len(args[1]) for args, _ in climbed] == [len(G.higher)]
         assert np.array_equal(given.radii, fresh.radii)
         assert [label for label, _ in given.stages] == [label for label, _ in fresh.stages]
         for (_, a), (_, b) in zip(given.stages, fresh.stages):

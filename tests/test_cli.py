@@ -171,6 +171,29 @@ class TestNumrange:
             assert rc == 2
             assert message in err
 
+    @pytest.mark.parametrize("p, data, m", [
+        ("inf", [[1, [0, 2]], [0.5, -1]], -1.5), ("1", [[1, 2], [0.5, -1]], -3.0)])
+    def test_closed_forms_report_their_method(self, capsys, tmp_path, p, data, m):
+        # rows at p = inf, columns at p = 1: numerical index 1 gives the
+        # range in closed form, so nothing is sampled
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        rc, out, _ = invoke(capsys, "numrange", str(path), "--p", p, "--no-timestamp")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["V"], payload["m"]) == (3.0, m)
+        assert payload["V_method"] == payload["m_method"] == "closed-form"
+        assert payload["samples"] == 0
+
+    def test_searched_range_reports_its_samples(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[1, 2], [0.5, -1]]))
+        rc, out, _ = invoke(capsys, "numrange", str(path), "--no-timestamp")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["V_method"] == payload["m_method"] == "sphere-search"
+        assert payload["samples"] == 2048
+
     def test_bad_p_flag(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(json.dumps([[1]]))
@@ -366,17 +389,23 @@ class TestVerifySuite:
         assert {tol for _, tol in certifications} == {1e-7}
 
     def test_linear_part_searched_once(self, capsys, count_calls):
-        # the chain reads the linear radius and infimum off the growth inputs
-        searches = count_calls(bounds, "_estimates")
+        # the chain reads the linear radius and infimum off the growth
+        # inputs, so only the growth bound asks for them; seed 0 is a dim-1
+        # map, whose linear inputs are closed forms, so no climb searches them
+        asked = count_calls(bounds, "_estimates")
+        climbed = count_calls(numrange, "_sphere_search")
         assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
-        assert matrix_searches(searches) == (1, 1)
+        assert matrix_searches(asked) == (1, 1)
+        assert matrix_searches(climbed) == (0, 0)
 
     def test_two_sphere_searches_per_seed(self, capsys, count_calls):
-        # one climb for the growth bound and one for the chain; the harris
-        # check reads the chain's margin instead of searching again
+        # at most one climb for the growth bound and one for the chain; the
+        # harris check reads the chain's margin instead of searching again.
+        # On the three dim-1 seeds of nine the chain's linear inputs and
+        # part radii are all closed forms, so it climbs nothing: 9 * 2 - 3
         searches = count_calls(numrange, "_sphere_search")
-        assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
-        assert len(searches) == 2
+        assert invoke(capsys, "verify-suite", "--seeds", "9", "--no-timestamp")[0] == 0
+        assert len(searches) == 15
 
     def test_harris_margin_matches_the_searched_check(self, capsys, monkeypatch):
         # the battery's maps peak on the +-e_k that lead every sphere sample,

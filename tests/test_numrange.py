@@ -289,7 +289,10 @@ REPLAY = SearchBudget(samples=512, refine_iters=200, starts=4, seed=5)
 @pytest.mark.parametrize("dim", (1, 2, 4))
 @pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
 class TestSerialReplay:
-    """The batched engine gives bit-identical results to the serial climb."""
+    """The batched engine gives bit-identical results to the serial climb.
+
+    The public range searches read closed forms at dim 1 and, for matrices,
+    at p in {1, inf}, so the range modes run `_sphere_search` itself."""
 
     def setup_method(self, method):
         self.rng = np.random.default_rng(11)
@@ -315,9 +318,9 @@ class TestSerialReplay:
             return -np.real(np.sum((V @ A.T) * space.support_batch(V), axis=1))
 
         f, v = self.replay(space, neg, self.ranked, salt=1)
-        est = numerical_range_inf(space, A, REPLAY)
-        assert est.value == -f
-        np.testing.assert_array_equal(est.maximizer, v)
+        [(value, vmax)] = numrange._sphere_search(space, [numrange._range_inf_group(A)], REPLAY)
+        assert value == f
+        np.testing.assert_array_equal(vmax, v)
 
     def test_max_mode(self, dim, p):
         space = NormedSpace(dim, p)
@@ -349,16 +352,18 @@ class TestSerialReplay:
             return cand
 
         f, v = self.replay(space, lambda V: np.abs(pairing(V)), phase_sweep, salt=2)
-        est = numerical_radius(space, A, REPLAY)
-        assert est.value == f
-        np.testing.assert_array_equal(est.maximizer, v)
+        [(value, vmax)] = numrange._sphere_search(space, [numrange._radius_group(A)], REPLAY)
+        assert value == f
+        np.testing.assert_array_equal(vmax, v)
 
 
 @pytest.mark.parametrize("dim", (1, 2, 4))
 @pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
 def test_batched_groups_match_searches_alone(dim, p):
     # one climb of five groups at the default budget gives, group by group,
-    # the value and maximizer of each public search run alone
+    # the value and maximizer of each group searched alone; the public range
+    # searches read closed forms at dim 1 and at p in {1, inf}, so each group
+    # runs through `_sphere_search` alone
     space = NormedSpace(dim, p)
     rng = np.random.default_rng(dim)
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -372,11 +377,117 @@ def test_batched_groups_match_searches_alone(dim, p):
               numrange._radius_group(P2), numrange._radius_group(P4),
               numrange._Group("norm", 9, shell)]
     found = numrange._sphere_search(space, groups, numrange.DEFAULT_BUDGET)
-    alone = [numerical_range_inf(space, A), numerical_radius(space, A),
-             polynomial_numerical_radius(space, P2), polynomial_numerical_radius(space, P4)]
-    assert [-found[0][0]] + [value for value, _ in found[1:4]] == [est.value for est in alone]
-    for (_, vmax), est in zip(found, alone):
-        np.testing.assert_array_equal(vmax, est.maximizer)
+    for grp, (value, vmax) in zip(groups, found):
+        [(alone, amax)] = numrange._sphere_search(space, [grp], numrange.DEFAULT_BUDGET)
+        assert value == alone
+        np.testing.assert_array_equal(vmax, amax)
     value, vmax = sup_norm_on_sphere(space, lambda V: shell(V, None), salt=9)
     assert found[4][0] == value
     np.testing.assert_array_equal(found[4][1], vmax)
+
+
+def closed_scale(space, A):
+    """max(1, s), s the largest absolute row (p = inf) or column (p = 1) sum."""
+    return max(1.0, float(np.abs(A).sum(axis=1 if math.isinf(space.p) else 0).max()))
+
+
+def reevaluated(space, f, v):
+    """<f(v), v*> at one maximizer, through support_batch, as a 1-array."""
+    image = f.eval_batch(v[None, :]) if isinstance(f, HomogeneousPoly) else (v @ f.T)[None, :]
+    return pairing(image, space.support_batch(v[None, :]))
+
+
+class TestClosedForms:
+    """Closed-form range values: every range quantity on a dim-1 space, and
+    a matrix's infimum and radius at p in {1, inf} (ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    @pytest.mark.parametrize("p", (1.0, math.inf))
+    def test_search_never_beats_the_closed_form(self, dim, p):
+        space = NormedSpace(dim, p)
+        rng = np.random.default_rng([dim, 31])
+        for _ in range(8):
+            A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            groups = [numrange._range_inf_group(A), numrange._radius_group(A)]
+            (neg_inf, _), (radius, _) = numrange._sphere_search(space, groups, FAST)
+            inf_est, radius_est = numrange._estimates(space, groups)
+            tol = 1e-12 * closed_scale(space, A)
+            assert -neg_inf >= inf_est.value - tol
+            assert radius <= radius_est.value + tol
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    @pytest.mark.parametrize("p", (1.0, math.inf))
+    def test_matrix_witnesses_reevaluate(self, dim, p):
+        space = NormedSpace(dim, p)
+        rng = np.random.default_rng([dim, 32])
+        mats = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                for _ in range(20)]
+        # zero entries, a zero diagonal and a row of ties
+        mats += [np.triu(mats[0]), mats[1] - np.diag(np.diag(mats[1])), np.ones((dim, dim))]
+        for A in mats:
+            tol = 1e-12 * closed_scale(space, A)
+            inf_est = numerical_range_inf(space, A)
+            radius_est = numerical_radius(space, A)
+            for est in (inf_est, radius_est):
+                assert est.method == "closed-form"
+                assert (est.samples, est.refinement_iters) == (0, 0)
+                assert est.oracle == est.value
+                assert space.norm(est.maximizer) == 1.0
+            assert abs(reevaluated(space, A, inf_est.maximizer)[0].real - inf_est.value) <= tol
+            assert abs(np.abs(reevaluated(space, A, radius_est.maximizer))[0]
+                       - radius_est.value) <= tol
+            M = A if math.isinf(p) else A.T
+            off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
+            assert inf_est.value == pytest.approx(float(np.min(np.diag(M).real - off)),
+                                                  abs=1e-14 * closed_scale(space, A))
+            assert radius_est.value == operator_norm(space, A)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, 3.0, math.inf))
+    def test_dim_1_values_are_exact(self, p):
+        space = NormedSpace(1, p)
+        a = np.array([[0.3 - 1.7j]])
+        for est, value in ((numerical_range_inf(space, a), 0.3),
+                           (numerical_radius(space, a), float(np.abs([0.3 - 1.7j])[0]))):
+            assert est.method == "closed-form"
+            assert est.value == est.oracle == value
+            assert np.array_equal(est.maximizer, [1.0])
+        assert reevaluated(space, a, np.ones(1))[0] == 0.3 - 1.7j
+        P = HomogeneousPoly(4, np.array([[4]]), np.array([[0.6 + 0.8j]]))
+        est = polynomial_numerical_radius(space, P)
+        assert est.method == "closed-form"
+        assert est.value == np.abs(reevaluated(space, P, est.maximizer))[0]
+        assert est.value == pytest.approx(1.0, abs=1e-15)
+
+    def test_dim_1_cancelling_monomials_read_the_summed_coefficient(self):
+        # three copies of zeta^3: the radius is |sum c_t| = 1e-3, not the
+        # sum of moduli 2.501
+        space = NormedSpace(1, 2.0)
+        P = HomogeneousPoly(3, np.array([[3], [3], [3]]),
+                            np.array([[1.0 + 0.5j], [-0.5 - 0.5j], [-0.499 + 0.0j]]))
+        est = polynomial_numerical_radius(space, P)
+        assert est.method == "closed-form"
+        assert est.value == pytest.approx(1e-3, abs=1e-15)
+        # the circle's samples all read the same modulus
+        pts = space.sphere_sample(64, 0)
+        values = np.abs(pairing(P.eval_batch(pts), space.support_batch(pts)))
+        assert np.allclose(values, est.value, rtol=1e-9)
+
+    @pytest.mark.parametrize("space, f", [
+        (NormedSpace(2, 3.0), np.array([[1.0, 2.0j], [0.5, -1.0]])),
+        (NormedSpace(2, 1.0), HomogeneousPoly(2, np.array([[1, 1]]), np.array([[1.0, 0.5]]))),
+        (NormedSpace(2, math.inf), HomogeneousPoly(2, np.array([[2, 0]]), np.array([[0.0, 1.0]])))])
+    def test_other_spaces_keep_their_search(self, space, f):
+        est = (polynomial_numerical_radius(space, f, FAST) if isinstance(f, HomogeneousPoly)
+               else numerical_radius(space, f, FAST))
+        assert est.method == "sphere-search"
+        assert est.samples == FAST.samples
+
+    def test_nothing_left_makes_no_climb(self, count_calls):
+        climbs = count_calls(numrange, "_sphere_search")
+        numerical_radius(NormedSpace(4, math.inf), np.eye(4))
+        polynomial_numerical_radius(NormedSpace(1, 3.0), HomogeneousPoly(
+            2, np.array([[2]]), np.array([[1.0]])))
+        harris_check(NormedSpace(3, 1.0), np.eye(3), FAST)
+        # harris_check climbs its sup norm only
+        assert [len(args[1]) for args, _ in climbs] == [1]
+        assert climbs[0][0][1][0].kind == "norm"
