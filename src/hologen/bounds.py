@@ -62,9 +62,8 @@ class GrowthInputs:
     """Measured scalars feeding the growth envelopes.
 
     The radii and the infimum are exact on a dim-1 space and at p in
-    {1, inf}, where they have closed forms (numrange._closed_form), and
-    searched inner estimates otherwise; at p = 2 they never fall on the
-    inner side of their eigenvalue oracles.
+    {1, 2, inf}, where they have closed forms (numrange._closed_form), and
+    searched inner estimates otherwise.
 
     Attributes:
         theta: rotation angle of the certificate.
@@ -118,15 +117,6 @@ def rhs_coarse(inputs: GrowthInputs, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _sharpened(est) -> float:
-    # a p = 2 oracle is exact; never report less than it
-    return max(est.value, est.oracle) if est.oracle is not None else est.value
-
-
-def _deepened(est) -> float:
-    return min(est.value, est.oracle) if est.oracle is not None else est.value
-
-
 def _linear_searches(F, cert: PseudoDissipativityCertificate):
     """Check F and cert as growth_inputs_from does, and return its range
     quantities as `_estimates` groups with the function that reads the
@@ -145,11 +135,11 @@ def _linear_searches(F, cert: PseudoDissipativityCertificate):
               + [_range_inf_group(T)] + ([] if R is T else [_range_inf_group(R)]))
 
     def read(estimates) -> GrowthInputs:
-        est = iter(estimates)
-        va = _sharpened(next(est))
-        vt = va if T is A else _sharpened(next(est))
-        mt = _deepened(next(est))
-        m_rot = mt if R is T else _deepened(next(est))
+        values = iter(est.value for est in estimates)
+        va = next(values)
+        vt = va if T is A else next(values)
+        mt = next(values)
+        m_rot = mt if R is T else next(values)
         gap = abs((cert.a - m_rot) - (-mt))
         if gap > 1e-9:
             raise OracleMismatchError(
@@ -173,16 +163,16 @@ def growth_inputs_from(F, cert: PseudoDissipativityCertificate,
 
     The radii of A and of the shifted part and the infima of the shifted and
     the rotated part are groups of one `_estimates` call: closed forms on a
-    dim-1 space and at p in {1, inf}, otherwise one sphere search, each
+    dim-1 space and at p in {1, 2, inf}, otherwise one sphere search, each
     group on the stream a search of it alone would use. The shifted infimum
-    must match the rotated infimum minus the shift to 1e-9, since both walk
-    the same landscape up to a constant; a larger gap means the estimates
-    cannot be trusted. Equal matrices (theta = 0, a = 0) are asked for once.
+    must match the rotated infimum minus the shift to 1e-9, since the two
+    parts differ by a multiple of the identity; a larger gap means the
+    estimates cannot be trusted. Equal matrices (theta = 0, a = 0) are
+    asked for once.
 
     Raises:
         NotCertifiedError: the certificate is not a certified one.
-        OracleMismatchError: a p = 2 cross-check or the shift consistency
-            check fails.
+        OracleMismatchError: the shift consistency check fails.
         ValueError: theta or a is not finite, or F is not a PolyMap.
     """
     groups, read = _linear_searches(F, cert)
@@ -319,7 +309,7 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     measures them as `growth_inputs_from` does, in the one `_estimates` call
     that also reads the radius of every homogeneous part. On a dim-1 space
     all of these are closed forms, so the chain climbs nothing; at p in
-    {1, inf} it climbs the part radii only.
+    {1, 2, inf} it climbs the part radii only.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.

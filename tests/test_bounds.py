@@ -211,6 +211,19 @@ class TestGrowthInputsFrom:
         with pytest.raises(ValueError, match="PolyMap"):
             growth_inputs_from(F, manual_certificate(0.0, 0.0))
 
+    def test_shift_inconsistency_raises(self, monkeypatch, l2_2d):
+        # the shifted and the rotated infimum differ by the shift; a gap
+        # between them beyond 1e-9 means one of them cannot be trusted
+        real = bounds._estimates
+
+        def skewed(space, groups, budget=None):
+            found = real(space, groups, budget)
+            return found[:-1] + [dataclasses.replace(found[-1], value=found[-1].value + 1e-6)]
+
+        monkeypatch.setattr(bounds, "_estimates", skewed)
+        with pytest.raises(OracleMismatchError, match="shift inconsistency"):
+            growth_inputs_from(identity_map(l2_2d), manual_certificate(math.pi, -1.0))
+
     def test_shifted_part_of_certified_map_is_dissipative(self):
         # the rotated and shifted linear part inherits the generator's
         # non-expansion, so the measured infimum never clears zero
@@ -413,7 +426,7 @@ class TestOneClimb:
     """Every sphere search of one verify_growth_bound or
     verify_intermediate_chain call is a group of a single climb."""
 
-    @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, math.inf)])
+    @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, 2.0), (4, math.inf)])
     def test_one_climb_per_call(self, count_calls, dim, p):
         # the shells always climb; on a dim-1 space every linear input and
         # part radius is a closed form, so the chain climbs nothing there
@@ -430,18 +443,19 @@ class TestOneClimb:
         verify_growth_bound(G, manual_certificate(0.5, -0.25), radii=[0.5], budget=budget)
         assert len(climbs) == 2 + 2 * chain
 
-    def test_p2_cross_check_still_raises(self):
-        # the dense copy of the growth workload's seed-53 slot-5 map: the
-        # range infimum search stops about 1.2e-5 above the Hermitian-part
-        # eigenvalue, and the 1e-6 cross-check must still refuse it when
-        # the search shares its climb with the shells
+    def test_p2_dense_seed_53_returns_a_report(self):
+        # the dense copy of the growth workload's seed-53 slot-5 map, on
+        # which a range-infimum sphere search stops about 1.2e-5 above the
+        # Hermitian-part eigenvalue; the infimum read is that eigenvalue
         key = 9 * 53 + 5
         G = sample_generator(NormedSpace(4, 2.0), seed=key, degree=7)
         rng = np.random.default_rng([key, 4242])
         Q, R = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         D = unitary_conjugate(G, Q * (np.diag(R) / np.abs(np.diag(R))))
-        with pytest.raises(OracleMismatchError, match="Hermitian-part eigenvalue"):
-            verify_growth_bound(D, radii=[0.5])
+        rep = verify_growth_bound(D, radii=[0.5])
+        assert not rep.violated
+        m = float(np.linalg.eigvalsh((D.linear + D.linear.conj().T) / 2.0)[0])
+        assert abs(rep.inputs.shifted_range_inf - m) <= 1e-15 * max(1.0, abs(m))
 
 
 class TestIntermediateChain:

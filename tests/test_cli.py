@@ -185,10 +185,23 @@ class TestNumrange:
         assert payload["V_method"] == payload["m_method"] == "closed-form"
         assert payload["samples"] == 0
 
+    def test_p2_reads_the_eigenvalue_oracles(self, capsys, tmp_path):
+        # README's example: the least eigenvalue of the Hermitian part and
+        # the rotated-eigenvalue radius, exact up to LAPACK rounding
+        path = tmp_path / "nilp.json"
+        path.write_text(json.dumps([[0, 1], [0, 0]]))
+        rc, out, _ = invoke(capsys, "numrange", str(path), "--no-timestamp")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["V"], payload["m"]) == (0.5000000000000001, -0.5)
+        assert payload["V_method"] == payload["m_method"] == "closed-form"
+        assert payload["samples"] == 0
+
     def test_searched_range_reports_its_samples(self, capsys, tmp_path):
+        # p = 3 has no closed form; p in {1, 2, inf} read theirs
         path = tmp_path / "m.json"
         path.write_text(json.dumps([[1, 2], [0.5, -1]]))
-        rc, out, _ = invoke(capsys, "numrange", str(path), "--no-timestamp")
+        rc, out, _ = invoke(capsys, "numrange", str(path), "--p", "3", "--no-timestamp")
         assert rc == 0
         payload = json.loads(out)
         assert payload["V_method"] == payload["m_method"] == "sphere-search"
@@ -390,19 +403,22 @@ class TestVerifySuite:
 
     def test_linear_part_searched_once(self, capsys, count_calls):
         # the chain reads the linear radius and infimum off the growth
-        # inputs, so only the growth bound asks for them; seed 0 is a dim-1
-        # map, whose linear inputs are closed forms, so no climb searches them
+        # inputs, so only the growth bound asks for them, once per seed; the
+        # six seeds cover dims 1, 2 and 4 at p = 1 and p = 2, where every
+        # linear input is a closed form, so no climb searches them
         asked = count_calls(bounds, "_estimates")
         climbed = count_calls(numrange, "_sphere_search")
-        assert invoke(capsys, "verify-suite", "--seeds", "1", "--no-timestamp")[0] == 0
-        assert matrix_searches(asked) == (1, 1)
+        assert invoke(capsys, "verify-suite", "--seeds", "6", "--no-timestamp")[0] == 0
+        assert matrix_searches(asked) == (6, 6)
         assert matrix_searches(climbed) == (0, 0)
 
     def test_two_sphere_searches_per_seed(self, capsys, count_calls):
         # at most one climb for the growth bound and one for the chain; the
         # harris check reads the chain's margin instead of searching again.
-        # On the three dim-1 seeds of nine the chain's linear inputs and
-        # part radii are all closed forms, so it climbs nothing: 9 * 2 - 3
+        # The linear inputs are closed forms at every p of the battery, so
+        # the growth bound climbs its shells and the chain its part radii.
+        # On the three dim-1 seeds of nine the part radii are closed forms
+        # too, so the chain climbs nothing there: 9 * 2 - 3
         searches = count_calls(numrange, "_sphere_search")
         assert invoke(capsys, "verify-suite", "--seeds", "9", "--no-timestamp")[0] == 0
         assert len(searches) == 15
