@@ -18,7 +18,7 @@ import numpy as np
 from .certify import (PseudoDissipativityCertificate, _check_tolerance, _require_certified,
                       _require_polymap)
 from .numrange import (OracleMismatchError, SearchBudget, _estimates, _Group,
-                       _radius_group, _range_inf_group, harris_constant)
+                       _radius_group, _range_inf_group, _Shell, harris_constant)
 from .polymaps import _pair_lines
 
 LN2 = math.log(2.0)
@@ -217,16 +217,20 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
     Without a certificate F is treated as a generator and the canonical
     certificate is built first (raising NotCertifiedError when it is not
     one). The measured quantity is the deviation from the center value, so
-    adding a constant to F shifts both sides identically. Each shell reads
-    its supremum off the climb and its radius as the norm of r times the
-    climb's maximizer, so a map sitting exactly on an envelope reports
-    slack 0.
+    adding a constant to F shifts both sides identically. Each shell is a
+    group (F, r) of one `_estimates` call. On a dim-1 space it is read on
+    the circle, and at p = inf on the torus r T^n, where the supremum lies,
+    when its grid of max(16, 8 degree)^n points fits budget.samples; the
+    other shells climb. A shell reads its supremum off its read or climb
+    and its radius as the norm of r times the maximizer, so a map sitting
+    exactly on an envelope reports slack 0.
 
     Args:
         F: a PolyMap.
         cert: certified rotation/shift certificate, or None.
         radii: nonempty 1-D grid of shell radii, default 0.1 .. 0.95 step 0.05, 0.99.
-        budget: search effort for the suprema and the searched range estimates.
+        budget: search effort for the suprema and the searched range
+            estimates; its samples also cap a circle or torus grid.
         tolerance: slack below -tolerance marks it violated; must be > 0.
     """
     _check_tolerance(tolerance)
@@ -235,16 +239,11 @@ def verify_growth_bound(F, cert: PseudoDissipativityCertificate | None = None,
         cert = generator_certificate(F)
     linear, read = _linear_searches(F, cert)
     space = F.space
-    F0 = np.asarray(F.constant, dtype=np.complex128)
     k = len(linear)
-
-    def shells(V, g):
-        return F.eval_batch(grid[g - k][:, None] * V) - F0[None, :]
-
-    # the shells climb together with any range searches that have no closed
-    # form, shell i as group k + i on stream salt 11 + i
-    found = _estimates(space, linear + [_Group("norm", 11 + i, shells) for i in range(grid.size)],
-                       budget)
+    # shell i is group k + i on stream salt 11 + i: read on the circle or
+    # torus where it can be, else climbed with any range searches left
+    found = _estimates(space, linear + [_Group("norm", 11 + i, _Shell(F, r))
+                                        for i, r in enumerate(grid)], budget)
     inputs = read(found[:k])
     values, maximizers = zip(*found[k:])
     lhs = np.array(values)
@@ -309,7 +308,9 @@ def verify_intermediate_chain(G, budget: SearchBudget | None = None,
     measures them as `growth_inputs_from` does, in the one `_estimates` call
     that also reads the radius of every homogeneous part. On a dim-1 space
     all of these are closed forms, so the chain climbs nothing; at p in
-    {1, 2, inf} it climbs the part radii only.
+    {1, 2} it climbs the part radii only, and at p = inf only those whose
+    face grid of max(16, 8 degree)^(n - 1) points exceeds budget.samples,
+    the others being read on the torus.
 
     Raises:
         NotCertifiedError: inputs is None and G does not certify.

@@ -56,24 +56,36 @@ def _row_blocks(rows: int, columns: np.ndarray, coeffs: np.ndarray) -> list:
         (min(lo, rows - 2), min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def _gemm_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs (..., terms, dim_out) as `_eval_parts` multiplies them. One output
+    column makes numpy take gemv, which rounds a row of two or more terms apart
+    between batches, so such coeffs get a zero second column, dropped again
+    after the matmul; a single term is one product either way."""
+    if coeffs.shape[-1] > 1 or coeffs.shape[-2] < 2:
+        return coeffs
+    return np.concatenate((coeffs, np.zeros_like(coeffs)), axis=-1)
+
+
 def _eval_parts(table: np.ndarray, columns: np.ndarray, coeffs: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray) -> np.ndarray:
     """(parts, B, dim_out) values, from a `_power_table`, of stacked parts: their
-    nonunit-factor rows (factors, parts, terms) and coeffs (parts, terms, dim_out),
-    written into out if given. Factors are gathered table rows, multiplied in as
-    binary `*` in one block when the batch is within `_block_rows`, else in
+    nonunit-factor rows (factors, parts, terms) and `_gemm_coeffs` (parts, terms,
+    dim_out or 2), written into out. Factors are gathered table rows, multiplied
+    in as binary `*` in one block when the batch is within `_block_rows`, else in
     `_row_blocks`, so a row rounds the same alone, in any batch and on any number
     of BLAS threads."""
     rows = table.shape[1]
-    if out is None:
-        out = np.empty((columns.shape[1], rows, coeffs.shape[-1]), dtype=np.complex128)
+    padded = coeffs.shape[-1] > out.shape[-1]
     one = rows <= _block_rows(columns, coeffs)
     for lo, hi in ((0, rows),) if one else _row_blocks(rows, columns, coeffs):
         block = table if one else table[:, lo:hi]
         mono = block[columns[0]]
         for i in range(1, len(columns)):
             mono *= block[columns[i]]
-        np.matmul(mono.transpose(0, 2, 1), coeffs, out=out if one else out[:, lo:hi])
+        if padded:
+            out[:, lo:hi] = np.matmul(mono.transpose(0, 2, 1), coeffs)[..., :1]
+        else:
+            np.matmul(mono.transpose(0, 2, 1), coeffs, out=out if one else out[:, lo:hi])
     return out
 
 
@@ -131,6 +143,7 @@ class HomogeneousPoly:
         coord = np.argsort(powers == 0, axis=1, kind="stable")[:, :nonunit]
         exps = np.take_along_axis(powers, coord, axis=1)
         object.__setattr__(self, "_columns", np.where(exps > 0, exps * self.dim_in + coord, 0).T.copy())
+        object.__setattr__(self, "_gemm", _gemm_coeffs(coeffs))
 
     @property
     def dim_in(self) -> int:
@@ -152,7 +165,8 @@ class HomogeneousPoly:
 
     def _eval_table(self, table: np.ndarray) -> np.ndarray:
         """Evaluate from a `_power_table` of degree >= self.degree."""
-        return _eval_parts(table, self._columns[:, None], self.coeffs[None])[0]
+        out = np.empty((1, table.shape[1], self.dim_out), dtype=np.complex128)
+        return _eval_parts(table, self._columns[:, None], self._gemm[None], out)[0]
 
     def __call__(self, z) -> np.ndarray:
         return self.eval_batch(np.asarray(z, dtype=np.complex128)[None, :])[0]
@@ -201,7 +215,7 @@ class PolyMap:
         runs = [[q for _, q in run] for _, run in itertools.groupby(
             enumerate(parts), lambda iq: (iq[1]._columns.shape, iq[1].degree - iq[0]))]
         object.__setattr__(self, "_groups", [(np.stack([q._columns for q in run], axis=1),
-                                              np.stack([q.coeffs for q in run])) for run in runs])
+                                              np.stack([q._gemm for q in run])) for run in runs])
 
     @property
     def degree(self) -> int:

@@ -1,11 +1,13 @@
 """Shared builders for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hologen.polymaps import DiscFunction, PolyMap
+from hologen.numrange import operator_norm
+from hologen.polymaps import DiscFunction, HomogeneousPoly, PolyMap
 from hologen.spaces import NormedSpace, _p_norm
 
 
@@ -53,6 +55,52 @@ def fejer_dip() -> DiscFunction:
     k = np.arange(1, 12)
     return DiscFunction.polynomial(np.concatenate((
         [0.95 - 1.0 / 12.0], -(1.0 - k / 12.0) * np.exp(-1j * k * np.pi / 16.0) / 6.0)))
+
+
+def coupled_generator(n: int, seed: int, p: float = math.inf) -> PolyMap:
+    """H - kappa id, a generator by construction at every p, with coupled
+    coordinates (ROADMAP item 14's family). rng default_rng(1000 n + seed)
+    draws A = 0.5 (N + iN), then for each degree 2, 3 and 4 up to four
+    distinct multi-indices of that degree, each with coefficient vector
+    0.3 (N + iN); H(0) = 0. Since |z^alpha| <= ||z||^|alpha| <= ||z|| on the
+    ball, kappa = ||A||_(p->p) + sum_t ||c_t||_p bounds ||H(z)|| / ||z||, so
+    Re<H(z) - kappa z, z*> <= 0."""
+    rng = np.random.default_rng(1000 * n + seed)
+    space = NormedSpace(n, p)
+    A = 0.5 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    kappa = operator_norm(space, A)
+    parts = []
+    for degree in (2, 3, 4):
+        monomials = [m for m in itertools.product(range(degree + 1), repeat=n) if sum(m) == degree]
+        pick = rng.choice(len(monomials), size=min(4, len(monomials)), replace=False)
+        shape = (len(pick), n)
+        coeffs = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        parts.append(HomogeneousPoly(degree, np.array([monomials[i] for i in pick]), coeffs))
+        kappa += float(np.sum(_p_norm(np.abs(coeffs), p)))
+    return PolyMap(space, np.zeros(n, dtype=np.complex128), A - kappa * np.eye(n), tuple(parts))
+
+
+def lift_coefficients(G: PolyMap) -> np.ndarray:
+    """(dim, degree + 1) Taylor coefficients c_kj of g_k - g_k(0) for a
+    coordinatewise lift G(z)_k = g_k(z_k)."""
+    C = np.zeros((G.space.dim, G.degree + 1), dtype=np.complex128)
+    C[:, 1] = np.diag(G.linear)
+    for part in G.higher:
+        for powers, coeffs in zip(part.powers, part.coeffs):
+            k = int(np.argmax(powers))
+            C[k, part.degree] += coeffs[k]
+    return C
+
+
+def circle_bracket(c, rho: float, angles: int = 4096) -> tuple:
+    """[lo, up] around max |sum_(j>=1) c_j zeta^j| on |zeta| = rho: lo the
+    largest of `angles` equispaced samples, up = lo / (1 - d^2 pi^2 /
+    (2 angles^2)) by Bernstein's inequality, d the degree."""
+    c = np.asarray(c, dtype=np.complex128)
+    d = c.size - 1
+    zeta = rho * np.exp(2j * np.pi * np.arange(angles) / angles)
+    lo = float(np.max(np.abs(np.polynomial.polynomial.polyval(zeta, c))))
+    return lo, lo / (1.0 - d * d * math.pi ** 2 / (2.0 * angles * angles))
 
 
 def minus_identity(space: NormedSpace) -> PolyMap:

@@ -20,7 +20,8 @@ from hologen.numrange import (OracleMismatchError, SearchBudget, _spread_starts,
 from hologen.polymaps import HomogeneousPoly, PolyMap, sample_generator, unitary_conjugate
 from hologen.spaces import NormedSpace
 
-from conftest import (BlackBox, identity_map, matrix_searches, minus_identity,
+from conftest import (BlackBox, circle_bracket, coupled_generator, identity_map,
+                      lift_coefficients, matrix_searches, minus_identity,
                       serial_spread_starts)
 
 E = math.e
@@ -400,8 +401,8 @@ class TestBatchedShells:
 
     @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, math.inf)])
     def test_shells_are_not_evaluated_again(self, count_calls, dim, p):
-        # lhs and radii are read off the climb, so no one-row evaluation of
-        # a maximizer follows it
+        # lhs and radii are read off the climb or the circle read, so no
+        # one-row evaluation of a maximizer follows it
         G = sample_generator(NormedSpace(dim, p), seed=dim, degree=4)
         cert = generator_certificate(G)
         evals = count_calls(PolyMap, "eval_batch")
@@ -409,6 +410,10 @@ class TestBatchedShells:
                             budget=SearchBudget(samples=256, refine_iters=20, starts=2))
         assert evals
         assert all(len(args[1]) > 1 for args, _ in evals)
+        if dim == 1:
+            # the three 32-point circles in one call, 38 golden-section
+            # steps of their polish and one read of the polished points
+            assert len(evals) == 40
 
     @pytest.mark.parametrize("dim", (1, 2, 4))
     def test_vectorized_start_choice_matches_serial_loop(self, dim):
@@ -422,26 +427,84 @@ class TestBatchedShells:
             assert _spread_starts(pts, order, count) == serial_spread_starts(pts, order, count)
 
 
+class TestTorusShells:
+    """Shells on a dim-1 space are read on the circle, and at p = inf on the
+    torus r T^n, where the supremum of each coordinate lies (maximum
+    principle on the polydisc's distinguished boundary)."""
+
+    @pytest.mark.parametrize("dim, p", [(1, 1.0), (1, 2.0), (1, math.inf), (2, math.inf)])
+    @pytest.mark.parametrize("seed, degree", [(0, 3), (5, 8)])
+    def test_lift_shells_lie_in_the_circle_bracket(self, count_calls, dim, p, seed, degree):
+        # on a coordinatewise lift the supremum is max_k of the circle
+        # maxima of g_k - g_k(0), at every p
+        G = sample_generator(NormedSpace(dim, p), seed=seed, degree=degree)
+        radii = np.array([0.1, 0.55, 0.9, 0.99])
+        climbs = count_calls(numrange, "_sphere_search")
+        rep = verify_growth_bound(G, manual_certificate(0.0, 0.0), radii=radii)
+        assert not climbs
+        C = lift_coefficients(G)
+        for r, lhs in zip(radii, rep.lhs):
+            brackets = [circle_bracket(c, r) for c in C]
+            lo, up = max(b[0] for b in brackets), max(b[1] for b in brackets)
+            assert lo - 1e-12 <= lhs <= up * (1.0 + 1e-12)
+        assert np.all(np.abs(rep.radii - radii) <= 1e-15)
+
+    def test_coupled_shells_reach_the_torus_sample(self):
+        # the sphere climb fell short of this torus sample on some seeds,
+        # reaching 0.998 of it at r = 0.99 on seed 4
+        radii = np.array([0.5, 0.9, 0.99])
+        for seed in range(30):
+            G = coupled_generator(2, seed)
+            rep = verify_growth_bound(G, manual_certificate(0.0, 0.0), radii=radii)
+            rng = np.random.default_rng([seed, 77])
+            T = np.exp(2j * np.pi * rng.random((100_000, 2)))
+            for r, lhs in zip(radii, rep.lhs):
+                assert lhs >= np.max(G.space.norm_batch(G.eval_batch(r * T)))
+
+    @pytest.mark.parametrize("samples, climbs", [(256, 0), (255, 1)])
+    def test_a_grid_within_the_samples_is_read(self, count_calls, samples, climbs):
+        # a degree-2 map at dim 2 and p = inf has 16^2-point shell grids
+        G = sample_generator(NormedSpace(2, math.inf), seed=1, degree=2)
+        searches = count_calls(numrange, "_sphere_search")
+        verify_growth_bound(G, manual_certificate(0.0, 0.0), radii=[0.5],
+                            budget=SearchBudget(samples=samples, refine_iters=20))
+        assert len(searches) == climbs
+
+    def test_growth_shells_match_the_torus_reads(self):
+        # each shell is the group of an `_estimates` call that reads it
+        G = coupled_generator(2, 3)
+        rep = verify_growth_bound(G, manual_certificate(0.0, 0.0), radii=[0.4, 0.8])
+        for r, lhs, r_eff in zip([0.4, 0.8], rep.lhs, rep.radii):
+            [(value, v)] = numrange._torus_read(
+                G.space, [numrange._Group("norm", 11, numrange._Shell(G, r))],
+                numrange.DEFAULT_BUDGET)
+            assert value == lhs
+            assert G.space.norm(G.eval_batch(r * v[None, :])[0] - G.constant) == value
+            assert r_eff == G.space.norm(r * v)
+
+
 class TestOneClimb:
     """Every sphere search of one verify_growth_bound or
     verify_intermediate_chain call is a group of a single climb."""
 
     @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 1.0), (4, 2.0), (4, math.inf)])
     def test_one_climb_per_call(self, count_calls, dim, p):
-        # the shells always climb; on a dim-1 space every linear input and
-        # part radius is a closed form, so the chain climbs nothing there
-        chain = 0 if dim == 1 else 1
+        # on a dim-1 space the shells are read on the circle and every
+        # linear input and part radius is a closed form, so nothing climbs
+        # there; at dim 4 and p = inf the 32^4-point shell grids and the
+        # 16^3-point part grids exceed the 512 samples, so both climb
+        climb = 0 if dim == 1 else 1
         G = sample_generator(NormedSpace(dim, p), seed=dim, degree=4)
         budget = SearchBudget(samples=512, refine_iters=40, starts=2)
         climbs = count_calls(numrange, "_climb")
         rep = verify_growth_bound(G, radii=[0.3, 0.6, 0.9], budget=budget)
-        assert len(climbs) == 1
+        assert len(climbs) == climb
         verify_intermediate_chain(G, budget=budget, v_count=16)
-        assert len(climbs) == 1 + chain
+        assert len(climbs) == 2 * climb
         verify_intermediate_chain(G, budget=budget, v_count=16, inputs=rep.inputs)
-        assert len(climbs) == 1 + 2 * chain
+        assert len(climbs) == 3 * climb
         verify_growth_bound(G, manual_certificate(0.5, -0.25), radii=[0.5], budget=budget)
-        assert len(climbs) == 2 + 2 * chain
+        assert len(climbs) == 4 * climb
 
     def test_p2_dense_seed_53_returns_a_report(self):
         # the dense copy of the growth workload's seed-53 slot-5 map, on

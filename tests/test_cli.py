@@ -417,11 +417,14 @@ class TestVerifySuite:
         # harris check reads the chain's margin instead of searching again.
         # The linear inputs are closed forms at every p of the battery, so
         # the growth bound climbs its shells and the chain its part radii.
-        # On the three dim-1 seeds of nine the part radii are closed forms
-        # too, so the chain climbs nothing there: 9 * 2 - 3
+        # On the three dim-1 seeds of nine the shells are read on the circle
+        # and the part radii are closed forms, and seed 7 (dim 2, p = inf,
+        # degree 2) reads its 16^2-point shell grids and 16-point part grid
+        # on the torus within the 768 samples, so none of those four climbs:
+        # 9 * 2 - 4 * 2
         searches = count_calls(numrange, "_sphere_search")
         assert invoke(capsys, "verify-suite", "--seeds", "9", "--no-timestamp")[0] == 0
-        assert len(searches) == 15
+        assert len(searches) == 10
 
     def test_harris_margin_matches_the_searched_check(self, capsys, monkeypatch):
         # the battery's maps peak on the +-e_k that lead every sphere sample,

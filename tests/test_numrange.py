@@ -21,7 +21,7 @@ from hologen.numrange import (
 from hologen.polymaps import HomogeneousPoly, sample_generator
 from hologen.spaces import NormedSpace
 
-from conftest import pairing, serial_spread_starts
+from conftest import coupled_generator, lift_coefficients, pairing, serial_spread_starts
 
 L2 = NormedSpace(2, 2.0)
 L3 = NormedSpace(2, 3.0)
@@ -383,7 +383,7 @@ def test_batched_groups_match_searches_alone(dim, p):
     G = sample_generator(space, seed=dim, degree=4)
     P2, P4 = G.part_of_degree(2), G.part_of_degree(4)
 
-    def shell(V, g):
+    def shell(V):
         return G.eval_batch(0.8 * V)
 
     groups = [numrange._range_inf_group(A), numrange._radius_group(A),
@@ -394,7 +394,7 @@ def test_batched_groups_match_searches_alone(dim, p):
         [(alone, amax)] = numrange._sphere_search(space, [grp], numrange.DEFAULT_BUDGET)
         assert value == alone
         np.testing.assert_array_equal(vmax, amax)
-    value, vmax = sup_norm_on_sphere(space, lambda V: shell(V, None), salt=9)
+    value, vmax = sup_norm_on_sphere(space, shell, salt=9)
     assert found[4][0] == value
     np.testing.assert_array_equal(found[4][1], vmax)
 
@@ -516,10 +516,13 @@ class TestClosedForms:
         values = np.abs(pairing(P.eval_batch(pts), space.support_batch(pts)))
         assert np.allclose(values, est.value, rtol=1e-9)
 
+    # at p = inf a part is read on the torus while its grid fits the
+    # samples: a degree-3 part at dim 4 has 24^3 > 512 grid points
     @pytest.mark.parametrize("space, f", [
         (NormedSpace(2, 3.0), np.array([[1.0, 2.0j], [0.5, -1.0]])),
         (NormedSpace(2, 1.0), HomogeneousPoly(2, np.array([[1, 1]]), np.array([[1.0, 0.5]]))),
-        (NormedSpace(2, math.inf), HomogeneousPoly(2, np.array([[2, 0]]), np.array([[0.0, 1.0]])))])
+        (NormedSpace(4, math.inf), HomogeneousPoly(3, np.array([[2, 0, 1, 0]]),
+                                                   np.array([[0.0, 1.0, 0.0, 0.5j]])))])
     def test_other_spaces_keep_their_search(self, space, f):
         est = (polynomial_numerical_radius(space, f, FAST) if isinstance(f, HomogeneousPoly)
                else numerical_radius(space, f, FAST))
@@ -536,3 +539,85 @@ class TestClosedForms:
         # harris_check climbs its sup norm only
         assert [len(args[1]) for args, _ in climbs] == [1]
         assert climbs[0][0][1][0].kind == "norm"
+
+
+def torus_witness_gap(space, P, est):
+    """|<P(w), w*>| at the witness w through support_batch, minus the value."""
+    return float(np.abs(reevaluated(space, P, est.maximizer))[0]) - est.value
+
+
+class TestTorusReads:
+    """At p = inf a part's radius is max_k |P_k| over the faces v_k = 1 of
+    the torus, read on a grid and polished, while the grid fits the
+    budget's samples (ROADMAP item 18)."""
+
+    @pytest.mark.parametrize("dim, p", [(1, 1.0), (1, 2.0), (1, math.inf), (2, math.inf)])
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_lift_radii_are_the_largest_coefficient(self, dim, p, seed):
+        space = NormedSpace(dim, p)
+        G = sample_generator(space, seed=seed, degree=8)
+        C = lift_coefficients(G)
+        for part in G.higher:
+            est = polynomial_numerical_radius(space, part)
+            assert est.method == ("closed-form" if dim == 1 else "torus")
+            exact = float(np.max(np.abs(C[:, part.degree])))
+            assert abs(est.value - exact) <= 1e-15 * exact
+            assert abs(torus_witness_gap(space, part, est)) <= 1e-12 * max(1.0, est.value)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_coupled_radii_reach_the_torus_sample(self, n):
+        # item 14's family; at n = 4 only the degree-2 grid, 16^3 points,
+        # fits the default 4096 samples, and the others climb
+        space = NormedSpace(n, math.inf)
+        for seed in range(10):
+            G = coupled_generator(n, seed)
+            rng = np.random.default_rng([seed, 78])
+            T = np.exp(2j * np.pi * rng.random((20_000, n)))
+            for part in G.higher:
+                est = polynomial_numerical_radius(space, part)
+                if n == 4 and part.degree > 2:
+                    assert est.method == "sphere-search"
+                    continue
+                assert est.method == "torus"
+                grid = max(16, 8 * part.degree) ** (n - 1)
+                assert grid < est.samples
+                assert est.value >= np.max(np.abs(part.eval_batch(T)))
+                # the witness's largest coordinate is 1, the others inside
+                k = int(np.argmax(np.abs(est.maximizer)))
+                assert est.maximizer[k] == 1.0
+                assert np.max(np.abs(np.delete(est.maximizer, k))) < 1.0
+                assert abs(torus_witness_gap(space, part, est)) <= 1e-12 * max(1.0, est.value)
+
+    @pytest.mark.parametrize("samples, method", [(16, "torus"), (15, "sphere-search")])
+    def test_a_grid_of_the_samples_is_read(self, samples, method):
+        # a degree-2 part at dim 2 has a 16-point grid on the face angle
+        P = HomogeneousPoly(2, np.array([[2, 0], [1, 1]]), np.array([[0.5, 1.0j], [-1.0, 0.25]]))
+        est = polynomial_numerical_radius(NormedSpace(2, math.inf), P,
+                                          SearchBudget(samples=samples, refine_iters=20))
+        assert est.method == method
+        if method == "torus":
+            assert est.value == pytest.approx(1.5, abs=1e-15)
+
+    def test_torus_read_ignores_the_search_knobs(self):
+        space = NormedSpace(3, math.inf)
+        P = coupled_generator(3, 2).higher[1]
+        reads = [polynomial_numerical_radius(space, P, SearchBudget(seed=seed, starts=starts,
+                                                                    refine_iters=iters))
+                 for seed, starts, iters in ((0, 4, 200), (9, 1, 0))]
+        assert reads[0].value == reads[1].value
+        assert np.array_equal(reads[0].maximizer, reads[1].maximizer)
+        assert reads[0].samples == reads[1].samples
+
+    @pytest.mark.parametrize("dim, p", [(1, 2.0), (2, math.inf), (3, math.inf)])
+    def test_harris_check_reads_its_sup_norm(self, count_calls, dim, p):
+        # at p = inf ||P||_inf on the torus is the radius itself, and on a
+        # dim-1 space both read |P(1)|, so the slack is (k_m - 1) times it
+        space = NormedSpace(dim, p)
+        P = coupled_generator(dim, 1, p).higher[0] if dim > 1 else HomogeneousPoly(
+            3, np.array([[3], [3]]), np.array([[1.0 + 0.5j], [-0.25]]))
+        climbs = count_calls(numrange, "_sphere_search")
+        report = harris_check(space, P)
+        assert not climbs
+        assert report["sup_norm"] == report["radius"]
+        assert report["slack"] == pytest.approx((report["constant"] - 1.0) * report["radius"],
+                                                rel=1e-15)

@@ -210,6 +210,21 @@ class TestPowerTableKernel:
             for a, b in zip(cut, whole):
                 assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("terms", [1, 2, 3, 8])
+    def test_dim_1_parts_of_several_terms_round_alike(self, terms):
+        # one output column would make numpy take gemv, which rounds a row of
+        # two or more terms apart between a batch of 1-3 rows and one of 8+
+        rng = np.random.default_rng([terms, 77])
+        part = HomogeneousPoly(5, np.full((terms, 1), 5),
+                               rng.standard_normal((terms, 1)) + 1j * rng.standard_normal((terms, 1)))
+        F = PolyMap(NormedSpace(1, 2.0), np.zeros(1), np.array([[-1.0]]), (part,))
+        Z = ball_points(F.space, 43, seed=terms, rmax=0.99)
+        for kernel in (part.eval_batch, F.eval_batch, F.line_vectors):
+            whole = kernel(np.concatenate([Z] * 100))[:43]
+            for size in (1, 2, 3, 8):
+                cut = np.concatenate([kernel(Z[b:b + size]) for b in range(0, 43, size)])
+                assert cut.tobytes() == whole.tobytes()
+
     def test_dense_part_rounds_alike_in_pieces(self):
         # 165 terms: one 4,096-row gemm would run on several BLAS threads
         part = dense_copy(4, seed=8, degree=8).higher[-1]
